@@ -11,7 +11,6 @@ from .cloud import CloudPoint, SpectrumCloud
 from .errors import (
     CapExceededError,
     ConvergenceError,
-    NumericalConsistencyError,
     ParseError,
     WitnessDegenerateError,
 )
@@ -34,19 +33,17 @@ from .polyroot import (
     from_roots,
     int_charpoly_oracle,
     match_multisets,
-    preimage,
     roots,
     roots_many,
 )
 from .symbol import (
-    SymbolMatrix,
     SymbolPolynomial,
     periodic_spectrum,
+    preimages,
     symbol_array,
     symbol_char_value,
     symbol_char_values,
     symbol_eigenvalues,
-    symbol_matrix,
     symbol_poly,
     two_cos_pi,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "ParseError",
     "CapExceededError",
     "ConvergenceError",
-    "NumericalConsistencyError",
     "WitnessDegenerateError",
     "SignVector",
     "TridiagSignMatrix",
@@ -103,17 +99,15 @@ __all__ = [
     "evaluate",
     "roots",
     "roots_many",
-    "preimage",
     "from_roots",
     "int_charpoly_oracle",
     "match_multisets",
-    "SymbolMatrix",
     "SymbolPolynomial",
-    "symbol_matrix",
     "symbol_array",
     "symbol_char_value",
     "symbol_char_values",
     "symbol_poly",
+    "preimages",
     "symbol_eigenvalues",
     "periodic_spectrum",
     "two_cos_pi",

@@ -7,7 +7,7 @@ CSV).  Timing never goes into data files; it lives in the side-car manifest
 `<out>.manifest.json` together with sha256 digests of every emitted file.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
-3 numerical-consistency failure, 4 I/O failure.
+3 numerical failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .embed import verify_embedding
 from .errors import (
     CapExceededError,
     ConvergenceError,
-    NumericalConsistencyError,
     ParseError,
     WitnessDegenerateError,
 )
@@ -223,8 +222,8 @@ def _cmd_enumerate(args) -> int:
     }
     _emit_cloud(cloud, args, params, started)
     elapsed = time.monotonic() - started
-    print(f"points: {len(cloud)}")
-    print(f"wall_time_s: {elapsed:.3f}")
+    print(f"points: {len(cloud)}", file=sys.stderr)
+    print(f"wall_time_s: {elapsed:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -376,7 +375,7 @@ def main(argv=None) -> int:
     except (ParseError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalConsistencyError, ConvergenceError, WitnessDegenerateError) as exc:
+    except (ConvergenceError, WitnessDegenerateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

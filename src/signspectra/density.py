@@ -115,7 +115,7 @@ def periodic_union(
     seen: set[tuple[int, ...]] = set()
     parts = []
     for k in _all_patterns_upto(max_m):
-        key = symbol_poly(ensure_even_parity(k)).int_poly().coeffs
+        key = symbol_poly(ensure_even_parity(k)).p.coeffs
         if key in seen:
             continue
         seen.add(key)

@@ -24,15 +24,16 @@ import numpy as np
 from .cloud import SpectrumCloud
 from .errors import CapExceededError, WitnessDegenerateError
 from .finite import charpoly_eval_many
-from .polyroot import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    IntPolynomial,
-    int_charpoly_oracle,
-    roots_many,
-)
+from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial
+from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
-from .symbol import symbol_array, symbol_char_values, symbol_poly, two_cos_pi
+from .symbol import (
+    preimages,
+    symbol_array,
+    symbol_char_values,
+    symbol_poly,
+    two_cos_pi,
+)
 
 __all__ = [
     "BlockCirculant",
@@ -75,54 +76,18 @@ def build_block_circulant(k: SignVector, n: int) -> BlockCirculant:
     return BlockCirculant(k=k, n=n, matrix=a.real.copy())
 
 
-def _continuant_coeffs(signs) -> list[int]:
-    # D_{len+1} of the zero-diagonal tridiagonal with these subdiagonal
-    # signs and unit superdiagonal, ascending integer coefficients
-    prev = [1]
-    cur = [0, -1]
-    for s in signs:
-        s = int(s)
-        nxt = [0] + [-c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= s * c
-        prev, cur = cur, nxt
-    return cur
-
-
 def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
     """Exact det(M - x I) of the block circulant, any size.
 
-    Uses the corner-expansion of the determinant: with D the full continuant,
-    E the continuant of the interior (rows and columns 2..N-1), and corners
-    a = M[1,N], c = M[N,1],
-
-        det(M - xI) = D(x) - a c E(x) + (-1)^{N+1} (a prod(sub) + c prod(super)).
-
-    All quantities are integers here, so the result is exact.
+    M is the symbol of the n-fold repeated pattern at angle 0, so with N = nm
+    and p the symbol polynomial of that pattern (the integer corner
+    expansion of symbol_poly), det(M - x I) = (-1)^N (p(x) - K^n - 1).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    pattern = k.repeated(n)
-    size = len(pattern)
-    if size == 2:
-        dense = build_block_circulant(k, n).matrix.astype(int)
-        return int_charpoly_oracle(dense)
-    signs = pattern.signs
-    a = signs[-1]
-    c = 1
-    full = _continuant_coeffs(signs[:-1])
-    inner = _continuant_coeffs(signs[1:-2])
-    out = [0] * (size + 1)
-    for i, v in enumerate(full):
-        out[i] += v
-    for i, v in enumerate(inner):
-        out[i] -= a * c * v
-    sub_prod = 1
-    for s in signs[:-1]:
-        sub_prod *= int(s)
-    wrap = a * sub_prod + c  # super entries are all ones
-    out[0] += wrap if (size + 1) % 2 == 0 else -wrap
-    return IntPolynomial(tuple(out))
+    sp = symbol_poly(k.repeated(n))
+    shifted = sp.p - IntPolynomial((sp.k_product + 1,))
+    return shifted.scaled(-1 if (n * len(k)) % 2 else 1)
 
 
 def _read_corner_det(matrix: np.ndarray, lam: np.ndarray):
@@ -153,22 +118,6 @@ def _read_corner_det(matrix: np.ndarray, lam: np.ndarray):
     return full - a * c * inner + sign * wrap
 
 
-_SUPPORT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _support_mask(size: int) -> np.ndarray:
-    mask = _SUPPORT_CACHE.get(size)
-    if mask is None:
-        mask = np.zeros((size, size), dtype=bool)
-        idx = np.arange(size - 1)
-        mask[idx, idx + 1] = True
-        mask[idx + 1, idx] = True
-        mask[0, size - 1] = True
-        mask[size - 1, 0] = True
-        _SUPPORT_CACHE[size] = mask
-    return mask
-
-
 def circulant_factorization_check(
     k: SignVector,
     n: int,
@@ -194,8 +143,15 @@ def circulant_factorization_check(
     matrix = np.asarray(matrix)
     if matrix.shape != (size, size):
         return False
-    if size >= 3 and np.any(matrix[~_support_mask(size)] != 0):
-        return False
+    if size >= 3:
+        support = np.zeros((size, size), dtype=bool)
+        idx = np.arange(size - 1)
+        support[idx, idx + 1] = True
+        support[idx + 1, idx] = True
+        support[0, size - 1] = True
+        support[size - 1, 0] = True
+        if np.any(matrix[~support] != 0):
+            return False
 
     rng = np.random.default_rng(20240331)
     lam = 3.0 * np.exp(2j * np.pi * rng.random(4 * size))
@@ -240,14 +196,8 @@ def target_set(
         return SpectrumCloud(
             (), warnings=(f"empty target set: n = {n} excludes every angle",)
         )
-    sp = symbol_poly(k)
-    base = sp.p.as_array()
-    rows = []
-    for j in js:
-        row = base.copy()
-        row[0] -= two_cos_pi(2 * j, n)
-        rows.append(row)
-    solved = roots_many(rows, tol, max_iter)
+    targets = [two_cos_pi(2 * j, n) for j in js]
+    solved = preimages(symbol_poly(k).p, targets, tol, max_iter)
     parts = [
         SpectrumCloud.from_values(vals, f"target:j={j}") for j, vals in zip(js, solved)
     ]
@@ -375,19 +325,16 @@ def verify_embedding(
     worst = max(residuals, default=0.0)
     verified = all(r <= tol for r in residuals)
 
-    excluded = []
-    sp = symbol_poly(keff)
-    for j in ([n // 2] if n % 2 == 0 else []) + [n]:
-        row = sp.p.as_array()
-        row[0] -= two_cos_pi(2 * j, n)
-        vals = roots_many([row])[0]
-        excluded.append(
-            ExcludedTarget(
-                j=j,
-                values=tuple(complex(v) for v in vals),
-                residuals=_residuals_at(l, vals),
-            )
+    js = ([n // 2] if n % 2 == 0 else []) + [n]
+    solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
+    excluded = tuple(
+        ExcludedTarget(
+            j=j,
+            values=tuple(complex(v) for v in vals),
+            residuals=_residuals_at(l, vals),
         )
+        for j, vals in zip(js, solved)
+    )
 
     witnesses = None
     if want_witness and len(values):
@@ -407,5 +354,5 @@ def verify_embedding(
         verified=verified,
         worst_residual=worst,
         witnesses=witnesses,
-        excluded=tuple(excluded),
+        excluded=excluded,
     )

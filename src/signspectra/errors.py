@@ -23,10 +23,6 @@ class ConvergenceError(RuntimeError):
         self.worst_residual = worst_residual
 
 
-class NumericalConsistencyError(RuntimeError):
-    """A quantity that must be exact (integer or identity) failed to snap."""
-
-
 class WitnessDegenerateError(RuntimeError):
     """Eigenvector witness construction collapsed; names the failing target."""
 

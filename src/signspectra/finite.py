@@ -41,10 +41,22 @@ def charpoly_finite(k: SignVector) -> IntPolynomial:
             f"exact coefficients limited to n <= {COEFF_SIZE_CAP}; "
             "use charpoly_eval_at beyond that"
         )
+    return _continuant(k.signs, n + 1)
+
+
+def _continuant(signs, size: int) -> IntPolynomial:
+    """D_size = det(T - x I) as an exact integer polynomial.
+
+    T is the size x size zero-diagonal matrix with unit superdiagonal and
+    subdiagonal signs[0..size-2].  The recursion's seeds D_0 = 1 and
+    D_{-1} = 0 are returned for sizes 0 and -1, which the corner expansion
+    of periods 1 and 2 needs.
+    """
+    if size < 1:
+        return IntPolynomial((1,) if size == 0 else (0,))
     prev = [1]
     cur = [0, -1]
-    for s in k.signs:
-        s = int(s)
+    for s in signs[: size - 1]:
         nxt = [0] + [-c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= s * c

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cloud import SpectrumCloud
 from .errors import CapExceededError, ConvergenceError
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "evaluate",
     "roots",
     "roots_many",
-    "preimage",
     "from_roots",
     "int_charpoly_oracle",
     "match_multisets",
@@ -37,7 +35,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 200
+# The start circle has radius 1 + max|c|, which grows geometrically with the
+# degree of a symbol polynomial, and most steps go into coming in from it:
+# the degree-34 all-minus word needs 263.
+DEFAULT_MAX_ITER = 400
 
 # Irrational angular offset for the starting circle; breaks the symmetry of
 # polynomials whose root sets are invariant under rotations by 2 pi / d.
@@ -69,18 +70,6 @@ class ComplexPolynomial:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
-
-    def shifted_constant(self, c: complex) -> "ComplexPolynomial":
-        """p(x) - c, i.e. subtract from the constant term."""
-        cs = list(self.coeffs)
-        cs[0] -= c
-        return ComplexPolynomial(tuple(cs))
-
-    def derivative(self) -> "ComplexPolynomial":
-        if self.degree == 0:
-            return ComplexPolynomial((0j,))
-        d = tuple(i * c for i, c in enumerate(self.coeffs) if i > 0)
-        return ComplexPolynomial(d)
 
     def monic(self) -> "ComplexPolynomial":
         lead = self.coeffs[-1]
@@ -139,8 +128,8 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def to_complex(self) -> ComplexPolynomial:
-        return ComplexPolynomial(tuple(complex(c) for c in self.coeffs))
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.coeffs, dtype=complex)
 
 
 def evaluate(p: ComplexPolynomial | IntPolynomial, z: complex) -> tuple[complex, float]:
@@ -284,38 +273,6 @@ def roots_many(
             q = prepared[i][0]
             results[i] = np.concatenate([np.zeros(q, dtype=complex), found[row_pos]])
     return results  # type: ignore[return-value]
-
-
-def preimage(
-    p: ComplexPolynomial,
-    targets: Sequence[complex],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tags: Sequence[str] | None = None,
-) -> SpectrumCloud:
-    """Multiset union of roots of p(x) - t over the targets.
-
-    Each target contributes exactly degree(p) points.  Points are tagged by
-    target index unless explicit tags are supplied.
-    """
-    if p.degree < 1:
-        raise ValueError("preimage needs degree >= 1")
-    targets = list(targets)
-    if tags is None:
-        tags = [f"t={i}" for i in range(len(targets))]
-    elif len(tags) != len(targets):
-        raise ValueError(f"{len(tags)} tags for {len(targets)} targets")
-    base = np.asarray(p.coeffs, dtype=complex)
-    rows = []
-    for t in targets:
-        c = base.copy()
-        c[0] -= t
-        rows.append(c)
-    pts = []
-    if rows:
-        for sol, tag in zip(roots_many(rows, tol, max_iter), tags):
-            pts.append(SpectrumCloud.from_values(sol, tag))
-    return SpectrumCloud().merged(*pts)
 
 
 def from_roots(values: Iterable[complex]) -> ComplexPolynomial:

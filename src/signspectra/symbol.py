@@ -5,14 +5,18 @@ zero diagonal, ones on the superdiagonal, k_1..k_{m-1} on the subdiagonal,
 and two phase-carrying corners, (1,m) += k_m e^{i phi} and (m,1) += e^{-i phi}.
 The operator spectrum is the union of spec(a(phi)) over phi.
 
-Determinants of a(phi) - lambda I collapse onto a single monic integer
-polynomial p of degree m:
+Expanding det(a(phi) - lambda I) along the two corners collapses it onto a
+single monic integer polynomial p of degree m:
 
     det(a(phi) - lambda I) = (-1)^m (p(lambda) - e^{i phi} K - e^{-i phi}),
+    p = (-1)^m (D(k_1..k_{m-1}) - k_m E(k_2..k_{m-2})),
 
-K = product of the k_j.  When the -1 count of k is even (K = +1) the right
-side becomes (-1)^m (p(lambda) - 2 cos phi), so the operator spectrum is
-exactly the p-preimage of the segment [-2, 2].
+K = product of the k_j, D the continuant of the m x m tridiagonal part and
+E that of its interior (rows and columns 2..m-1).  Both continuants come
+from the integer recursion in the finite module, so p is exact at every
+period.  When the -1 count of k is even (K = +1) the right side becomes
+(-1)^m (p(lambda) - 2 cos phi), so the operator spectrum is exactly the
+p-preimage of the segment [-2, 2].
 """
 
 from __future__ import annotations
@@ -24,24 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import NumericalConsistencyError
-from .polyroot import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    ComplexPolynomial,
-    IntPolynomial,
-    roots_many,
-)
+from .finite import _continuant
+from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, roots_many
 from .signmodel import SignVector, ensure_even_parity
 
 __all__ = [
-    "SymbolMatrix",
     "SymbolPolynomial",
-    "symbol_matrix",
     "symbol_array",
     "symbol_char_value",
     "symbol_char_values",
     "symbol_poly",
+    "preimages",
     "symbol_eigenvalues",
     "periodic_spectrum",
     "two_cos_pi",
@@ -95,21 +92,6 @@ def symbol_array(k: SignVector, phi: float) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    k: SignVector
-    phi: float
-    matrix: np.ndarray
-
-    @property
-    def period(self) -> int:
-        return len(self.k)
-
-
-def symbol_matrix(k: SignVector, phi: float) -> SymbolMatrix:
-    return SymbolMatrix(k, float(phi), symbol_array(k, phi))
-
-
 def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
     """det(a(phi) - lambda I) by LU with partial pivoting.
 
@@ -145,48 +127,35 @@ def symbol_char_values(k, phis, lams) -> np.ndarray:
 class SymbolPolynomial:
     """Monic integer polynomial p of degree m plus the sign product K."""
 
-    p: ComplexPolynomial
+    p: IntPolynomial
     k_product: int
     k: SignVector
 
-    def int_poly(self) -> IntPolynomial:
-        return IntPolynomial(tuple(int(round(c.real)) for c in self.p.coeffs))
-
 
 def symbol_poly(k: SignVector) -> SymbolPolynomial:
-    """Recover p by interpolating the determinant route.
+    """Exact p by the corner expansion (-1)^m (D(k_1..k_{m-1}) - k_m E(k_2..k_{m-2})).
 
-    p(lambda) = (-1)^m det(a(0) - lambda I) + K + 1 is sampled at the m+1
-    roots of unity e^{2 pi i s/(m+1)} and inverted by a discrete Fourier
-    transform.  Radius-1 nodes keep every coefficient error near machine
-    epsilon (a radius r leaks r^m rounding noise into the constant term,
-    which breaches the snap gate around m = 14).  Coefficients must land on
-    integers; a snap error above 1e-8 means the implementation (not the
-    data) is broken, hence the hard error.
+    D has size m and E size m-2; the continuant's seeds (E = 1 at m = 2,
+    E = 0 at m = 1) make the formula hold where the corners overlap the
+    off-diagonals.  Every step is integer arithmetic.
     """
     m = len(k)
-    kprod = k.product()
-    sign = -1.0 if m % 2 else 1.0
-    s = np.arange(m + 1)
-    nodes = np.exp(2j * np.pi * s / (m + 1))
-    vals = symbol_char_values(k, np.zeros(m + 1), nodes)
-    f = sign * vals + kprod + 1.0
-    # f_s = sum_t c_t omega^{st}  =>  inverse transform
-    omega = np.exp(-2j * np.pi * np.outer(s, s) / (m + 1))
-    coeffs = omega @ f / (m + 1)
-    snapped = np.round(coeffs.real)
-    err = float(np.max(np.abs(coeffs - snapped)))
-    if err > 1e-8:
-        raise NumericalConsistencyError(
-            f"symbol polynomial coefficients {err:.3e} away from integers "
-            f"for pattern {k.to_text()}"
-        )
-    if snapped[m] != 1:
-        raise NumericalConsistencyError(
-            f"symbol polynomial not monic for pattern {k.to_text()}"
-        )
-    p = ComplexPolynomial(tuple(complex(c) for c in snapped))
-    return SymbolPolynomial(p=p, k_product=kprod, k=k)
+    signs = k.signs
+    corner = _continuant(signs, m) - _continuant(signs[1:], m - 2).scaled(signs[-1])
+    p = corner.scaled(-1 if m % 2 else 1)
+    return SymbolPolynomial(p=p, k_product=k.product(), k=k)
+
+
+def preimages(
+    p: IntPolynomial,
+    targets,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[np.ndarray]:
+    """Roots of p(x) - t for each target t, one array per target, in order."""
+    rows = np.tile(p.as_array(), (len(targets), 1))
+    rows[:, 0] -= np.asarray(targets)
+    return roots_many(list(rows), tol, max_iter)
 
 
 def symbol_eigenvalues(
@@ -198,9 +167,7 @@ def symbol_eigenvalues(
     """spec(a(phi)) with multiplicity: roots of p - e^{i phi} K - e^{-i phi}."""
     sp = symbol_poly(k)
     target = sp.k_product * cmath.exp(1j * phi) + cmath.exp(-1j * phi)
-    row = sp.p.as_array()
-    row[0] -= target
-    return roots_many([row], tol, max_iter)[0]
+    return preimages(sp.p, [target], tol, max_iter)[0]
 
 
 def periodic_spectrum(
@@ -220,12 +187,9 @@ def periodic_spectrum(
         raise ValueError("samples must be at least 2")
     keff = ensure_even_parity(k)
     meff = len(keff)
-    sp = symbol_poly(keff)
-    base = sp.p.as_array()
+    targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
+    solved = preimages(symbol_poly(keff).p, targets, tol, max_iter)
     phis = np.pi * np.arange(samples) / (samples - 1)
-    rows = np.tile(base, (samples, 1))
-    rows[:, 0] -= np.array([two_cos_pi(s, samples - 1) for s in range(samples)])
-    solved = roots_many(list(rows), tol, max_iter)
     parts = [
         SpectrumCloud.from_values(vals, f"per:m={meff}:phi={phi:.3f}")
         for vals, phi in zip(solved, phis)

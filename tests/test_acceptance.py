@@ -191,7 +191,7 @@ def test_c04_embedding_residuals_and_multiplicity():
         for k in all_sign_vectors(m):
             keff = ensure_even_parity(k)
             sp = symbol_poly(keff)
-            p_int = sp.int_poly()
+            p_int = sp.p
             for n in range(3, 9):
                 if n * len(keff) > 24:
                     continue

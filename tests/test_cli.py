@@ -89,16 +89,37 @@ def test_svg_output(tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
+def _err_lines(capsys):
+    return capsys.readouterr().err.strip().splitlines()
+
+
 def test_enumerate_counters(capsys):
     assert main(["enumerate", "--n", "1"]) == 0
-    lines = _lines(capsys)
+    lines = _err_lines(capsys)
     assert "points: 4" in lines
     assert any(line.startswith("wall_time_s:") for line in lines)
     assert main(["enumerate", "--n", "2", "--accumulate"]) == 0
-    assert "points: 16" in _lines(capsys)
+    assert "points: 16" in _err_lines(capsys)
     # snapping collapses shared eigenvalues (six exact zeros, repeats of +-1)
     assert main(["enumerate", "--n", "2", "--accumulate", "--dedup"]) == 0
-    assert "points: 9" in _lines(capsys)
+    assert "points: 9" in _err_lines(capsys)
+
+
+def test_enumerate_stdout_is_exactly_the_csv(tmp_path, capsys):
+    assert main(["enumerate", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    path = tmp_path / "sigma2.csv"
+    assert main(["enumerate", "--n", "2", "--out", str(path)]) == 0
+    assert out == path.read_text()
+
+
+def test_periodic_spectrum_period_34(capsys):
+    # 17 minus signs double to period 34
+    args = ["spectrum", "--mode", "periodic", "--k=-----------------", "--samples", "5"]
+    assert main(args) == 0
+    lines = _lines(capsys)
+    assert lines[0] == "re,im,tag"
+    assert len(lines) == 1 + 34 * 5
 
 
 def test_embed_json_contract(capsys):
@@ -148,7 +169,7 @@ def test_enumerate_cap_flag(capsys):
     assert main(["--cap", "4", "enumerate", "--n", "5"]) == 2
     capsys.readouterr()
     assert main(["--cap", "5", "enumerate", "--n", "5"]) == 0
-    assert "points: 192" in _lines(capsys)
+    assert "points: 192" in _err_lines(capsys)
 
 
 def test_read_cloud_csv_rejects_foreign_header(tmp_path):

@@ -15,7 +15,6 @@ from signspectra.polyroot import (
     from_roots,
     int_charpoly_oracle,
     match_multisets,
-    preimage,
     roots,
     roots_many,
 )
@@ -95,32 +94,6 @@ def test_nonconvergence_carries_worst_residual():
     with pytest.raises(ConvergenceError) as exc:
         roots(ComplexPolynomial((1.1, 0.3, 1)), tol=1e-30)
     assert 0 < exc.value.worst_residual < 1e-12
-
-
-@pytest.mark.parametrize(
-    "coeffs,targets,expected",
-    [
-        ((0, 1), (-2, 0, 2), (-2, 0, 2)),
-        ((0, 0, 1), (-2,), (1j * np.sqrt(2), -1j * np.sqrt(2))),
-        ((-2, 0, 1), (2,), (2, -2)),
-    ],
-)
-def test_preimage_examples(coeffs, targets, expected):
-    cloud = preimage(ComplexPolynomial(coeffs), targets)
-    assert match_multisets(cloud.values(), expected, 1e-8)
-
-
-def test_preimage_counts_and_tags():
-    p = ComplexPolynomial((1, 2, 0, 1))
-    cloud = preimage(p, [0.5, -1j, 3])
-    assert len(cloud) == 3 * p.degree
-    assert {pt.tag for pt in cloud} == {"t=0", "t=1", "t=2"}
-    tagged = preimage(p, [0.0], tags=["origin"])
-    assert all(pt.tag == "origin" for pt in tagged)
-    with pytest.raises(ValueError):
-        preimage(p, [0.0, 1.0], tags=["just-one"])
-    with pytest.raises(ValueError):
-        preimage(ComplexPolynomial((7,)), [0.0])
 
 
 def test_from_roots_small():

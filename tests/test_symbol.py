@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from signspectra.cloud import SpectrumCloud
-from signspectra.polyroot import evaluate, match_multisets
-from signspectra.signmodel import all_sign_vectors, parse_sign_vector
+from signspectra.polyroot import IntPolynomial, evaluate, match_multisets
+from signspectra.signmodel import SignVector, all_sign_vectors, parse_sign_vector
 from signspectra.symbol import (
     periodic_spectrum,
+    preimages,
     symbol_array,
     symbol_char_value,
     symbol_char_values,
     symbol_eigenvalues,
-    symbol_matrix,
     symbol_poly,
     two_cos_pi,
 )
@@ -59,8 +59,7 @@ def test_symbol_array_small_sizes_sum_overlaps():
     assert np.allclose(a, [[0, 2], [2, 0]], atol=1e-15)
     s = symbol_array(parse_sign_vector("+"), math.pi / 2)
     assert abs(s[0, 0]) <= 1e-15
-    sm = symbol_matrix(parse_sign_vector("+"), 0.25)
-    assert sm.period == 1 and sm.matrix.shape == (1, 1)
+    assert symbol_array(parse_sign_vector("+"), 0.25).shape == (1, 1)
 
 
 def test_symbol_char_value_examples():
@@ -94,7 +93,7 @@ def test_symbol_char_values_pairs_up():
 )
 def test_symbol_poly_examples(text, coeffs):
     sp = symbol_poly(parse_sign_vector(text))
-    assert sp.int_poly().coeffs == coeffs
+    assert sp.p.coeffs == coeffs
     assert sp.p.degree == len(text)
     assert sp.k_product == parse_sign_vector(text).product()
 
@@ -110,8 +109,8 @@ def test_symbol_poly_monic_integer_all_small_periods():
 
 def _transfer_trace(signs, lam):
     # product of the one-step recursion matrices [[lam, -k_j], [1, 0]];
-    # its trace gives the same degree-m polynomial as the interpolation
-    # route, with no determinant or Fourier step shared between them
+    # its trace gives the same degree-m polynomial as the corner expansion,
+    # with no continuant step shared between them
     t = np.eye(2, dtype=complex)
     for s in signs:
         t = np.array([[lam, -s], [1.0, 0.0]], dtype=complex) @ t
@@ -128,6 +127,38 @@ def test_symbol_poly_against_transfer_trace():
                 want = _transfer_trace(k.signs, lam)
                 got, _ = evaluate(sp.p, lam)
                 assert abs(got - want) <= 1e-9 * (1 + abs(lam)) ** m
+
+
+def _int_transfer_trace(signs) -> IntPolynomial:
+    # exact trace of the product of [[lam, -k_j], [1, 0]], built entrywise
+    # with IntPolynomial arithmetic; no continuant recursion involved
+    one, zero = IntPolynomial((1,)), IntPolynomial((0,))
+    t = [[one, zero], [zero, one]]
+    for s in signs:
+        top = [t[0][j].times_x() - t[1][j].scaled(s) for j in (0, 1)]
+        t = [top, t[0]]
+    return t[0][0] + t[1][1]
+
+
+def test_symbol_poly_exact_long_periods():
+    # large coefficients, where floating-point routes to p lose exactness;
+    # 34 and 68 are the parity doublings of "-" * 17 and "+-" * 17
+    for text in ("-" * 32, "-" * 34, "+-" * 34):
+        k = parse_sign_vector(text)
+        assert symbol_poly(k).p == _int_transfer_trace(k.signs), text
+
+
+def test_symbol_poly_exact_period_64():
+    # the all-minus word and seeded words eight sign flips away from it,
+    # whose coefficients are among the largest at this period
+    rng = np.random.default_rng(64)
+    full = (1 << 64) - 1
+    words = [SignVector(64, full)]
+    for _ in range(4):
+        flips = sum(1 << int(pos) for pos in rng.choice(64, 8, replace=False))
+        words.append(SignVector(64, full ^ flips))
+    for k in words:
+        assert symbol_poly(k).p == _int_transfer_trace(k.signs), k.to_text()
 
 
 def test_corner_identity_sampled():
@@ -192,6 +223,30 @@ def test_symbol_eigenvalues_match_lu_oracle():
             for lam in symbol_eigenvalues(k, phi):
                 resid = abs(symbol_char_value(k, phi, complex(lam)))
                 assert resid <= 1e-8 * (1 + abs(lam)) ** m
+
+
+@pytest.mark.parametrize(
+    "coeffs,targets,expected",
+    [
+        ((0, 1), (-2, 0, 2), (-2, 0, 2)),
+        ((0, 0, 1), (-2,), (1j * np.sqrt(2), -1j * np.sqrt(2))),
+        ((-2, 0, 1), (2,), (2, -2)),
+    ],
+)
+def test_preimage_examples(coeffs, targets, expected):
+    solved = preimages(IntPolynomial(coeffs), targets)
+    assert match_multisets(np.concatenate(solved), expected, 1e-8)
+
+
+def test_preimage_counts():
+    p = IntPolynomial((1, 2, 0, 1))
+    solved = preimages(p, [0.5, -1j, 3])
+    assert [len(vals) for vals in solved] == [p.degree] * 3
+    for t, vals in zip([0.5, -1j, 3], solved):
+        assert np.abs(vals**3 + 2 * vals + 1 - t).max() <= 1e-9
+    assert preimages(p, []) == []
+    with pytest.raises(ValueError):
+        preimages(IntPolynomial((7,)), [0.0])
 
 
 def test_periodic_spectrum_identity_pattern():

@@ -7,7 +7,7 @@ kernel, verifies the constructive embedding of periodic spectra into finite
 ones, and measures how densely finite spectra fill the periodic ones.
 """
 
-from .cloud import CloudPoint, SpectrumCloud
+from .cloud import SpectrumCloud
 from .errors import (
     CapExceededError,
     ConvergenceError,
@@ -78,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "CloudPoint",
     "SpectrumCloud",
     "ParseError",
     "CapExceededError",

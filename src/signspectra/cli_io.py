@@ -18,6 +18,8 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .cloud import SpectrumCloud
 from .density import density_report, periodic_union
@@ -41,6 +43,7 @@ from .symbol import periodic_spectrum
 __all__ = [
     "main",
     "build_parser",
+    "cloud_csv_text",
     "write_cloud_csv",
     "read_cloud_csv",
     "write_cloud_json",
@@ -57,18 +60,22 @@ EXIT_IO = 4
 SNAP_CELL = 1e-6
 
 
+def _rows(cloud: SpectrumCloud):
+    v = cloud.values()
+    return zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+
+
+def cloud_csv_text(cloud: SpectrumCloud) -> str:
+    return "re,im,tag\n" + "".join(f"{re:.17g},{im:.17g},{t}\n" for re, im, t in _rows(cloud))
+
+
 def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
-    lines = ["re,im,tag"]
-    for p in cloud.points:
-        lines.append(f"{p.re:.17g},{p.im:.17g},{p.tag}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(cloud_csv_text(cloud))
 
 
 def read_cloud_csv(path: str) -> SpectrumCloud:
-    from .cloud import CloudPoint
-
-    points = []
+    values, tags = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "re,im,tag":
@@ -78,14 +85,20 @@ def read_cloud_csv(path: str) -> SpectrumCloud:
             if not line:
                 continue
             re_s, im_s, tag = line.split(",", 2)
-            points.append(CloudPoint(float(re_s), float(im_s), tag))
-    return SpectrumCloud(points)
+            values.append(complex(float(re_s), float(im_s)))
+            tags.append(tag)
+    table, codes = np.unique(np.array(tags, dtype=str), return_inverse=True)
+    return SpectrumCloud(values, codes, table.tolist())
+
+
+def _points_json(cloud: SpectrumCloud) -> list[dict]:
+    return [{"im": im, "re": re, "tag": t} for re, im, t in _rows(cloud)]
 
 
 def cloud_json_text(cloud: SpectrumCloud, params: dict) -> str:
     obj = {
         "params": params,
-        "points": [{"im": p.im, "re": p.re, "tag": p.tag} for p in cloud.points],
+        "points": _points_json(cloud),
         "warnings": list(cloud.warnings),
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -104,9 +117,9 @@ def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
         '<rect x="-2.2" y="-2.2" width="4.4" height="4.4" fill="white"/>\n'
     )
     parts = [head]
-    for p in cloud.points:
+    for re, im, _ in _rows(cloud):
         parts.append(
-            f'<circle cx="{p.re:.6g}" cy="{-p.im:.6g}" r="0.005" '
+            f'<circle cx="{re:.6g}" cy="{-im:.6g}" r="0.005" '
             'fill="black" fill-opacity="0.6"/>\n'
         )
     parts.append("</svg>\n")
@@ -142,9 +155,7 @@ def _emit_cloud(cloud: SpectrumCloud, args, params: dict, started: float) -> Non
         if args.format == "json":
             sys.stdout.write(cloud_json_text(cloud, params))
         else:
-            sys.stdout.write("re,im,tag\n")
-            for p in cloud.points:
-                sys.stdout.write(f"{p.re:.17g},{p.im:.17g},{p.tag}\n")
+            sys.stdout.write(cloud_csv_text(cloud))
         return
     if args.format == "csv":
         write_cloud_csv(cloud, args.out)
@@ -242,9 +253,7 @@ def _embed_json(result, params: dict) -> str:
         "n": result.n,
         "params": params,
         "residuals": list(result.residuals),
-        "targets": [
-            {"im": p.im, "re": p.re, "tag": p.tag} for p in result.targets.points
-        ],
+        "targets": _points_json(result.targets),
         "verified": result.verified,
         "warnings": list(result.targets.warnings),
         "witnesses": None

@@ -3,99 +3,104 @@
 Clouds are finite multisets: duplicate coordinates are kept, every point
 carries exactly one provenance tag (which pattern, which angle, which
 truncation size produced it).
+
+A cloud is three arrays' worth of data: the complex values, one int32 tag
+code per value, and a tag table of distinct strings in sorted order.  Codes
+index the table, so ordering by code orders by tag string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["CloudPoint", "SpectrumCloud"]
+__all__ = ["SpectrumCloud"]
 
 
-@dataclass(frozen=True)
-class CloudPoint:
-    re: float
-    im: float
-    tag: str
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 class SpectrumCloud:
     """Immutable multiset of tagged complex points."""
 
-    __slots__ = ("_points", "warnings")
+    __slots__ = ("_values", "_codes", "_table", "warnings")
 
-    def __init__(self, points: Iterable[CloudPoint] = (), warnings: Sequence[str] = ()):
-        self._points = tuple(points)
+    def __init__(
+        self,
+        values=(),
+        codes=(),
+        table: Sequence[str] = (),
+        warnings: Sequence[str] = (),
+    ):
+        """``table`` must be sorted and distinct; ``codes`` index it."""
+        self._values = _readonly(np.asarray(values, dtype=complex).ravel())
+        self._codes = _readonly(np.asarray(codes, dtype=np.int32).ravel())
+        if self._values.size != self._codes.size:
+            raise ValueError(f"{self._codes.size} codes for {self._values.size} values")
+        self._table = tuple(table)
         self.warnings = tuple(warnings)
 
     @classmethod
-    def from_values(cls, values, tag) -> "SpectrumCloud":
-        """Build from complex values; ``tag`` is one string or one per value."""
-        vals = np.asarray(values, dtype=complex).ravel()
-        if isinstance(tag, str):
-            tags = [tag] * vals.size
-        else:
-            tags = list(tag)
-            if len(tags) != vals.size:
-                raise ValueError(f"{len(tags)} tags for {vals.size} values")
-        return cls(
-            CloudPoint(float(v.real), float(v.imag), t) for v, t in zip(vals, tags)
-        )
-
-    @property
-    def points(self) -> tuple[CloudPoint, ...]:
-        return self._points
+    def from_values(cls, values, tag: str) -> "SpectrumCloud":
+        """Build from complex values, all carrying one tag."""
+        vals = np.array(values, dtype=complex).ravel()
+        return cls(vals, np.zeros(vals.size, dtype=np.int32), (tag,))
 
     def values(self) -> np.ndarray:
-        return np.array([p.value for p in self._points], dtype=complex)
+        """The complex values, in cloud order (a read-only array)."""
+        return self._values
+
+    def tags(self) -> list[str]:
+        """The tag of each point, in cloud order."""
+        return np.array(self._table, dtype=object)[self._codes].tolist()
 
     def __len__(self) -> int:
-        return len(self._points)
-
-    def __iter__(self) -> Iterator[CloudPoint]:
-        return iter(self._points)
+        return self._values.size
 
     def __bool__(self) -> bool:
-        return bool(self._points)
+        return self._values.size > 0
 
     def merged(self, *others: "SpectrumCloud") -> "SpectrumCloud":
-        pts = list(self._points)
-        warns = list(self.warnings)
-        for o in others:
-            pts.extend(o.points)
-            warns.extend(o.warnings)
-        return SpectrumCloud(pts, warns)
+        clouds = (self, *others)
+        table = sorted(set().union(*(c._table for c in clouds)))
+        index = {t: i for i, t in enumerate(table)}
+        codes = [
+            np.array([index[t] for t in c._table], dtype=np.int32)[c._codes]
+            for c in clouds
+        ]
+        return SpectrumCloud(
+            np.concatenate([c._values for c in clouds]),
+            np.concatenate(codes),
+            table,
+            [w for c in clouds for w in c.warnings],
+        )
+
+    def _take(self, idx: np.ndarray) -> "SpectrumCloud":
+        return SpectrumCloud(self._values[idx], self._codes[idx], self._table, self.warnings)
 
     def sorted(self) -> "SpectrumCloud":
-        """Deterministic ordering by (re, im, tag)."""
-        return SpectrumCloud(
-            tuple(sorted(self._points, key=lambda p: (p.re, p.im, p.tag))),
-            self.warnings,
-        )
+        """Deterministic ordering by (re, im, tag); ties keep input order."""
+        v = self._values
+        return self._take(np.lexsort((self._codes, v.imag, v.real)))
 
     def snapped(self, cell: float = 1e-6) -> "SpectrumCloud":
         """Grid-snap dedup for plotting: one point per occupied cell.
 
-        The representative of a cell is its lexicographically smallest
-        (re, im, tag) member, so the result is deterministic.
+        Cells are indexed by round-half-even of re/cell and im/cell.  The
+        representative of a cell is its first member in sorted order, so the
+        result is deterministic and sorted.
         """
         if cell <= 0:
             raise ValueError("cell must be positive")
-        best: dict[tuple[int, int], CloudPoint] = {}
-        for p in sorted(self._points, key=lambda p: (p.re, p.im, p.tag)):
-            key = (int(round(p.re / cell)), int(round(p.im / cell)))
-            best.setdefault(key, p)
-        return SpectrumCloud(
-            tuple(sorted(best.values(), key=lambda p: (p.re, p.im, p.tag))),
-            self.warnings,
-        )
+        s = self.sorted()
+        v = s._values
+        keys = np.stack([np.rint(v.real / cell), np.rint(v.imag / cell)], axis=1)
+        _, first = np.unique(keys.astype(np.int64), axis=0, return_index=True)
+        return s._take(np.sort(first))
 
     def __repr__(self) -> str:
-        return f"SpectrumCloud({len(self._points)} points)"
+        return f"SpectrumCloud({len(self)} points)"

@@ -33,50 +33,42 @@ PERIOD_CAP = 10
 
 
 def _bucketize(values: np.ndarray, cell: float):
+    """Occupied square cells: their x indices, y indices and member values."""
     ix = np.floor(values.real / cell).astype(np.int64)
     iy = np.floor(values.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for pos, key in enumerate(zip(ix.tolist(), iy.tolist())):
-        buckets.setdefault(key, []).append(pos)
-    return {key: values[idx] for key, idx in buckets.items()}
+    order = np.lexsort((iy, ix))
+    ix, iy = ix[order], iy[order]
+    starts = np.flatnonzero(np.r_[True, (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])])
+    return ix[starts], iy[starts], np.split(values[order], starts[1:])
 
 
 def directed_hausdorff(x_cloud: SpectrumCloud, y_cloud: SpectrumCloud) -> float:
     """max_{x in X} min_{y in Y} |x - y|, bucketized but exact.
 
-    Y is hashed into square cells; each query cell visits occupied cells in
-    order of Chebyshev ring distance (empty rings are skipped outright) and
-    stops once every unvisited cell is provably farther than the current
-    best match: a point in a cell at ring distance c is at least (c-1)
-    cells away.  The minimum is therefore taken over a candidate set that
-    contains the true nearest-neighbor distance, with the same |x - y|
-    arithmetic a brute-force scan would use, so results agree with brute
-    force to the last bit.
+    Exact duplicates are dropped from X and Y first; that changes neither
+    the max-min nor any |x - y| compared.  Both are hashed into square
+    cells; each query cell visits occupied Y cells in order of Chebyshev
+    ring distance (empty rings are skipped outright) and stops once every
+    unvisited cell is provably farther than the current best match: a point
+    in a cell at ring distance c is at least (c-1) cells away.  The minimum
+    is therefore taken over a candidate set that contains the true
+    nearest-neighbor distance, with the same |x - y| arithmetic a
+    brute-force scan would use, so results agree with brute force to the
+    last bit.
     """
-    xs = x_cloud.values()
-    ys = y_cloud.values()
+    xs = np.unique(x_cloud.values())
+    ys = np.unique(y_cloud.values())
     if xs.size == 0 or ys.size == 0:
         raise ValueError("directed_hausdorff needs nonempty clouds")
     diam = math.hypot(
         float(ys.real.max() - ys.real.min()), float(ys.imag.max() - ys.imag.min())
     )
     cell = max(diam / math.sqrt(ys.size), 1e-6)
-    buckets = _bucketize(ys, cell)
-
-    xi = np.floor(xs.real / cell).astype(np.int64)
-    yi = np.floor(xs.imag / cell).astype(np.int64)
-    by_cell: dict[tuple[int, int], list[int]] = {}
-    for pos, key in enumerate(zip(xi.tolist(), yi.tolist())):
-        by_cell.setdefault(key, []).append(pos)
-
-    groups = list(buckets.values())
-    kx = np.array([k[0] for k in buckets], dtype=np.int64)
-    ky = np.array([k[1] for k in buckets], dtype=np.int64)
+    kx, ky, groups = _bucketize(ys, cell)
     worst = 0.0
-    for (cx, cy), idx in by_cell.items():
-        chunk = xs[idx]
+    for cx, cy, chunk in zip(*_bucketize(xs, cell)):
         cheb = np.maximum(np.abs(kx - cx), np.abs(ky - cy))
-        best = np.full(len(idx), np.inf)
+        best = np.full(chunk.size, np.inf)
         rid = int(cheb.min())
         while True:
             cand = np.concatenate([groups[s] for s in np.nonzero(cheb == rid)[0]])
@@ -132,17 +124,13 @@ def disk_grid(step: float) -> SpectrumCloud:
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    reach = int(math.ceil((1.0 + step) / step))
-    pts = []
-    for i in range(-reach, reach + 1):
-        for j in range(-reach, reach + 1):
-            z = complex(i * step, j * step)
-            r = abs(z)
-            if r <= 1.0:
-                pts.append(z)
-            elif r <= 1.0 + step * math.sqrt(2.0):
-                pts.append(z / r)
-    return SpectrumCloud.from_values(np.array(pts), "disk")
+    reach = math.ceil((1.0 + step) / step)
+    axis = np.arange(-reach, reach + 1) * step
+    re, im = np.repeat(axis, axis.size), np.tile(axis, axis.size)
+    r = np.hypot(re, im)
+    keep = r <= 1.0 + step * math.sqrt(2.0)
+    scale = np.maximum(r[keep], 1.0)
+    return SpectrumCloud.from_values(re[keep] / scale + 1j * (im[keep] / scale), "disk")
 
 
 @dataclass(frozen=True)

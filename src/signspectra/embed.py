@@ -193,9 +193,7 @@ def target_set(
         raise ValueError("target_set needs an even-parity pattern; double it first")
     js = [j for j in range(1, n) if 2 * j != n]
     if not js:
-        return SpectrumCloud(
-            (), warnings=(f"empty target set: n = {n} excludes every angle",)
-        )
+        return SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
     targets = [two_cos_pi(2 * j, n) for j in js]
     solved = preimages(symbol_poly(k).p, targets, tol, max_iter)
     parts = [

@@ -124,11 +124,8 @@ def _solve_chunk(args):
     chunk, tol, max_iter, tag = args
     rows = [np.asarray(charpoly_finite(k).coeffs, dtype=complex) for k, _ in chunk]
     solved = roots_many(rows, tol, max_iter)
-    out = []
-    for (_, mult), vals in zip(chunk, solved):
-        for _ in range(mult):
-            out.append(SpectrumCloud.from_values(vals, tag))
-    return out
+    # one cloud per chunk, in pattern order, each root row repeated mult times
+    return SpectrumCloud.from_values(np.repeat(solved, [m for _, m in chunk], axis=0), tag)
 
 
 def enumerate_sigma(
@@ -161,5 +158,4 @@ def enumerate_sigma(
             chunked = list(pool.map(_solve_chunk, jobs))
     else:
         chunked = [_solve_chunk(j) for j in jobs]
-    parts = [cloud for group in chunked for cloud in group]
-    return SpectrumCloud().merged(*parts).sorted()
+    return SpectrumCloud().merged(*chunked).sorted()

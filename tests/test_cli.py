@@ -48,7 +48,7 @@ def test_spectrum_csv_round_trip(tmp_path, capsys):
     cloud = read_cloud_csv(str(out))
     want = finite_eigenvalues(parse_sign_vector("+")).sorted()
     assert np.array_equal(cloud.values(), want.values())
-    assert [p.tag for p in cloud] == [p.tag for p in want]
+    assert cloud.tags() == want.tags()
 
 
 def test_outputs_are_reproducible(tmp_path):
@@ -185,3 +185,29 @@ def test_write_read_cloud_csv_is_lossless(tmp_path):
     write_cloud_csv(cloud, str(path))
     back = read_cloud_csv(str(path))
     assert np.array_equal(back.values(), cloud.values())
+
+
+# sha256 of outputs pinned from the tree before the cloud layer became
+# array-backed; any change to ordering, tie-breaking or formatting shows here
+PINNED_OUTPUT_SHA256 = [
+    (
+        ["enumerate", "--n", "10", "--accumulate"],
+        "58f06ce65d0d2e70c8575b37d1b14fe8762e13dec19d92d795b0fd16a9c492b8",
+    ),
+    (
+        ["enumerate", "--n", "9", "--accumulate", "--dedup"],
+        "bd38ff58e3e670382cd3ee88e6908971c1f6b94ecfe7ca5283379315e2c4f834",
+    ),
+    (
+        ["spectrum", "--mode", "periodic", "--union-max-m", "4", "--samples", "17",
+         "--format", "json"],
+        "aa307cb509f4e8b359712877756c8e5f5c9eff3aaecb4e0fd6562e4003346581",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUT_SHA256)
+def test_outputs_match_pinned_digests(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

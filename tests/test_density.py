@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,13 +44,30 @@ def test_hausdorff_is_directed():
 
 def test_hausdorff_matches_brute_force_bitwise():
     # the bucket scan must pick the same nearest neighbors as a full scan,
-    # so the results are equal as floats, not merely close
+    # so the results are equal as floats, not merely close; the rounded
+    # clouds are full of exact duplicates, which the scan drops first
     for seed in range(20):
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
         ys = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2, 2, 200)
-        brute = np.abs(xs[:, None] - ys[None, :]).min(axis=1).max()
-        assert directed_hausdorff(_cloud(xs), _cloud(ys)) == brute
+        for x, y in ((xs, ys), (np.round(xs), np.round(ys))):
+            brute = np.abs(x[:, None] - y[None, :]).min(axis=1).max()
+            assert directed_hausdorff(_cloud(x), _cloud(y)) == brute
+
+
+def test_hausdorff_exact_duplicates_in_bounded_memory():
+    # every odd-size matrix has the eigenvalue 0, so accumulated clouds hold
+    # thousands of exact zeros; they must not become a |X| x |Y| distance block
+    zeros = np.zeros(3000, dtype=complex)
+    x = _cloud(zeros)
+    y = _cloud(np.concatenate([zeros, [1, 1j]]))
+    tracemalloc.start()
+    try:
+        assert directed_hausdorff(x, y) == 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_periodic_union_dedups_equivalent_patterns():
@@ -68,9 +88,22 @@ def test_disk_grid_contract():
     assert np.abs(v).max() <= 1 + 1e-12
     assert (v == 0).any()
     assert np.isclose(np.abs(v), 1.0, atol=1e-12).any()
-    assert all(p.tag == "disk" for p in g)
+    assert set(g.tags()) == {"disk"}
     with pytest.raises(ValueError):
         disk_grid(0.0)
+    # the scalar lattice loop is the bitwise reference for the array version
+    for step in (0.25, 0.1, 0.07):
+        reach = math.ceil((1.0 + step) / step)
+        want = []
+        for i in range(-reach, reach + 1):
+            for j in range(-reach, reach + 1):
+                z = complex(i * step, j * step)
+                if abs(z) <= 1.0:
+                    want.append(z)
+                elif abs(z) <= 1.0 + step * math.sqrt(2.0):
+                    want.append(z / abs(z))
+        got = disk_grid(step).values()
+        assert got.tobytes() == np.array(want, dtype=complex).tobytes(), step
 
 
 def test_density_report_small_run():

@@ -82,7 +82,7 @@ def test_factorization_check_size_cap():
 def test_target_set_exact_values():
     zeros = target_set(parse_sign_vector("+"), 4)
     assert match_multisets(zeros.values(), [0, 0], 0.0)
-    assert sorted(p.tag for p in zeros) == ["target:j=1", "target:j=3"]
+    assert sorted(zeros.tags()) == ["target:j=1", "target:j=3"]
 
     minus_ones = target_set(parse_sign_vector("+"), 3)
     assert match_multisets(minus_ones.values(), [-1, -1], 0.0)

@@ -253,7 +253,7 @@ def test_periodic_spectrum_identity_pattern():
     cloud = periodic_spectrum(parse_sign_vector("+"), 3)
     vals = np.sort_complex(cloud.values())
     assert np.array_equal(vals, np.array([-2, 0, 2], dtype=complex))
-    tags = {p.tag for p in cloud}
+    tags = set(cloud.tags())
     assert tags == {"per:m=1:phi=0.000", "per:m=1:phi=1.571", "per:m=1:phi=3.142"}
 
 
@@ -296,8 +296,38 @@ def test_cloud_plumbing():
     c = SpectrumCloud.from_values(np.array([1 + 2j, 0]), "a")
     assert len(c) == 2 and bool(c)
     d = c.merged(SpectrumCloud.from_values(np.array([5.0]), "b"))
-    assert [p.tag for p in d.sorted()] == ["a", "a", "b"]
+    assert d.sorted().tags() == ["a", "a", "b"]
     snapped = SpectrumCloud.from_values(np.array([0, 1e-9, 1.0]), "x").snapped(1e-6)
     assert len(snapped) == 2
     with pytest.raises(ValueError):
         snapped.snapped(0.0)
+
+    # codes index a sorted tag table, so "fin:n=10" sorts before "fin:n=2"
+    a = SpectrumCloud.from_values(np.array([1.0, 0.0]), "fin:n=2")
+    b = SpectrumCloud.from_values(np.array([0.0]), "fin:n=10")
+    e = a.merged(b).sorted()
+    assert e.tags() == ["fin:n=10", "fin:n=2", "fin:n=2"]
+    assert np.array_equal(e.values(), [0, 0, 1])
+
+    # the sort is stable: a -0.0/0.0 tie keeps its input order
+    for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+        z = SpectrumCloud.from_values(np.array([1.0, *zeros]), "t").sorted()
+        assert np.signbit(z.values().real).tolist() == [*np.signbit(zeros), False]
+
+    # merging remaps codes from different tag tables into the union table
+    f = SpectrumCloud(np.array([2.0, 5.0, 1.0]), [1, 0, 1], ("a", "c"), ("w",))
+    m = SpectrumCloud.from_values(np.array([3.0, 1j]), "b").merged(
+        f, SpectrumCloud.from_values(np.array([4.0]), "a")
+    )
+    assert m.tags() == ["b", "b", "c", "a", "c", "a"]
+    assert np.array_equal(m.values(), [3, 1j, 2, 5, 1, 4])
+    assert m.warnings == ("w",)
+    assert m.sorted().tags() == ["b", "c", "c", "b", "a", "a"]
+    assert len(SpectrumCloud().merged(SpectrumCloud())) == 0
+
+    # +-0.4 cell offsets from the origin all round to the origin's cell;
+    # the kept points stay in (re, im) order, not in cell order
+    cell = 1e-6
+    offsets = np.array([0.4, -0.4, 0.4j, -0.4j, 0.4 - 0.4j, 1, 0.2 + 1j, 0.1 + 5j]) * cell
+    snapped = SpectrumCloud.from_values(offsets, "s").snapped(cell)
+    assert np.array_equal(snapped.values(), np.array([-0.4, 0.1 + 5j, 0.2 + 1j, 1]) * cell)

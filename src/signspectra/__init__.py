@@ -48,14 +48,12 @@ from .symbol import (
     two_cos_pi,
 )
 from .finite import (
-    charpoly_eval_at,
     charpoly_eval_many,
     charpoly_finite,
     enumerate_sigma,
     finite_eigenvalues,
 )
 from .embed import (
-    BlockCirculant,
     EmbeddingResult,
     ExcludedTarget,
     Witness,
@@ -111,11 +109,9 @@ __all__ = [
     "periodic_spectrum",
     "two_cos_pi",
     "charpoly_finite",
-    "charpoly_eval_at",
     "charpoly_eval_many",
     "finite_eigenvalues",
     "enumerate_sigma",
-    "BlockCirculant",
     "Witness",
     "ExcludedTarget",
     "EmbeddingResult",

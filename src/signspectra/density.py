@@ -16,7 +16,7 @@ import numpy as np
 from .cloud import SpectrumCloud
 from .errors import CapExceededError
 from .finite import ENUMERATION_CAP, enumerate_sigma
-from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL
+from .polyroot import DEFAULT_TOL
 from .signmodel import SignVector, ensure_even_parity
 from .symbol import periodic_spectrum, symbol_poly
 
@@ -90,12 +90,7 @@ def _all_patterns_upto(max_m: int):
             yield SignVector(m, bits)
 
 
-def periodic_union(
-    max_m: int,
-    samples: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectrumCloud:
+def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """Union of sampled periodic spectra over every pattern of period <= max_m.
 
     Patterns sharing one effective symbol polynomial (after parity doubling)
@@ -111,7 +106,7 @@ def periodic_union(
         if key in seen:
             continue
         seen.add(key)
-        parts.append(periodic_spectrum(k, samples, tol, max_iter))
+        parts.append(periodic_spectrum(k, samples, tol))
     return SpectrumCloud().merged(*parts)
 
 
@@ -176,7 +171,6 @@ def density_report(
     samples: int,
     disk_step: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     threads: int = 1,
 ) -> DensityReport:
     """Distances from the periodic union and the unit disk to finite spectra.
@@ -190,14 +184,14 @@ def density_report(
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     start = time.monotonic()
-    pi_cloud = periodic_union(max_m, samples, tol, max_iter)
+    pi_cloud = periodic_union(max_m, samples, tol)
     grid = disk_grid(disk_step)
-    accumulated = enumerate_sigma(1, tol, max_iter, threads=threads)
+    accumulated = enumerate_sigma(1, tol, threads=threads)
     sigma_sizes: dict[int, int] = {}
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
     for n in range(2, max_n + 1):
-        accumulated = accumulated.merged(enumerate_sigma(n, tol, max_iter, threads=threads))
+        accumulated = accumulated.merged(enumerate_sigma(n, tol, threads=threads))
         sigma_sizes[n] = len(accumulated)
         pi_distances[n] = directed_hausdorff(pi_cloud, accumulated)
         disk_distances[n] = directed_hausdorff(grid, accumulated)

@@ -24,7 +24,7 @@ import numpy as np
 from .cloud import SpectrumCloud
 from .errors import CapExceededError, WitnessDegenerateError
 from .finite import charpoly_eval_many
-from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial
+from .polyroot import DEFAULT_TOL, IntPolynomial
 from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
 from .symbol import (
@@ -36,7 +36,6 @@ from .symbol import (
 )
 
 __all__ = [
-    "BlockCirculant",
     "Witness",
     "ExcludedTarget",
     "EmbeddingResult",
@@ -51,18 +50,7 @@ __all__ = [
 FACTORIZATION_SIZE_CAP = 64
 
 
-@dataclass(frozen=True)
-class BlockCirculant:
-    k: SignVector
-    n: int
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.k) * self.n
-
-
-def build_block_circulant(k: SignVector, n: int) -> BlockCirculant:
+def build_block_circulant(k: SignVector, n: int) -> np.ndarray:
     """The nm x nm circulant-coupled tridiagonal matrix for pattern k.
 
     Identical to the symbol of the n-fold repeated pattern at angle 0, so
@@ -72,8 +60,7 @@ def build_block_circulant(k: SignVector, n: int) -> BlockCirculant:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    a = symbol_array(k.repeated(n), 0.0)
-    return BlockCirculant(k=k, n=n, matrix=a.real.copy())
+    return symbol_array(k.repeated(n), 0.0).real.copy()
 
 
 def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
@@ -139,7 +126,7 @@ def circulant_factorization_check(
             f"factorization check capped at nm <= {FACTORIZATION_SIZE_CAP}"
         )
     if matrix is None:
-        matrix = build_block_circulant(k, n).matrix
+        matrix = build_block_circulant(k, n)
     matrix = np.asarray(matrix)
     if matrix.shape != (size, size):
         return False
@@ -174,12 +161,7 @@ def circulant_factorization_check(
     return bool(np.all(err <= tol * ref))
 
 
-def target_set(
-    k: SignVector,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectrumCloud:
+def target_set(k: SignVector, n: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """Guaranteed embedded eigenvalues: spec(a(xi_j)) over allowed angles.
 
     Allowed angles are j in {1,...,n-1} minus n/2 (the exclusion only exists
@@ -195,7 +177,7 @@ def target_set(
     if not js:
         return SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
     targets = [two_cos_pi(2 * j, n) for j in js]
-    solved = preimages(symbol_poly(k).p, targets, tol, max_iter)
+    solved = preimages(symbol_poly(k).p, targets, tol)
     parts = [
         SpectrumCloud.from_values(vals, f"target:j={j}") for j, vals in zip(js, solved)
     ]
@@ -336,7 +318,7 @@ def verify_embedding(
 
     witnesses = None
     if want_witness and len(values):
-        mat = build_block_circulant(keff, n).matrix
+        mat = build_block_circulant(keff, n)
         found = []
         for i, lam in enumerate(values):
             rng = np.random.default_rng(1000 + i)

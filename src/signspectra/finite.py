@@ -16,12 +16,11 @@ import numpy as np
 
 from .cloud import SpectrumCloud
 from .errors import CapExceededError
-from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, roots_many
-from .signmodel import SignVector, all_sign_vectors
+from .polyroot import DEFAULT_TOL, IntPolynomial, roots_many
+from .signmodel import SignVector
 
 __all__ = [
     "charpoly_finite",
-    "charpoly_eval_at",
     "charpoly_eval_many",
     "finite_eigenvalues",
     "enumerate_sigma",
@@ -39,7 +38,7 @@ def charpoly_finite(k: SignVector) -> IntPolynomial:
     if n > COEFF_SIZE_CAP:
         raise CapExceededError(
             f"exact coefficients limited to n <= {COEFF_SIZE_CAP}; "
-            "use charpoly_eval_at beyond that"
+            "use charpoly_eval_many beyond that"
         )
     return _continuant(k.signs, n + 1)
 
@@ -64,20 +63,14 @@ def _continuant(signs, size: int) -> IntPolynomial:
     return IntPolynomial(tuple(cur))
 
 
-def charpoly_eval_at(k: SignVector, lam: complex) -> tuple[complex, float]:
-    """Continuant evaluation at one point.
+def charpoly_eval_many(k: SignVector, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Continuant evaluation over an array of points.
 
-    Returns (D_{n+1}(lam), S_{n+1}) where S is the running magnitude bound
+    Returns (D_{n+1}(lams), S_{n+1}) where S is the running magnitude bound
     S_0 = 1, S_1 = |lam|, S_{j+1} = |lam| S_j + S_{j-1}; |D_j| <= S_j always,
     so |value|/scale is a meaningful normalized residual (S vanishes only
     where D provably vanishes too).
     """
-    values, scales = charpoly_eval_many(k, np.array([lam], dtype=complex))
-    return complex(values[0]), float(scales[0])
-
-
-def charpoly_eval_many(k: SignVector, lams) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized continuant evaluation over an array of points."""
     z = np.asarray(lams, dtype=complex)
     az = np.abs(z)
     d_prev = np.ones_like(z)
@@ -90,28 +83,20 @@ def charpoly_eval_many(k: SignVector, lams) -> tuple[np.ndarray, np.ndarray]:
     return d_cur, s_cur
 
 
-def finite_eigenvalues(
-    k: SignVector,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectrumCloud:
+def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """All n+1 eigenvalues, tagged with the matrix size parameter."""
     poly = charpoly_finite(k)
-    vals = roots_many([np.asarray(poly.coeffs, dtype=complex)], tol, max_iter)[0]
+    vals = roots_many([np.asarray(poly.coeffs, dtype=complex)], tol)[0]
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 
 
-def _class_representatives(n: int, dedup: bool):
-    """(pattern, multiplicity) pairs covering all 2^n patterns.
+def _class_representatives(n: int):
+    """(pattern, multiplicity) pairs, one per reversal class of the 2^n patterns.
 
-    With dedup, one member per reversal class; reversing the pattern
-    transposes the matrix, so both members share one exact characteristic
-    polynomial and the multiset union is unchanged.
+    Reversing the pattern transposes the matrix, so both members share one
+    exact characteristic polynomial and the multiset union is unchanged;
+    palindromes are their own class and count once.
     """
-    if not dedup:
-        for k in all_sign_vectors(n):
-            yield k, 1
-        return
     for bits in range(1 << n):
         k = SignVector(n, bits)
         rev = k.reflected()
@@ -121,9 +106,9 @@ def _class_representatives(n: int, dedup: bool):
 
 
 def _solve_chunk(args):
-    chunk, tol, max_iter, tag = args
+    chunk, tol, tag = args
     rows = [np.asarray(charpoly_finite(k).coeffs, dtype=complex) for k, _ in chunk]
-    solved = roots_many(rows, tol, max_iter)
+    solved = roots_many(rows, tol)
     # one cloud per chunk, in pattern order, each root row repeated mult times
     return SpectrumCloud.from_values(np.repeat(solved, [m for _, m in chunk], axis=0), tag)
 
@@ -131,15 +116,16 @@ def _solve_chunk(args):
 def enumerate_sigma(
     n: int,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     cap: int = ENUMERATION_CAP,
-    dedup_reversal: bool = False,
     threads: int = 1,
 ) -> SpectrumCloud:
     """Union of finite_eigenvalues over all 2^n patterns of length n.
 
-    Output is a multiset ordered by (re, im, tag); the union is associative
-    and order-independent, so chunked parallel collection is safe.
+    One pattern per reversal class is solved and its roots repeated by the
+    class size; the root finder treats each row on its own, so this is
+    bitwise equal to solving every pattern.  Output is a multiset ordered
+    by (re, im, tag); the union is associative and order-independent, so
+    chunked parallel collection is safe.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -149,10 +135,10 @@ def enumerate_sigma(
             "(cap argument / --cap flag) if you mean it"
         )
     tag = f"fin:n={n}"
-    pairs = list(_class_representatives(n, dedup_reversal))
+    pairs = list(_class_representatives(n))
     chunk_size = 2048
     chunks = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]
-    jobs = [(c, tol, max_iter, tag) for c in chunks]
+    jobs = [(c, tol, tag) for c in chunks]
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunked = list(pool.map(_solve_chunk, jobs))

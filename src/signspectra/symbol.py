@@ -29,7 +29,7 @@ import numpy as np
 
 from .cloud import SpectrumCloud
 from .finite import _continuant
-from .polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, roots_many
+from .polyroot import DEFAULT_TOL, IntPolynomial, roots_many
 from .signmodel import SignVector, ensure_even_parity
 
 __all__ = [
@@ -73,22 +73,24 @@ def two_cos_pi(numer: int, denom: int) -> float:
     return sign * 2.0 * math.cos(math.pi * s / denom)
 
 
-def symbol_array(k: SignVector, phi: float) -> np.ndarray:
-    """Dense m x m array of the symbol at angle phi.
+def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
+    """Dense m x m array of the symbol at angle phi, or a stack of them.
 
-    All contributions are accumulated with +=, which resolves the m = 1 and
-    m = 2 degeneracies (corner positions coincide with the diagonal or the
-    off-diagonals) by entry summation.
+    The result has shape phi.shape + (m, m).  All contributions are
+    accumulated with +=, which resolves the m = 1 and m = 2 degeneracies
+    (corner positions coincide with the diagonal or the off-diagonals) by
+    entry summation.
     """
     m = len(k)
     signs = k.signs
-    a = np.zeros((m, m), dtype=complex)
+    phi = np.asarray(phi, dtype=float)
+    a = np.zeros(phi.shape + (m, m), dtype=complex)
     idx = np.arange(m - 1)
     if m >= 2:
-        a[idx, idx + 1] += 1.0
-        a[idx + 1, idx] += signs[:-1]
-    a[0, m - 1] += signs[-1] * cmath.exp(1j * phi)
-    a[m - 1, 0] += cmath.exp(-1j * phi)
+        a[..., idx, idx + 1] += 1.0
+        a[..., idx + 1, idx] += signs[:-1]
+    a[..., 0, m - 1] += signs[-1] * np.exp(1j * phi)
+    a[..., m - 1, 0] += np.exp(-1j * phi)
     return a
 
 
@@ -98,27 +100,17 @@ def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
     This is the reference route against which the polynomial identity is
     tested; it shares no code with symbol_poly.
     """
-    a = symbol_array(k, phi)
-    np.fill_diagonal(a, a.diagonal() - lam)
-    return complex(np.linalg.det(a))
+    return complex(symbol_char_values(k, [phi], [lam])[0])
 
 
 def symbol_char_values(k, phis, lams) -> np.ndarray:
-    """Vectorized symbol_char_value over paired (phi, lambda) samples."""
+    """symbol_char_value over paired (phi, lambda) samples."""
     phis = np.asarray(phis, dtype=float).ravel()
     lams = np.asarray(lams, dtype=complex).ravel()
     if phis.shape != lams.shape:
         raise ValueError("phis and lams must pair up")
-    m = len(k)
-    signs = k.signs
-    stack = np.zeros((len(phis), m, m), dtype=complex)
-    idx = np.arange(m - 1)
-    if m >= 2:
-        stack[:, idx, idx + 1] += 1.0
-        stack[:, idx + 1, idx] += signs[:-1]
-    stack[:, 0, m - 1] += signs[-1] * np.exp(1j * phis)
-    stack[:, m - 1, 0] += np.exp(-1j * phis)
-    di = np.arange(m)
+    stack = symbol_array(k, phis)
+    di = np.arange(len(k))
     stack[:, di, di] -= lams[:, None]
     return np.linalg.det(stack)
 
@@ -146,35 +138,22 @@ def symbol_poly(k: SignVector) -> SymbolPolynomial:
     return SymbolPolynomial(p=p, k_product=k.product(), k=k)
 
 
-def preimages(
-    p: IntPolynomial,
-    targets,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> list[np.ndarray]:
+def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Roots of p(x) - t for each target t, one array per target, in order."""
     rows = np.tile(p.as_array(), (len(targets), 1))
     rows[:, 0] -= np.asarray(targets)
-    return roots_many(list(rows), tol, max_iter)
+    return roots_many(list(rows), tol)
 
 
-def symbol_eigenvalues(
-    k: SignVector,
-    phi: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def symbol_eigenvalues(k: SignVector, phi: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """spec(a(phi)) with multiplicity: roots of p - e^{i phi} K - e^{-i phi}."""
     sp = symbol_poly(k)
     target = sp.k_product * cmath.exp(1j * phi) + cmath.exp(-1j * phi)
-    return preimages(sp.p, [target], tol, max_iter)[0]
+    return preimages(sp.p, [target], tol)[0]
 
 
 def periodic_spectrum(
-    k: SignVector,
-    samples: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    k: SignVector, samples: int, tol: float = DEFAULT_TOL
 ) -> SpectrumCloud:
     """Sampled operator spectrum as the p-preimage of [-2, 2].
 
@@ -188,7 +167,7 @@ def periodic_spectrum(
     keff = ensure_even_parity(k)
     meff = len(keff)
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
-    solved = preimages(symbol_poly(keff).p, targets, tol, max_iter)
+    solved = preimages(symbol_poly(keff).p, targets, tol)
     phis = np.pi * np.arange(samples) / (samples - 1)
     parts = [
         SpectrumCloud.from_values(vals, f"per:m={meff}:phi={phi:.3f}")

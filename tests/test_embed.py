@@ -27,15 +27,15 @@ from signspectra.symbol import periodic_spectrum
 def test_build_block_circulant_layouts():
     b = build_block_circulant(parse_sign_vector("+"), 4)
     expected = [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
-    assert np.array_equal(b.matrix, np.array(expected, dtype=float))
-    assert b.size == 4
+    assert np.array_equal(b, np.array(expected, dtype=float))
+    assert b.shape == (4, 4)
 
-    c = build_block_circulant(parse_sign_vector("+-"), 2).matrix
+    c = build_block_circulant(parse_sign_vector("+-"), 2)
     expected = [[0, 1, 0, -1], [1, 0, 1, 0], [0, -1, 0, 1], [1, 0, 1, 0]]
     assert np.array_equal(c, np.array(expected, dtype=float))
 
     # overlapping corner and band entries add up at size two
-    d = build_block_circulant(parse_sign_vector("+"), 2).matrix
+    d = build_block_circulant(parse_sign_vector("+"), 2)
     assert np.array_equal(d, np.array([[0, 2], [2, 0]], dtype=float))
 
     with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ def test_block_circulant_charpoly_against_dense_oracle():
     for m in range(1, 5):
         for k in all_sign_vectors(m):
             for n in range(2, 12 // m + 1):
-                a = build_block_circulant(k, n).matrix.astype(int)
+                a = build_block_circulant(k, n).astype(int)
                 want = int_charpoly_oracle(a).scaled((-1) ** (n * m))
                 got = block_circulant_charpoly(k, n)
                 assert got.coeffs == want.coeffs, (k.to_text(), n)
@@ -60,7 +60,7 @@ def test_factorization_check_accepts_true_circulants(text, n):
 
 def test_factorization_check_rejects_corruption():
     k = parse_sign_vector("+")
-    good = build_block_circulant(k, 4).matrix
+    good = build_block_circulant(k, 4)
     flipped = good.copy()
     flipped[0, -1] = -flipped[0, -1]
     assert not circulant_factorization_check(k, 4, matrix=flipped)

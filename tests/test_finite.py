@@ -8,16 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from signspectra.cloud import SpectrumCloud
 from signspectra.errors import CapExceededError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
-    charpoly_eval_at,
     charpoly_eval_many,
     charpoly_finite,
     enumerate_sigma,
     finite_eigenvalues,
 )
-from signspectra.polyroot import evaluate, int_charpoly_oracle, match_multisets
+from signspectra.polyroot import evaluate, int_charpoly_oracle, match_multisets, roots_many
 from signspectra.signmodel import (
     SignVector,
     TridiagSignMatrix,
@@ -54,16 +54,17 @@ def test_charpoly_size_cap():
     with pytest.raises(CapExceededError):
         charpoly_finite(SignVector(COEFF_SIZE_CAP + 1, 0))
     # evaluation has no such cap
-    val, scale = charpoly_eval_at(SignVector(COEFF_SIZE_CAP + 1, 0), 0.5)
+    (val,), (scale,) = charpoly_eval_many(SignVector(COEFF_SIZE_CAP + 1, 0), [0.5])
     assert scale > 0 and np.isfinite(abs(val))
 
 
 def test_eval_at_exact_small_case():
-    assert charpoly_eval_at(parse_sign_vector("+"), 0.0) == (-1.0, 1.0)
+    (val,), (scale,) = charpoly_eval_many(parse_sign_vector("+"), [0.0])
+    assert (val, scale) == (-1.0, 1.0)
 
 
 def test_eval_at_detects_known_root():
-    val, scale = charpoly_eval_at(parse_sign_vector("++"), math.sqrt(2))
+    (val,), (scale,) = charpoly_eval_many(parse_sign_vector("++"), [math.sqrt(2)])
     assert abs(val) <= 1e-12 * scale
 
 
@@ -117,13 +118,19 @@ def test_enumerate_rejects_bad_n_and_cap():
     assert len(enumerate_sigma(5, cap=5)) == 6 * 32
 
 
-def test_enumerate_reversal_dedup_is_exact():
-    # reversal transposes the matrix, so representatives solved once and
-    # replicated must reproduce the naive multiset bit for bit
-    for n in range(1, 7):
-        naive = enumerate_sigma(n).values()
-        dedup = enumerate_sigma(n, dedup_reversal=True).values()
-        assert np.array_equal(naive, dedup)
+def test_enumerate_matches_solving_every_pattern():
+    # enumeration solves one pattern per reversal class; solving all 2^n
+    # patterns one by one must give the same sorted cloud bit for bit
+    for n in range(1, 9):
+        rows = [
+            np.asarray(charpoly_finite(k).coeffs, dtype=complex)
+            for k in all_sign_vectors(n)
+        ]
+        solved = np.concatenate(roots_many(rows))
+        naive = SpectrumCloud.from_values(solved, f"fin:n={n}").sorted()
+        got = enumerate_sigma(n)
+        assert got.values().tobytes() == naive.values().tobytes()
+        assert got.tags() == naive.tags()
 
 
 def test_enumerate_threading_is_deterministic():

@@ -52,6 +52,11 @@ def test_symbol_array_layout_m3():
     b = symbol_array(parse_sign_vector("+-+-"), 0.7)
     assert np.count_nonzero(b) == 8
     assert np.allclose(np.abs(b[b != 0]), 1.0, atol=1e-15)
+    # an array of angles gives the stack of the per-angle arrays
+    stack = symbol_array(parse_sign_vector("+-+-"), [0.7, 2.0])
+    assert stack.shape == (2, 4, 4)
+    assert np.array_equal(stack[0], b)
+    assert np.array_equal(stack[1], symbol_array(parse_sign_vector("+-+-"), 2.0))
 
 
 def test_symbol_array_small_sizes_sum_overlaps():
@@ -76,7 +81,9 @@ def test_symbol_char_values_pairs_up():
     phis = np.array([0.1, 2.0])
     lams = np.array([0.3 + 0.1j, -1.0])
     got = symbol_char_values(k, phis, lams)
-    want = [symbol_char_value(k, p, z) for p, z in zip(phis, lams)]
+    want = [
+        np.linalg.det(symbol_array(k, p) - z * np.eye(3)) for p, z in zip(phis, lams)
+    ]
     assert np.allclose(got, want, atol=1e-12)
     with pytest.raises(ValueError):
         symbol_char_values(k, phis, lams[:1])

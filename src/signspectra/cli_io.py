@@ -47,6 +47,7 @@ __all__ = [
     "write_cloud_csv",
     "read_cloud_csv",
     "write_cloud_json",
+    "cloud_svg_text",
     "write_cloud_svg",
     "write_manifest",
 ]
@@ -69,9 +70,13 @@ def cloud_csv_text(cloud: SpectrumCloud) -> str:
     return "re,im,tag\n" + "".join(f"{re:.17g},{im:.17g},{t}\n" for re, im, t in _rows(cloud))
 
 
-def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
+def _write_text(text: str, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cloud_csv_text(cloud))
+        fh.write(text)
+
+
+def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
+    _write_text(cloud_csv_text(cloud), path)
 
 
 def read_cloud_csv(path: str) -> SpectrumCloud:
@@ -105,11 +110,10 @@ def cloud_json_text(cloud: SpectrumCloud, params: dict) -> str:
 
 
 def write_cloud_json(cloud: SpectrumCloud, params: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cloud_json_text(cloud, params))
+    _write_text(cloud_json_text(cloud, params), path)
 
 
-def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
+def cloud_svg_text(cloud: SpectrumCloud) -> str:
     # fixed square viewport covering the attainable square |re|+|im| <= 2
     head = (
         '<svg xmlns="http://www.w3.org/2000/svg" width="880" height="880" '
@@ -123,8 +127,11 @@ def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
             'fill="black" fill-opacity="0.6"/>\n'
         )
     parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    return "".join(parts)
+
+
+def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
+    _write_text(cloud_svg_text(cloud), path)
 
 
 def _sha256(path: str) -> str:
@@ -144,26 +151,28 @@ def write_manifest(out_path: str, command: str, params: dict, wall_time_s: float
         "wall_time_s": wall_time_s,
     }
     manifest_path = f"{out_path}.manifest.json"
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", manifest_path)
     return manifest_path
 
 
-def _emit_cloud(cloud: SpectrumCloud, args, params: dict, started: float) -> None:
-    cloud = cloud.sorted()
-    if args.out is None:
-        if args.format == "json":
-            sys.stdout.write(cloud_json_text(cloud, params))
-        else:
-            sys.stdout.write(cloud_csv_text(cloud))
+def _emit(out, data, text, write, command: str, params: dict, started: float) -> None:
+    """Print text(data) to stdout, or call write(data, out) and add the manifest."""
+    if out is None:
+        sys.stdout.write(text(data))
         return
+    write(data, out)
+    write_manifest(out, command, params, time.monotonic() - started)
+
+
+def _emit_cloud(cloud: SpectrumCloud, args, params: dict, started: float) -> None:
     if args.format == "csv":
-        write_cloud_csv(cloud, args.out)
-    elif args.format == "json":
-        write_cloud_json(cloud, params, args.out)
+        text, write = cloud_csv_text, write_cloud_csv
+    elif args.format == "svg":
+        text, write = cloud_svg_text, write_cloud_svg
     else:
-        write_cloud_svg(cloud, args.out)
-    write_manifest(args.out, params["command"], params, time.monotonic() - started)
+        text = lambda c: cloud_json_text(c, params)  # noqa: E731
+        write = lambda c, path: write_cloud_json(c, params, path)  # noqa: E731
+    _emit(args.out, cloud.sorted(), text, write, params["command"], params, started)
 
 
 def _resolve_tol(args, fallback: float) -> float:
@@ -286,16 +295,12 @@ def _cmd_embed(args) -> int:
         "witness": bool(args.witness),
     }
     text = _embed_json(result, params)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        write_manifest(args.out, "embed", params, time.monotonic() - started)
+    _emit(args.out, text, str, _write_text, "embed", params, started)
     return EXIT_OK if result.verified else EXIT_UNVERIFIED
 
 
 def _cmd_density(args) -> int:
+    started = time.monotonic()
     tol = _resolve_tol(args, DEFAULT_TOL)
     report = density_report(
         args.max_n,
@@ -307,12 +312,7 @@ def _cmd_density(args) -> int:
     )
     obj = {"command": "density", **report.to_json_dict()}
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        write_manifest(args.out, "density", obj["params"], report.wall_time_s)
+    _emit(args.out, text, str, _write_text, "density", obj["params"], started)
     return EXIT_OK if report.monotone() else EXIT_UNVERIFIED
 
 
@@ -377,8 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    # argparse strips a bare "--" from option values, so "--k=--" would arrive
+    # empty; take the patterns of the documented --k=/--l= spelling verbatim
+    for token in argv:
+        if token.startswith(("--k=", "--l=")):
+            setattr(args, token[2], token[4:])
     try:
         return args.func(args)
     except (ParseError, CapExceededError, ValueError) as exc:

@@ -26,7 +26,6 @@ __all__ = [
     "disk_grid",
     "DensityReport",
     "density_report",
-    "PERIOD_CAP",
 ]
 
 PERIOD_CAP = 10

@@ -22,18 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import CapExceededError, WitnessDegenerateError
+from .errors import WitnessDegenerateError
 from .finite import charpoly_eval_many
 from .polyroot import DEFAULT_TOL, IntPolynomial
 from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
-from .symbol import (
-    preimages,
-    symbol_array,
-    symbol_char_values,
-    symbol_poly,
-    two_cos_pi,
-)
+from .symbol import preimages, symbol_array, symbol_poly, two_cos_pi
 
 __all__ = [
     "Witness",
@@ -41,13 +35,10 @@ __all__ = [
     "EmbeddingResult",
     "build_block_circulant",
     "block_circulant_charpoly",
-    "circulant_factorization_check",
     "target_set",
     "truncate",
     "verify_embedding",
 ]
-
-FACTORIZATION_SIZE_CAP = 64
 
 
 def build_block_circulant(k: SignVector, n: int) -> np.ndarray:
@@ -75,90 +66,6 @@ def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
     sp = symbol_poly(k.repeated(n))
     shifted = sp.p - IntPolynomial((sp.k_product + 1,))
     return shifted.scaled(-1 if (n * len(k)) % 2 else 1)
-
-
-def _read_corner_det(matrix: np.ndarray, lam: np.ndarray):
-    """det(matrix - lam I) for tridiagonal-plus-corners, vectorized in lam.
-
-    Entry values are read from the matrix, so corruptions on the allowed
-    support change the result; positions off the support are the caller's
-    job to check.
-    """
-    size = matrix.shape[0]
-    sub = np.diagonal(matrix, -1)
-    sup = np.diagonal(matrix, 1)
-    a = matrix[0, size - 1]
-    c = matrix[size - 1, 0]
-    t = sub * sup
-
-    def continuant(tvals):
-        prev = np.ones_like(lam)
-        cur = -lam
-        for tv in tvals:
-            prev, cur = cur, -lam * cur - tv * prev
-        return cur
-
-    full = continuant(t)
-    inner = continuant(t[1:-1])
-    wrap = a * np.prod(sub) + c * np.prod(sup)
-    sign = 1.0 if (size + 1) % 2 == 0 else -1.0
-    return full - a * c * inner + sign * wrap
-
-
-def circulant_factorization_check(
-    k: SignVector,
-    n: int,
-    tol: float = 1e-9,
-    matrix: np.ndarray | None = None,
-) -> bool:
-    """Spectral factorization test: det(M - xI) vs the symbol product.
-
-    Compares the determinant of the assembled matrix (read entrywise, so
-    mutations register) against prod_j det(a(xi_j) - xI) at 4*nm seeded
-    sample points on the circle |x| = 3, which keeps every sample at
-    distance >= 1 from the spectrum.  Returns False on any mismatch or on
-    off-support entries; raises only for sizes beyond the test-scale cap.
-    """
-    m = len(k)
-    size = n * m
-    if size > FACTORIZATION_SIZE_CAP:
-        raise CapExceededError(
-            f"factorization check capped at nm <= {FACTORIZATION_SIZE_CAP}"
-        )
-    if matrix is None:
-        matrix = build_block_circulant(k, n)
-    matrix = np.asarray(matrix)
-    if matrix.shape != (size, size):
-        return False
-    if size >= 3:
-        support = np.zeros((size, size), dtype=bool)
-        idx = np.arange(size - 1)
-        support[idx, idx + 1] = True
-        support[idx + 1, idx] = True
-        support[0, size - 1] = True
-        support[size - 1, 0] = True
-        if np.any(matrix[~support] != 0):
-            return False
-
-    rng = np.random.default_rng(20240331)
-    lam = 3.0 * np.exp(2j * np.pi * rng.random(4 * size))
-
-    if size == 2:
-        lhs = np.array(
-            [np.linalg.det(matrix - z * np.eye(2)) for z in lam], dtype=complex
-        )
-    else:
-        lhs = _read_corner_det(matrix, lam)
-
-    xi = 2.0 * np.pi * np.arange(1, n + 1) / n
-    rhs = np.ones_like(lam)
-    for z_i, z in enumerate(lam):
-        dets = symbol_char_values(k, xi, np.full(n, z))
-        rhs[z_i] = np.prod(dets)
-
-    err = np.abs(lhs - rhs)
-    ref = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    return bool(np.all(err <= tol * ref))
 
 
 def target_set(k: SignVector, n: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ParseError",
+    "CapExceededError",
+    "ConvergenceError",
+    "WitnessDegenerateError",
+]
+
 
 class ParseError(ValueError):
     """Raised for malformed sign-pattern text; carries the offending position."""

@@ -24,8 +24,6 @@ __all__ = [
     "charpoly_eval_many",
     "finite_eigenvalues",
     "enumerate_sigma",
-    "ENUMERATION_CAP",
-    "COEFF_SIZE_CAP",
 ]
 
 ENUMERATION_CAP = 16

@@ -2,8 +2,9 @@
 
 Root finding uses Aberth-Ehrlich: all roots are iterated together from a
 deterministic starting circle, with no deflation, so no general dense
-eigensolver is needed anywhere in the package.  Exact integer polynomials
-(arbitrary precision) back the characteristic-polynomial oracles.
+eigensolver is needed anywhere in the package.  Characteristic and symbol
+polynomials arrive as exact integer polynomials (arbitrary precision) and
+become floats only here.
 
 Residual convention: a root r of p is accepted when
 
@@ -15,24 +16,13 @@ which is the backward-stable yardstick for Horner evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ConvergenceError
+from .errors import ConvergenceError
 
-__all__ = [
-    "ComplexPolynomial",
-    "IntPolynomial",
-    "evaluate",
-    "roots",
-    "roots_many",
-    "from_roots",
-    "int_charpoly_oracle",
-    "match_multisets",
-    "DEFAULT_TOL",
-    "DEFAULT_MAX_ITER",
-]
+__all__ = ["IntPolynomial", "roots", "roots_many"]
 
 DEFAULT_TOL = 1e-10
 # The start circle has radius 1 + max|c|, which grows geometrically with the
@@ -50,32 +40,6 @@ def _trim(coeffs: tuple) -> tuple:
     while i > 1 and coeffs[i - 1] == 0:
         i -= 1
     return coeffs[:i]
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Coefficients in ascending degree order; trailing zeros trimmed."""
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a polynomial needs at least one coefficient")
-        trimmed = _trim(tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "coeffs", trimmed)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
-
-    def monic(self) -> "ComplexPolynomial":
-        lead = self.coeffs[-1]
-        if lead == 0:
-            raise ValueError("zero polynomial has no monic form")
-        return ComplexPolynomial(tuple(c / lead for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -130,18 +94,6 @@ class IntPolynomial:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
-
-
-def evaluate(p: ComplexPolynomial | IntPolynomial, z: complex) -> tuple[complex, float]:
-    """Horner value and the coefficient-magnitude scale at z."""
-    coeffs = p.coeffs
-    acc = 0j
-    sc = 0.0
-    az = abs(z)
-    for c in reversed(coeffs):
-        acc = acc * z + complex(c)
-        sc = sc * az + abs(complex(c))
-    return acc, sc
 
 
 def _horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -220,14 +172,16 @@ def _split_zero_roots(c: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def roots(
-    p: ComplexPolynomial | IntPolynomial,
+    p: IntPolynomial,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
     """All complex roots of p, with multiplicity, degree(p) of them.
 
-    Exact zero constant terms are peeled off first (those roots are exact),
-    then the remaining factor goes through the batch iteration.
+    Only ``p.coeffs`` (ascending) is read, so any polynomial container with
+    that field works.  Exact zero constant terms are peeled off first (those
+    roots are exact), then the remaining factor goes through the batch
+    iteration.
     """
     out = roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)
     return out[0]
@@ -273,73 +227,3 @@ def roots_many(
             q = prepared[i][0]
             results[i] = np.concatenate([np.zeros(q, dtype=complex), found[row_pos]])
     return results  # type: ignore[return-value]
-
-
-def from_roots(values: Iterable[complex]) -> ComplexPolynomial:
-    """Monic polynomial with the given roots, by coefficient convolution."""
-    coeffs = np.array([1.0 + 0j])
-    for r in values:
-        coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0j]))
-    return ComplexPolynomial(tuple(coeffs))
-
-
-def int_charpoly_oracle(matrix, max_size: int = 12) -> IntPolynomial:
-    """Exact characteristic polynomial det(xI - A) of an integer matrix.
-
-    Division-free Berkowitz recursion over the leading principal
-    submatrices, so every intermediate stays an integer.  Deliberately
-    small-scale: refuses sizes above ``max_size`` (default 12) because this
-    is a correctness oracle, not a production path.
-    """
-    a = [[int(v) for v in row] for row in np.asarray(matrix)]
-    n = len(a)
-    if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("matrix must be square and nonempty")
-    if n > max_size:
-        raise CapExceededError(
-            f"size {n} above oracle bound {max_size}; pass max_size to raise it"
-        )
-    check = np.asarray(matrix)
-    if not np.array_equal(check, np.array(a)):
-        raise ValueError("matrix entries must be integers")
-
-    # c holds det(xI - A_r) for the leading r x r block, descending powers
-    c = [1, -a[0][0]]
-    for i in range(1, n):
-        row = a[i][:i]
-        col = [a[t][i] for t in range(i)]
-        v = [1, -a[i][i]]
-        u = col
-        for j in range(i):
-            v.append(-sum(row[t] * u[t] for t in range(i)))
-            if j < i - 1:
-                u = [sum(a[r][t] * u[t] for t in range(i)) for r in range(i)]
-        new_c = [0] * (i + 2)
-        for ai, va in enumerate(v):
-            if va == 0:
-                continue
-            top = min(i + 2 - ai, len(c))
-            for bi in range(top):
-                new_c[ai + bi] += va * c[bi]
-        c = new_c
-    return IntPolynomial(tuple(reversed(c)))
-
-
-def match_multisets(a, b, tol: float) -> bool:
-    """Greedy bipartite matching of two complex multisets at tolerance tol."""
-    xs = sorted(np.asarray(a, dtype=complex).ravel(), key=lambda z: (z.real, z.imag))
-    ys = list(np.asarray(b, dtype=complex).ravel())
-    if len(xs) != len(ys):
-        return False
-    for x in xs:
-        best_i = -1
-        best_d = tol
-        for i, y in enumerate(ys):
-            d = abs(x - y)
-            if d <= best_d:
-                best_d = d
-                best_i = i
-        if best_i < 0:
-            return False
-        ys.pop(best_i)
-    return True

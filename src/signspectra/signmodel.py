@@ -1,4 +1,4 @@
-"""Sign patterns, tridiagonal sign matrices, and gauge normalization.
+"""Sign patterns, periodic operator specs, and gauge normalization.
 
 A sign pattern is a finite word over {+1, -1}.  A finite tridiagonal sign
 matrix of size n+1 has zero diagonal, a superdiagonal sign pattern of length
@@ -14,22 +14,18 @@ relies on: only the subdiagonal pattern matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from .errors import ParseError
 
 __all__ = [
     "SignVector",
-    "TridiagSignMatrix",
     "PeriodicOperatorSpec",
     "parse_sign_vector",
     "gauge_normalize_finite",
     "gauge_normalize_periodic",
     "ensure_even_parity",
-    "dense_matrix",
-    "all_sign_vectors",
+    "ones",
 ]
 
 
@@ -45,18 +41,6 @@ class SignVector:
             raise ValueError("sign vector needs at least one entry")
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bit mask {self.bits:#x} out of range for n={self.n}")
-
-    @classmethod
-    def from_signs(cls, signs: Iterable[int]) -> "SignVector":
-        bits = 0
-        count = 0
-        for i, s in enumerate(signs):
-            if s == -1:
-                bits |= 1 << i
-            elif s != 1:
-                raise ValueError(f"entry {i} is {s!r}, expected +1 or -1")
-            count += 1
-        return cls(count, bits)
 
     def __len__(self) -> int:
         return self.n
@@ -75,9 +59,6 @@ class SignVector:
     @property
     def signs(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def to_array(self) -> np.ndarray:
-        return np.fromiter(self, dtype=np.float64, count=self.n)
 
     def to_text(self) -> str:
         return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.n))
@@ -127,24 +108,6 @@ def parse_sign_vector(text: str) -> SignVector:
 
 
 @dataclass(frozen=True)
-class TridiagSignMatrix:
-    """Finite matrix of size n+1: zero diagonal, super pattern, sub pattern."""
-
-    sub: SignVector
-    super: SignVector
-
-    def __post_init__(self):
-        if self.sub.n != self.super.n:
-            raise ValueError(
-                f"sub length {self.sub.n} != super length {self.super.n}"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.sub.n + 1
-
-
-@dataclass(frozen=True)
 class PeriodicOperatorSpec:
     """Period-m operator on the doubly infinite line, stored by one period."""
 
@@ -165,17 +128,6 @@ class PeriodicOperatorSpec:
 def ones(n: int) -> SignVector:
     """All +1 pattern of length n."""
     return SignVector(n, 0)
-
-
-def dense_matrix(t: TridiagSignMatrix) -> np.ndarray:
-    """Dense float matrix for a finite tridiagonal sign matrix."""
-    size = t.size
-    a = np.zeros((size, size))
-    sup = t.super.to_array()
-    sub = t.sub.to_array()
-    a[np.arange(size - 1), np.arange(1, size)] = sup
-    a[np.arange(1, size), np.arange(size - 1)] = sub
-    return a
 
 
 def gauge_normalize_finite(k: SignVector, l: SignVector) -> SignVector:
@@ -218,9 +170,3 @@ def ensure_even_parity(k: SignVector) -> SignVector:
     if k.minus_count() & 1:
         return k.doubled()
     return k
-
-
-def all_sign_vectors(n: int) -> Iterator[SignVector]:
-    """All 2^n sign patterns of length n, in increasing bit-mask order."""
-    for bits in range(1 << n):
-        yield SignVector(n, bits)

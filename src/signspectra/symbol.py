@@ -21,7 +21,6 @@ p-preimage of the segment [-2, 2].
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,11 +34,8 @@ from .signmodel import SignVector, ensure_even_parity
 __all__ = [
     "SymbolPolynomial",
     "symbol_array",
-    "symbol_char_value",
-    "symbol_char_values",
     "symbol_poly",
     "preimages",
-    "symbol_eigenvalues",
     "periodic_spectrum",
     "two_cos_pi",
 ]
@@ -94,34 +90,12 @@ def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
     return a
 
 
-def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
-    """det(a(phi) - lambda I) by LU with partial pivoting.
-
-    This is the reference route against which the polynomial identity is
-    tested; it shares no code with symbol_poly.
-    """
-    return complex(symbol_char_values(k, [phi], [lam])[0])
-
-
-def symbol_char_values(k, phis, lams) -> np.ndarray:
-    """symbol_char_value over paired (phi, lambda) samples."""
-    phis = np.asarray(phis, dtype=float).ravel()
-    lams = np.asarray(lams, dtype=complex).ravel()
-    if phis.shape != lams.shape:
-        raise ValueError("phis and lams must pair up")
-    stack = symbol_array(k, phis)
-    di = np.arange(len(k))
-    stack[:, di, di] -= lams[:, None]
-    return np.linalg.det(stack)
-
-
 @dataclass(frozen=True)
 class SymbolPolynomial:
     """Monic integer polynomial p of degree m plus the sign product K."""
 
     p: IntPolynomial
     k_product: int
-    k: SignVector
 
 
 def symbol_poly(k: SignVector) -> SymbolPolynomial:
@@ -135,7 +109,7 @@ def symbol_poly(k: SignVector) -> SymbolPolynomial:
     signs = k.signs
     corner = _continuant(signs, m) - _continuant(signs[1:], m - 2).scaled(signs[-1])
     p = corner.scaled(-1 if m % 2 else 1)
-    return SymbolPolynomial(p=p, k_product=k.product(), k=k)
+    return SymbolPolynomial(p=p, k_product=k.product())
 
 
 def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -143,13 +117,6 @@ def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.nd
     rows = np.tile(p.as_array(), (len(targets), 1))
     rows[:, 0] -= np.asarray(targets)
     return roots_many(list(rows), tol)
-
-
-def symbol_eigenvalues(k: SignVector, phi: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """spec(a(phi)) with multiplicity: roots of p - e^{i phi} K - e^{-i phi}."""
-    sp = symbol_poly(k)
-    target = sp.k_product * cmath.exp(1j * phi) + cmath.exp(-1j * phi)
-    return preimages(sp.p, [target], tol)[0]
 
 
 def periodic_spectrum(

@@ -1,0 +1,291 @@
+"""Reference routes that the tests compare the package against.
+
+None of these ship with signspectra.  Each oracle shares no code with the
+routine it checks, which is what the agreement tests rely on:
+
+- ``int_charpoly_oracle`` (Berkowitz on the dense matrix) checks the
+  continuant behind ``charpoly_finite``;
+- ``symbol_char_values`` (LU determinants of the assembled symbol) checks
+  the corner expansion behind ``symbol_poly``;
+- ``_read_corner_det`` (a continuant read entrywise from the assembled
+  matrix) checks ``block_circulant_charpoly`` through
+  ``circulant_factorization_check``.
+
+They may use the package's matrix assembly (``symbol_array``,
+``build_block_circulant``), its containers and its errors.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
+
+from signspectra.embed import build_block_circulant
+from signspectra.errors import CapExceededError
+from signspectra.polyroot import IntPolynomial, _trim
+from signspectra.signmodel import SignVector
+from signspectra.symbol import symbol_array
+
+FACTORIZATION_SIZE_CAP = 64
+
+
+# ---------------------------------------------------------------- polynomials
+
+
+@dataclass(frozen=True)
+class ComplexPolynomial:
+    """Coefficients in ascending degree order; trailing zeros trimmed."""
+
+    coeffs: tuple[complex, ...]
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("a polynomial needs at least one coefficient")
+        trimmed = _trim(tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", trimmed)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.coeffs, dtype=complex)
+
+    def monic(self) -> "ComplexPolynomial":
+        lead = self.coeffs[-1]
+        if lead == 0:
+            raise ValueError("zero polynomial has no monic form")
+        return ComplexPolynomial(tuple(c / lead for c in self.coeffs))
+
+
+def evaluate(p: ComplexPolynomial | IntPolynomial, z: complex) -> tuple[complex, float]:
+    """Horner value and the coefficient-magnitude scale at z."""
+    coeffs = p.coeffs
+    acc = 0j
+    sc = 0.0
+    az = abs(z)
+    for c in reversed(coeffs):
+        acc = acc * z + complex(c)
+        sc = sc * az + abs(complex(c))
+    return acc, sc
+
+
+def from_roots(values: Iterable[complex]) -> ComplexPolynomial:
+    """Monic polynomial with the given roots, by coefficient convolution."""
+    coeffs = np.array([1.0 + 0j])
+    for r in values:
+        coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0j]))
+    return ComplexPolynomial(tuple(coeffs))
+
+
+def int_charpoly_oracle(matrix, max_size: int = 12) -> IntPolynomial:
+    """Exact characteristic polynomial det(xI - A) of an integer matrix.
+
+    Division-free Berkowitz recursion over the leading principal
+    submatrices, so every intermediate stays an integer.  Deliberately
+    small-scale: refuses sizes above ``max_size`` (default 12) because this
+    is a correctness oracle, not a production path.
+    """
+    a = [[int(v) for v in row] for row in np.asarray(matrix)]
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ValueError("matrix must be square and nonempty")
+    if n > max_size:
+        raise CapExceededError(
+            f"size {n} above oracle bound {max_size}; pass max_size to raise it"
+        )
+    check = np.asarray(matrix)
+    if not np.array_equal(check, np.array(a)):
+        raise ValueError("matrix entries must be integers")
+
+    # c holds det(xI - A_r) for the leading r x r block, descending powers
+    c = [1, -a[0][0]]
+    for i in range(1, n):
+        row = a[i][:i]
+        col = [a[t][i] for t in range(i)]
+        v = [1, -a[i][i]]
+        u = col
+        for j in range(i):
+            v.append(-sum(row[t] * u[t] for t in range(i)))
+            if j < i - 1:
+                u = [sum(a[r][t] * u[t] for t in range(i)) for r in range(i)]
+        new_c = [0] * (i + 2)
+        for ai, va in enumerate(v):
+            if va == 0:
+                continue
+            top = min(i + 2 - ai, len(c))
+            for bi in range(top):
+                new_c[ai + bi] += va * c[bi]
+        c = new_c
+    return IntPolynomial(tuple(reversed(c)))
+
+
+def match_multisets(a, b, tol: float) -> bool:
+    """Greedy bipartite matching of two complex multisets at tolerance tol."""
+    xs = sorted(np.asarray(a, dtype=complex).ravel(), key=lambda z: (z.real, z.imag))
+    ys = list(np.asarray(b, dtype=complex).ravel())
+    if len(xs) != len(ys):
+        return False
+    for x in xs:
+        best_i = -1
+        best_d = tol
+        for i, y in enumerate(ys):
+            d = abs(x - y)
+            if d <= best_d:
+                best_d = d
+                best_i = i
+        if best_i < 0:
+            return False
+        ys.pop(best_i)
+    return True
+
+
+# ----------------------------------------------------------------- sign model
+
+
+@dataclass(frozen=True)
+class TridiagSignMatrix:
+    """Finite matrix of size n+1: zero diagonal, super pattern, sub pattern."""
+
+    sub: SignVector
+    super: SignVector
+
+    def __post_init__(self):
+        if self.sub.n != self.super.n:
+            raise ValueError(
+                f"sub length {self.sub.n} != super length {self.super.n}"
+            )
+
+    @property
+    def size(self) -> int:
+        return self.sub.n + 1
+
+
+def dense_matrix(t: TridiagSignMatrix) -> np.ndarray:
+    """Dense float matrix for a finite tridiagonal sign matrix."""
+    size = t.size
+    a = np.zeros((size, size))
+    sup = np.fromiter(t.super, float)
+    sub = np.fromiter(t.sub, float)
+    a[np.arange(size - 1), np.arange(1, size)] = sup
+    a[np.arange(1, size), np.arange(size - 1)] = sub
+    return a
+
+
+def all_sign_vectors(n: int) -> Iterator[SignVector]:
+    """All 2^n sign patterns of length n, in increasing bit-mask order."""
+    for bits in range(1 << n):
+        yield SignVector(n, bits)
+
+
+# --------------------------------------------------------------------- symbol
+
+
+def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
+    """det(a(phi) - lambda I) by LU with partial pivoting.
+
+    This is the reference route against which the polynomial identity is
+    tested; it shares no code with symbol_poly.
+    """
+    return complex(symbol_char_values(k, [phi], [lam])[0])
+
+
+def symbol_char_values(k, phis, lams) -> np.ndarray:
+    """symbol_char_value over paired (phi, lambda) samples."""
+    phis = np.asarray(phis, dtype=float).ravel()
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if phis.shape != lams.shape:
+        raise ValueError("phis and lams must pair up")
+    stack = symbol_array(k, phis)
+    di = np.arange(len(k))
+    stack[:, di, di] -= lams[:, None]
+    return np.linalg.det(stack)
+
+
+# ------------------------------------------------------------ block circulant
+
+
+def _read_corner_det(matrix: np.ndarray, lam: np.ndarray):
+    """det(matrix - lam I) for tridiagonal-plus-corners, vectorized in lam.
+
+    Entry values are read from the matrix, so corruptions on the allowed
+    support change the result; positions off the support are the caller's
+    job to check.
+    """
+    size = matrix.shape[0]
+    sub = np.diagonal(matrix, -1)
+    sup = np.diagonal(matrix, 1)
+    a = matrix[0, size - 1]
+    c = matrix[size - 1, 0]
+    t = sub * sup
+
+    def continuant(tvals):
+        prev = np.ones_like(lam)
+        cur = -lam
+        for tv in tvals:
+            prev, cur = cur, -lam * cur - tv * prev
+        return cur
+
+    full = continuant(t)
+    inner = continuant(t[1:-1])
+    wrap = a * np.prod(sub) + c * np.prod(sup)
+    sign = 1.0 if (size + 1) % 2 == 0 else -1.0
+    return full - a * c * inner + sign * wrap
+
+
+def circulant_factorization_check(
+    k: SignVector,
+    n: int,
+    tol: float = 1e-9,
+    matrix: np.ndarray | None = None,
+) -> bool:
+    """Spectral factorization test: det(M - xI) vs the symbol product.
+
+    Compares the determinant of the assembled matrix (read entrywise, so
+    mutations register) against prod_j det(a(xi_j) - xI) at 4*nm seeded
+    sample points on the circle |x| = 3, which keeps every sample at
+    distance >= 1 from the spectrum.  Returns False on any mismatch or on
+    off-support entries; raises only for sizes beyond the test-scale cap.
+    """
+    m = len(k)
+    size = n * m
+    if size > FACTORIZATION_SIZE_CAP:
+        raise CapExceededError(
+            f"factorization check capped at nm <= {FACTORIZATION_SIZE_CAP}"
+        )
+    if matrix is None:
+        matrix = build_block_circulant(k, n)
+    matrix = np.asarray(matrix)
+    if matrix.shape != (size, size):
+        return False
+    if size >= 3:
+        support = np.zeros((size, size), dtype=bool)
+        idx = np.arange(size - 1)
+        support[idx, idx + 1] = True
+        support[idx + 1, idx] = True
+        support[0, size - 1] = True
+        support[size - 1, 0] = True
+        if np.any(matrix[~support] != 0):
+            return False
+
+    rng = np.random.default_rng(20240331)
+    lam = 3.0 * np.exp(2j * np.pi * rng.random(4 * size))
+
+    if size == 2:
+        lhs = np.array(
+            [np.linalg.det(matrix - z * np.eye(2)) for z in lam], dtype=complex
+        )
+    else:
+        lhs = _read_corner_det(matrix, lam)
+
+    xi = 2.0 * np.pi * np.arange(1, n + 1) / n
+    rhs = np.ones_like(lam)
+    for z_i, z in enumerate(lam):
+        dets = symbol_char_values(k, xi, np.full(n, z))
+        rhs[z_i] = np.prod(dets)
+
+    err = np.abs(lhs - rhs)
+    ref = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+    return bool(np.all(err <= tol * ref))

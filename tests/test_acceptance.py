@@ -18,28 +18,21 @@ from signspectra.cloud import SpectrumCloud
 from signspectra.density import density_report, directed_hausdorff, periodic_union
 from signspectra.embed import block_circulant_charpoly, verify_embedding
 from signspectra.finite import charpoly_finite, enumerate_sigma, finite_eigenvalues
-from signspectra.polyroot import (
+from signspectra.polyroot import IntPolynomial, roots_many
+from signspectra.signmodel import ensure_even_parity, ones, parse_sign_vector
+from signspectra.symbol import periodic_spectrum, symbol_poly, two_cos_pi
+
+from oracles import (
     ComplexPolynomial,
-    IntPolynomial,
+    TridiagSignMatrix,
+    all_sign_vectors,
+    circulant_factorization_check,
+    dense_matrix,
     evaluate,
     from_roots,
     int_charpoly_oracle,
     match_multisets,
-    roots_many,
-)
-from signspectra.signmodel import (
-    TridiagSignMatrix,
-    all_sign_vectors,
-    dense_matrix,
-    ensure_even_parity,
-    ones,
-    parse_sign_vector,
-)
-from signspectra.symbol import (
-    periodic_spectrum,
     symbol_char_values,
-    symbol_poly,
-    two_cos_pi,
 )
 
 # density baselines at max_n=8, max_m=4, samples=257, disk_step=0.1,
@@ -112,8 +105,6 @@ def test_c02_even_parity_cosine_form():
 def test_c03_circulant_factorization():
     """Sampled determinant factorization of every block circulant with
     m <= 4, n <= 6, under 120 s."""
-    from signspectra.embed import circulant_factorization_check
-
     started = time.monotonic()
     for m in range(1, 5):
         for k in all_sign_vectors(m):

@@ -89,6 +89,17 @@ def test_svg_output(tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
+def test_svg_to_stdout_matches_file(tmp_path, capsys):
+    args = ["spectrum", "--mode", "finite", "--k", "+-+", "--format", "svg"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg"')
+    assert text.count("<circle") == 4
+    out = tmp_path / "k.svg"
+    assert main([*args, "--out", str(out)]) == 0
+    assert text == out.read_text()
+
+
 def _err_lines(capsys):
     return capsys.readouterr().err.strip().splitlines()
 
@@ -120,6 +131,22 @@ def test_periodic_spectrum_period_34(capsys):
     lines = _lines(capsys)
     assert lines[0] == "re,im,tag"
     assert len(lines) == 1 + 34 * 5
+
+
+def test_bare_double_minus_pattern(tmp_path, capsys):
+    # argparse strips a bare "--" option value; the --k=/--l= spelling keeps it
+    assert main(["normalize", "--k=--", "--l=++"]) == 0
+    assert _lines(capsys) == ["--"]
+    assert main(["normalize", "--k=+-", "--l=--", "--periodic"]) == 0
+    assert _lines(capsys) == ["-+"]
+    assert main(["spectrum", "--mode", "finite", "--k=--"]) == 0
+    assert len(_lines(capsys)) == 1 + 3
+    out = tmp_path / "defect.json"
+    assert main(["embed", "--k=--", "--n", "3", "--witness", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["params"]["k"] == "--"
+    assert obj["m_effective"] == 2
+    assert obj["verified"] is True
 
 
 def test_embed_json_contract(capsys):

@@ -10,18 +10,23 @@ import pytest
 
 from signspectra.density import directed_hausdorff
 from signspectra.embed import (
-    FACTORIZATION_SIZE_CAP,
     block_circulant_charpoly,
     build_block_circulant,
-    circulant_factorization_check,
     target_set,
     truncate,
     verify_embedding,
 )
 from signspectra.errors import CapExceededError
-from signspectra.polyroot import int_charpoly_oracle, match_multisets
-from signspectra.signmodel import all_sign_vectors, parse_sign_vector
+from signspectra.signmodel import parse_sign_vector
 from signspectra.symbol import periodic_spectrum
+
+from oracles import (
+    FACTORIZATION_SIZE_CAP,
+    all_sign_vectors,
+    circulant_factorization_check,
+    int_charpoly_oracle,
+    match_multisets,
+)
 
 
 def test_build_block_circulant_layouts():

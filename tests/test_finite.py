@@ -17,14 +17,16 @@ from signspectra.finite import (
     enumerate_sigma,
     finite_eigenvalues,
 )
-from signspectra.polyroot import evaluate, int_charpoly_oracle, match_multisets, roots_many
-from signspectra.signmodel import (
-    SignVector,
+from signspectra.polyroot import roots_many
+from signspectra.signmodel import SignVector, ones, parse_sign_vector
+
+from oracles import (
     TridiagSignMatrix,
     all_sign_vectors,
     dense_matrix,
-    ones,
-    parse_sign_vector,
+    evaluate,
+    int_charpoly_oracle,
+    match_multisets,
 )
 
 

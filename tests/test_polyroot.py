@@ -8,15 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signspectra.errors import CapExceededError, ConvergenceError
-from signspectra.polyroot import (
+from signspectra.polyroot import IntPolynomial, roots, roots_many
+
+from oracles import (
     ComplexPolynomial,
-    IntPolynomial,
     evaluate,
     from_roots,
     int_charpoly_oracle,
     match_multisets,
-    roots,
-    roots_many,
 )
 
 

@@ -31,56 +31,113 @@ __all__ = [
 PERIOD_CAP = 10
 
 
-def _bucketize(values: np.ndarray, cell: float):
-    """Occupied square cells: their x indices, y indices and member values."""
-    ix = np.floor(values.real / cell).astype(np.int64)
-    iy = np.floor(values.imag / cell).astype(np.int64)
-    order = np.lexsort((iy, ix))
-    ix, iy = ix[order], iy[order]
-    starts = np.flatnonzero(np.r_[True, (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])])
-    return ix[starts], iy[starts], np.split(values[order], starts[1:])
+# entries or distances per numpy pass; bounds the scan's scratch memory
+_BLOCK = 1 << 16
 
 
-def directed_hausdorff(x_cloud: SpectrumCloud, y_cloud: SpectrumCloud) -> float:
+def _blocks(counts: np.ndarray) -> list[slice]:
+    """Runs of consecutive entries whose counts add up to about _BLOCK."""
+    cuts = np.searchsorted(np.cumsum(counts), np.arange(_BLOCK, counts.sum(), _BLOCK))
+    edges = np.unique(np.r_[0, cuts, counts.size])
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _lower_nearest(xs: np.ndarray, ys: np.ndarray, best: np.ndarray) -> None:
+    """Lower best[i] to min over y of |xs[i] - y| wherever that is smaller.
+
+    ys must be distinct.  They are sorted into square cells, column by
+    column, so the cells of one column between two rows hold one contiguous
+    slice of ys, found in a table keyed by cell.  A point nearer to x than
+    best[i] lies in the square of half-side best[i] around x, so each query
+    reads only the columns of that square.  The square is capped at a reach
+    that starts at one cell: a query that finds nothing within its reach
+    doubles the reach and reads again, until a match lies within the reach
+    or the square covers every cell.  The square is widened by a slack far
+    above the rounding of the cell arithmetic, so it holds every point at a
+    computed distance below best[i].  The minimum therefore runs over a
+    candidate set that contains the nearest neighbor, with the |x - y| a
+    brute-force scan would use, and agrees with brute force to the last bit.
+    """
+    re, im = ys.real, ys.imag
+    cell = max(math.hypot(float(np.ptp(re)), float(np.ptp(im))) / math.sqrt(ys.size), 1e-6)
+    gx = np.floor(re / cell)
+    gy = np.floor(im / cell)
+    x0, y0 = gx.min(), gy.min()
+    w, h = int(gx.max() - x0) + 1, int(gy.max() - y0) + 1
+    key = ((gx - x0) * h + (gy - y0)).astype(np.int64)
+    order = np.argsort(key, kind="stable")
+    ys = ys[order]
+    # rows a..b of column c hold ys[bounds[c * h + a]:bounds[c * h + b + 1]]
+    bounds = np.searchsorted(key[order], np.arange(w * h + 1))
+    u = xs.real / cell - x0
+    v = xs.imag / cell - y0
+    scale = max(cell, float(np.abs(re).max()), float(np.abs(im).max()),
+                float(np.abs(xs.real).max()), float(np.abs(xs.imag).max()))
+    slack = 1e-12 * scale
+    live = np.flatnonzero(best > 0)
+    reach = cell
+    while live.size:
+        half = (np.minimum(best[live], reach) + slack) / cell
+        c0 = np.clip(np.floor(u[live] - half), 0, w).astype(np.int64)
+        c1 = np.clip(np.floor(u[live] + half), -1, w - 1).astype(np.int64)
+        r0 = np.clip(np.floor(v[live] - half), 0, h).astype(np.int64)
+        r1 = np.clip(np.floor(v[live] + half), -1, h - 1).astype(np.int64)
+        cols = np.where(r0 <= r1, np.maximum(c1 - c0 + 1, 0), 0)
+        for s in _blocks(cols):
+            # one entry per (query, column) of its square
+            k = cols[s]
+            q = np.repeat(np.arange(s.start, s.stop), k)
+            col = c0[q] + np.arange(q.size) - np.repeat(np.cumsum(k) - k, k)
+            lo = bounds[col * h + r0[q]]
+            _lower_pairs(xs, ys, best, live[q], lo, bounds[col * h + r1[q] + 1] - lo)
+        whole = (c0 == 0) & (c1 == w - 1) & (r0 == 0) & (r1 == h - 1)
+        live = live[(best[live] > reach) & ~whole]
+        reach *= 2
+
+
+def _lower_pairs(xs, ys, best, owner, lo, cnt) -> None:
+    """best[o] = min(best[o], |xs[o] - ys[lo:lo + cnt]|) for each entry (o, lo, cnt).
+
+    The entries of one owner are adjacent.
+    """
+    keep = cnt > 0
+    owner, lo, cnt = owner[keep], lo[keep], cnt[keep]
+    for s in _blocks(cnt):
+        o, c = owner[s], cnt[s]
+        start = np.cumsum(c) - c
+        pos = np.arange(start[-1] + c[-1]) + np.repeat(lo[s] - start, c)
+        d = np.abs(np.repeat(xs[o], c) - ys[pos])
+        run = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
+        o = o[run]
+        best[o] = np.minimum(best[o], np.minimum.reduceat(d, start[run]))
+
+
+def directed_hausdorff(
+    x_cloud: SpectrumCloud, y_cloud: SpectrumCloud, best: np.ndarray | None = None
+) -> float:
     """max_{x in X} min_{y in Y} |x - y|, bucketized but exact.
 
-    Exact duplicates are dropped from X and Y first; that changes neither
-    the max-min nor any |x - y| compared.  Both are hashed into square
-    cells; each query cell visits occupied Y cells in order of Chebyshev
-    ring distance (empty rings are skipped outright) and stops once every
-    unvisited cell is provably farther than the current best match: a point
-    in a cell at ring distance c is at least (c-1) cells away.  The minimum
-    is therefore taken over a candidate set that contains the true
-    nearest-neighbor distance, with the same |x - y| arithmetic a
-    brute-force scan would use, so results agree with brute force to the
-    last bit.
+    ``best`` carries one distance per point of X, in cloud order; it is
+    lowered in place to the distance to Y wherever that is smaller, and the
+    result is its maximum.  Feeding Y in parts with one carried array
+    therefore gives the distance to the union of the parts seen so far,
+    scanning each part once.  Without it every point starts at infinity.
+    Exact duplicates in Y (and in X when nothing is carried) are dropped
+    first, which changes no minimum and no maximum.
     """
-    xs = np.unique(x_cloud.values())
+    xs = x_cloud.values()
     ys = np.unique(y_cloud.values())
     if xs.size == 0 or ys.size == 0:
         raise ValueError("directed_hausdorff needs nonempty clouds")
-    diam = math.hypot(
-        float(ys.real.max() - ys.real.min()), float(ys.imag.max() - ys.imag.min())
-    )
-    cell = max(diam / math.sqrt(ys.size), 1e-6)
-    kx, ky, groups = _bucketize(ys, cell)
-    worst = 0.0
-    for cx, cy, chunk in zip(*_bucketize(xs, cell)):
-        cheb = np.maximum(np.abs(kx - cx), np.abs(ky - cy))
-        best = np.full(chunk.size, np.inf)
-        rid = int(cheb.min())
-        while True:
-            cand = np.concatenate([groups[s] for s in np.nonzero(cheb == rid)[0]])
-            d = np.abs(chunk[:, None] - cand[None, :]).min(axis=1)
-            np.minimum(best, d, out=best)
-            ahead = cheb[cheb > rid]
-            if ahead.size == 0:
-                break
-            rid = int(ahead.min())
-            if float(best.max()) <= (rid - 1) * cell:
-                break
-        worst = max(worst, float(best.max()))
-    return worst
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("directed_hausdorff needs finite values")
+    if best is None:
+        xs = np.unique(xs)
+        best = np.full(xs.size, np.inf)
+    elif best.shape != xs.shape:
+        raise ValueError(f"{best.size} carried distances for {xs.size} query points")
+    _lower_nearest(xs, ys, best)
+    return float(best.max())
 
 
 def _all_patterns_upto(max_m: int):
@@ -176,7 +233,10 @@ def density_report(
 
     Finite spectra are accumulated over sizes (sigma up to n, matching the
     union in their definition), so both distance series are nonincreasing in
-    n by construction: the minimum over a superset can only shrink.
+    n by construction: the minimum over a superset can only shrink.  A
+    minimum over sigma up to n is the smaller of the one up to n - 1 and the
+    one over sigma_n, so each query point carries its nearest distance and
+    every step scans only the new sigma_n.
     """
     if max_n > ENUMERATION_CAP:
         raise CapExceededError(f"max_n capped at {ENUMERATION_CAP}")
@@ -185,15 +245,21 @@ def density_report(
     start = time.monotonic()
     pi_cloud = periodic_union(max_m, samples, tol)
     grid = disk_grid(disk_step)
-    accumulated = enumerate_sigma(1, tol, threads=threads)
+    pi_best = np.full(len(pi_cloud), np.inf)
+    disk_best = np.full(len(grid), np.inf)
+    # sigma_1 has no distance of its own; it joins the first scan
+    fresh = enumerate_sigma(1, tol, threads=threads)
+    size = 0
     sigma_sizes: dict[int, int] = {}
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
     for n in range(2, max_n + 1):
-        accumulated = accumulated.merged(enumerate_sigma(n, tol, threads=threads))
-        sigma_sizes[n] = len(accumulated)
-        pi_distances[n] = directed_hausdorff(pi_cloud, accumulated)
-        disk_distances[n] = directed_hausdorff(grid, accumulated)
+        fresh = fresh.merged(enumerate_sigma(n, tol, threads=threads))
+        size += len(fresh)
+        sigma_sizes[n] = size
+        pi_distances[n] = directed_hausdorff(pi_cloud, fresh, pi_best)
+        disk_distances[n] = directed_hausdorff(grid, fresh, disk_best)
+        fresh = SpectrumCloud()
     return DensityReport(
         max_n=max_n,
         max_m=max_m,

@@ -80,11 +80,18 @@ def target_set(k: SignVector, n: int, tol: float = DEFAULT_TOL) -> SpectrumCloud
         raise ValueError("n must be at least 2")
     if k.minus_count() % 2:
         raise ValueError("target_set needs an even-parity pattern; double it first")
-    js = [j for j in range(1, n) if 2 * j != n]
+    js = _allowed_angles(n)
+    solved = preimages(symbol_poly(k).p, [two_cos_pi(2 * j, n) for j in js], tol)
+    return _target_cloud(n, js, solved)
+
+
+def _allowed_angles(n: int) -> list[int]:
+    return [j for j in range(1, n) if 2 * j != n]
+
+
+def _target_cloud(n: int, js: list[int], solved: list[np.ndarray]) -> SpectrumCloud:
     if not js:
         return SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
-    targets = [two_cos_pi(2 * j, n) for j in js]
-    solved = preimages(symbol_poly(k).p, targets, tol)
     parts = [
         SpectrumCloud.from_values(vals, f"target:j={j}") for j, vals in zip(js, solved)
     ]
@@ -205,22 +212,24 @@ def verify_embedding(
         raise ValueError("n must be at least 2")
     keff = ensure_even_parity(k)
     m = len(keff)
-    targets = target_set(keff, n)
+    # one solve for the allowed angles (the targets) and the excluded ones
+    allowed = _allowed_angles(n)
+    js = allowed + ([n // 2] if n % 2 == 0 else []) + [n]
+    solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
+    targets = _target_cloud(n, allowed, solved[: len(allowed)])
     l = truncate(keff, n)
     values = targets.values()
     residuals = _residuals_at(l, values) if len(values) else ()
     worst = max(residuals, default=0.0)
     verified = all(r <= tol for r in residuals)
 
-    js = ([n // 2] if n % 2 == 0 else []) + [n]
-    solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
     excluded = tuple(
         ExcludedTarget(
             j=j,
             values=tuple(complex(v) for v in vals),
             residuals=_residuals_at(l, vals),
         )
-        for j, vals in zip(js, solved)
+        for j, vals in zip(js[len(allowed):], solved[len(allowed):])
     )
 
     witnesses = None

@@ -122,23 +122,29 @@ def _aberth_batch(
     angles = 2.0 * np.pi * np.arange(d) / d + _ANGLE_OFFSET
     z = radius[:, None] * np.exp(1j * angles)[None, :]
 
+    # a row that converges is never touched again, so it leaves the working
+    # arrays; each row's iterates are the ones it would get alone
+    active = np.arange(b)
+    zz = z
+    idx = np.arange(d)
     worst = np.inf
     for _ in range(max_iter):
-        pv = _horner_batch(monic, z)
-        sc = _horner_batch(absc, np.abs(z).astype(complex)).real
-        ok = np.abs(pv) <= tol * sc
-        row_ok = ok.all(axis=1)
-        if row_ok.all():
-            return z, 0.0
-        rows = np.flatnonzero(~row_ok)
-        zz = z[rows]
-        dv = _horner_batch(deriv[rows], zz)
+        pv = _horner_batch(monic, zz)
+        sc = _horner_batch(absc, np.abs(zz).astype(complex)).real
+        row_ok = (np.abs(pv) <= tol * sc).all(axis=1)
+        if row_ok.any():
+            z[active[row_ok]] = zz[row_ok]
+            if row_ok.all():
+                return z, 0.0
+            keep = ~row_ok
+            active, monic, absc, deriv = active[keep], monic[keep], absc[keep], deriv[keep]
+            zz, pv, sc = zz[keep], pv[keep], sc[keep]
+        dv = _horner_batch(deriv, zz)
         bad_dv = dv == 0
         if bad_dv.any():
             dv = np.where(bad_dv, 1.0, dv)
-        w = pv[rows] / dv
+        w = pv / dv
         diff = zz[:, :, None] - zz[:, None, :]
-        idx = np.arange(d)
         diff[:, idx, idx] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             recip = 1.0 / diff
@@ -153,7 +159,7 @@ def _aberth_batch(
             # index-dependent size so coincident iterates separate
             nudge = (1e-3 + 1e-3j) * (1.0 + np.abs(zz)) * (1.0 + idx)[None, :]
             step = np.where(bad, nudge, step)
-        z[rows] = zz - step
+        zz = zz - step
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.abs(pv) / np.where(sc > 0, sc, 1.0)
         worst = float(rel.max())

@@ -230,6 +230,14 @@ PINNED_OUTPUT_SHA256 = [
          "--format", "json"],
         "aa307cb509f4e8b359712877756c8e5f5c9eff3aaecb4e0fd6562e4003346581",
     ),
+    (
+        ["density", "--max-n", "8", "--max-m", "4", "--samples", "257", "--disk-step", "0.1"],
+        "152fa8acde41b8481b14a682f88f42b8af3f6f531b0f9f5254d244bcfc0394f4",
+    ),
+    (
+        ["embed", "--k=+-+-", "--n", "7", "--witness"],
+        "4f8728889c6e43867bf1a374c354232adc5838c73e6d635b50e8d77445cfa416",
+    ),
 ]
 
 

@@ -55,6 +55,26 @@ def test_hausdorff_matches_brute_force_bitwise():
             assert directed_hausdorff(_cloud(x), _cloud(y)) == brute
 
 
+def test_hausdorff_carried_distances_cover_the_union_of_parts():
+    # one carried array per query point, fed Y in parts, must end at the
+    # brute-force nearest distance to the union of the parts seen so far
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+        ys = rng.uniform(-2, 2, 300) + 1j * rng.uniform(-2, 2, 300)
+        best = np.full(xs.size, np.inf)
+        seen = np.empty(0, dtype=complex)
+        for part in np.split(ys, [5, 80]):
+            seen = np.concatenate([seen, part])
+            got = directed_hausdorff(_cloud(xs), _cloud(part), best)
+            want = np.abs(xs[:, None] - seen[None, :]).min(axis=1)
+            assert np.array_equal(best, want) and got == want.max()
+    with pytest.raises(ValueError):
+        directed_hausdorff(_cloud(xs), _cloud(ys), np.zeros(3))
+    with pytest.raises(ValueError):
+        directed_hausdorff(_cloud([np.nan]), _cloud(ys))
+
+
 def test_hausdorff_exact_duplicates_in_bounded_memory():
     # every odd-size matrix has the eigenvalue 0, so accumulated clouds hold
     # thousands of exact zeros; they must not become a |X| x |Y| distance block
@@ -114,6 +134,20 @@ def test_density_report_small_run():
     assert rep.pi_size == 99
     assert rep.monotone()
     assert rep.wall_time_s > 0
+
+
+def test_density_report_matches_brute_force_over_merged_sigma():
+    # the report scans only the new sigma_n at each n, carrying every query's
+    # nearest distance; each entry must equal a full scan of sigma_{<=n}
+    rep = density_report(7, 3, 33, 0.2)
+    pi = periodic_union(3, 33).values()
+    disk = disk_grid(0.2).values()
+    merged = enumerate_sigma(1).values()
+    for n in range(2, 8):
+        merged = np.concatenate([merged, enumerate_sigma(n).values()])
+        assert rep.sigma_sizes[n] == merged.size
+        for x, got in ((pi, rep.pi_distances[n]), (disk, rep.disk_distances[n])):
+            assert got == np.abs(x[:, None] - merged[None, :]).min(axis=1).max(), n
 
 
 def test_density_report_input_checks():

@@ -86,6 +86,23 @@ def test_roots_many_input_checks():
         roots_many([np.array([[1.0, 1.0]])])
 
 
+def test_roots_many_rows_do_not_depend_on_the_batch():
+    # embed solves its allowed and excluded targets in one batch, and rows of
+    # one degree stop iterating at different steps; each row's roots must be
+    # the very floats it gets when solved alone
+    rng = np.random.default_rng(7)
+    wilkinson = np.poly(np.arange(1.0, 9.0))[::-1]  # start radius 1 + 40320
+    rows = [wilkinson, np.r_[-2.0, np.zeros(7), 1.0], np.array([-6.0, 3.0])]
+    for deg in (2, 3, 5, 8, 8, 12):
+        rows.append(np.r_[rng.integers(-3, 4, deg), 1].astype(complex))
+        rows.append(np.r_[0, 0, rng.integers(-3, 4, deg - 1), 1].astype(complex))
+    for target in (-2.0, -0.5, 1.0, 1.9):
+        rows.append(np.array([-target, 1, 0, -3, 0, 1], dtype=complex))  # p = x^5 - 3x^3 + x
+    together = roots_many(rows)
+    for row, got in zip(rows, together):
+        assert got.tobytes() == roots_many([row])[0].tobytes(), row
+
+
 def test_nonconvergence_carries_worst_residual():
     with pytest.raises(ConvergenceError) as exc:
         roots(ComplexPolynomial((1, 0, 1)), max_iter=0)

@@ -158,11 +158,11 @@ def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> Spectr
     seen: set[tuple[int, ...]] = set()
     parts = []
     for k in _all_patterns_upto(max_m):
-        key = symbol_poly(ensure_even_parity(k)).p.coeffs
-        if key in seen:
+        p = symbol_poly(ensure_even_parity(k)).p
+        if p.coeffs in seen:
             continue
-        seen.add(key)
-        parts.append(periodic_spectrum(k, samples, tol))
+        seen.add(p.coeffs)
+        parts.append(periodic_spectrum(k, samples, tol, p))
     return SpectrumCloud().merged(*parts)
 
 

@@ -23,11 +23,16 @@ class CapExceededError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Root iteration failed to reach the residual target."""
+    """Root iteration failed to reach the residual target.
 
-    def __init__(self, message: str, worst_residual: float):
+    ``row`` is the index of a row that did not converge, in the input of
+    the call that raised.
+    """
+
+    def __init__(self, message: str, worst_residual: float, row: int):
         super().__init__(message)
         self.worst_residual = worst_residual
+        self.row = row
 
 
 class WitnessDegenerateError(RuntimeError):

@@ -120,7 +120,10 @@ def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.nd
 
 
 def periodic_spectrum(
-    k: SignVector, samples: int, tol: float = DEFAULT_TOL
+    k: SignVector,
+    samples: int,
+    tol: float = DEFAULT_TOL,
+    p: IntPolynomial | None = None,
 ) -> SpectrumCloud:
     """Sampled operator spectrum as the p-preimage of [-2, 2].
 
@@ -128,13 +131,17 @@ def periodic_spectrum(
     segment form applies.  Angles are uniform, phi_s = pi s/(samples-1), and
     the targets 2 cos phi_s are Chebyshev-distributed in [-2, 2], which
     resolves the arc endpoints well.  Each point is tagged with its angle.
+    A caller that already holds symbol_poly of the doubled pattern passes
+    its p, and it is not built again.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     keff = ensure_even_parity(k)
     meff = len(keff)
+    if p is None:
+        p = symbol_poly(keff).p
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
-    solved = preimages(symbol_poly(keff).p, targets, tol)
+    solved = preimages(p, targets, tol)
     phis = np.pi * np.arange(samples) / (samples - 1)
     parts = [
         SpectrumCloud.from_values(vals, f"per:m={meff}:phi={phi:.3f}")

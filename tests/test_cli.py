@@ -133,6 +133,16 @@ def test_periodic_spectrum_period_34(capsys):
     assert len(lines) == 1 + 34 * 5
 
 
+def test_periodic_spectrum_period_68(capsys):
+    # 17 minus signs double "+-" x 17 to period 68; the start circle of
+    # radius 1 + max|c| overflowed Horner here and the CLI exited 3
+    args = ["spectrum", "--mode", "periodic", "--k=" + "+-" * 17, "--samples", "5"]
+    assert main(args) == 0
+    lines = _lines(capsys)
+    assert lines[0] == "re,im,tag"
+    assert len(lines) == 1 + 68 * 5
+
+
 def test_bare_double_minus_pattern(tmp_path, capsys):
     # argparse strips a bare "--" option value; the --k=/--l= spelling keeps it
     assert main(["normalize", "--k=--", "--l=++"]) == 0
@@ -214,29 +224,37 @@ def test_write_read_cloud_csv_is_lossless(tmp_path):
     assert np.array_equal(back.values(), cloud.values())
 
 
-# sha256 of outputs pinned from the tree before the cloud layer became
-# array-backed; any change to ordering, tie-breaking or formatting shows here
+# sha256 of outputs, last pinned when the root finder's Cauchy start,
+# polishing step and squarefree split moved points (after checking them
+# against mpmath); any change to the points, ordering, tie-breaking or
+# formatting shows here.
+# Cases are named by command, not by digest, so a re-pin keeps the test ids.
 PINNED_OUTPUT_SHA256 = [
-    (
+    pytest.param(
         ["enumerate", "--n", "10", "--accumulate"],
-        "58f06ce65d0d2e70c8575b37d1b14fe8762e13dec19d92d795b0fd16a9c492b8",
+        "6fbd12cef8729e388d1fe34695a1d97213d901aa436050f40d6d47cca58f0a42",
+        id="enumerate-n10-accumulate",
     ),
-    (
+    pytest.param(
         ["enumerate", "--n", "9", "--accumulate", "--dedup"],
-        "bd38ff58e3e670382cd3ee88e6908971c1f6b94ecfe7ca5283379315e2c4f834",
+        "673d36229a6a37ce040ba23d87978889c8a2d1c7e4628b32054c1432b1f2fc1b",
+        id="enumerate-n9-accumulate-dedup",
     ),
-    (
+    pytest.param(
         ["spectrum", "--mode", "periodic", "--union-max-m", "4", "--samples", "17",
          "--format", "json"],
-        "aa307cb509f4e8b359712877756c8e5f5c9eff3aaecb4e0fd6562e4003346581",
+        "1854460969ed725d419bdf0150f9d0dd739b117c1af67940ecaf844326a0e446",
+        id="spectrum-union4-json",
     ),
-    (
+    pytest.param(
         ["density", "--max-n", "8", "--max-m", "4", "--samples", "257", "--disk-step", "0.1"],
-        "152fa8acde41b8481b14a682f88f42b8af3f6f531b0f9f5254d244bcfc0394f4",
+        "824d16148a84e49f7d56f88e8e3d6f7b27bdc7c34e2dfb1de53d23592f6dccb2",
+        id="density-n8-m4",
     ),
-    (
+    pytest.param(
         ["embed", "--k=+-+-", "--n", "7", "--witness"],
-        "4f8728889c6e43867bf1a374c354232adc5838c73e6d635b50e8d77445cfa416",
+        "76c0513bf5468584916942dadffc223314bfad8397639d7a99d967ea1ea0d89f",
+        id="embed-witness",
     ),
 ]
 

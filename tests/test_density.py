@@ -96,6 +96,23 @@ def test_periodic_union_dedups_equivalent_patterns():
     assert len(periodic_union(2, 9)) == 81
 
 
+def test_periodic_union_builds_each_symbol_polynomial_once(monkeypatch):
+    from signspectra import density, symbol
+
+    calls = []
+    build = symbol.symbol_poly
+
+    def counted(k):
+        calls.append(k)
+        return build(k)
+
+    monkeypatch.setattr(density, "symbol_poly", counted)
+    monkeypatch.setattr(symbol, "symbol_poly", counted)
+    # six patterns of period <= 2, four of them kept: one build per pattern
+    assert len(periodic_union(2, 9)) == 81
+    assert len(calls) == 6
+
+
 def test_periodic_union_period_cap():
     with pytest.raises(CapExceededError):
         periodic_union(11, 5)

@@ -59,6 +59,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 SNAP_CELL = 1e-6
+# points formatted per block of CSV text
+_CSV_BLOCK = 1 << 12
 
 
 def _rows(cloud: SpectrumCloud):
@@ -66,8 +68,25 @@ def _rows(cloud: SpectrumCloud):
     return zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
 
 
+def _format_each(x: np.ndarray, fmt: str) -> np.ndarray:
+    # each distinct bit pattern is formatted once; keying by bits rather
+    # than by value keeps -0.0 and 0.0 apart
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
+
+
 def cloud_csv_text(cloud: SpectrumCloud) -> str:
-    return "re,im,tag\n" + "".join(f"{re:.17g},{im:.17g},{t}\n" for re, im, t in _rows(cloud))
+    v, codes = cloud.values(), cloud.codes()
+    tails = np.array([f",{t}\n" for t in cloud.table()], dtype=object)
+    # blocks bound the per-field strings held at once; clouds arrive sorted
+    # by re, so a repeated real part still falls mostly within one block
+    parts = ["re,im,tag\n"]
+    for a in range(0, v.size, _CSV_BLOCK):
+        b = slice(a, a + _CSV_BLOCK)
+        fields = [_format_each(v.real[b], "%.17g"), _format_each(v.imag[b], ",%.17g"), tails[codes[b]]]
+        parts.append("".join(np.stack(fields, axis=1).ravel().tolist()))
+    return "".join(parts)
 
 
 def _write_text(text: str, path: str) -> None:

@@ -45,14 +45,31 @@ class SpectrumCloud:
         self.warnings = tuple(warnings)
 
     @classmethod
-    def from_values(cls, values, tag: str) -> "SpectrumCloud":
-        """Build from complex values, all carrying one tag."""
-        vals = np.array(values, dtype=complex).ravel()
-        return cls(vals, np.zeros(vals.size, dtype=np.int32), (tag,))
+    def from_values(cls, values, tag: str | Sequence[str]) -> "SpectrumCloud":
+        """Build from complex values, all carrying one tag.
+
+        With a sequence of tags, ``values`` is 2-D and row i carries tag[i];
+        equal tags share one table entry.
+        """
+        vals = np.array(values, dtype=complex)
+        if isinstance(tag, str):
+            return cls(vals.ravel(), np.zeros(vals.size, dtype=np.int32), (tag,))
+        if vals.ndim != 2 or len(vals) != len(tag):
+            raise ValueError(f"{len(tag)} tags for values of shape {vals.shape}")
+        table, code = np.unique(np.asarray(tag, dtype=str), return_inverse=True)
+        return cls(vals.ravel(), np.repeat(code, vals.shape[1]), table.tolist())
 
     def values(self) -> np.ndarray:
         """The complex values, in cloud order (a read-only array)."""
         return self._values
+
+    def codes(self) -> np.ndarray:
+        """The tag code of each point, indexing table() (a read-only array)."""
+        return self._codes
+
+    def table(self) -> tuple[str, ...]:
+        """The distinct tags, sorted."""
+        return self._table
 
     def tags(self) -> list[str]:
         """The tag of each point, in cloud order."""

@@ -25,6 +25,18 @@ around its computed roots; disjoint disks prove the roots simple.  A row
 whose disks overlap gets an exact squarefree split over the integers
 (Yun's algorithm on gcd(D, D')), and when D is not squarefree each factor
 is solved on its own and its roots repeated by their multiplicity.
+
+Even rows: a sign tridiagonal matrix has a zero diagonal, so every finite
+charpoly is x^(N mod 2) q(x^2), and so is every symbol row p - t at even
+period.  After the exact zero roots are peeled off, a row whose odd-index
+coefficients are all exactly zero is replaced by q, of half the degree in
+mu = x^2; q is batched, screened and split like any other row, and the
+row's roots are +-sqrt(mu), so they come in exact +- pairs.  This loses
+nothing: a root mu with forward error e gives lambda = sqrt(mu) an error
+e / (2 |lambda|) = eps / (2 |lambda| |q'(mu)|) = eps / |p'(lambda)|, the
+same as solving p directly; and since q(0) != 0, a squarefree q has
+only simple roots lambda, so the disk screen and the split stay exact
+when applied to q.
 """
 
 from __future__ import annotations
@@ -371,7 +383,9 @@ def roots_many(
     coefficients with nonzero leading entry.  Returns one root array per
     input row, in input order.  A row of integers below 2^53 in modulus
     whose computed roots are not provably simple is split into squarefree
-    factors, so a repeated root comes back repeated.
+    factors, so a repeated root comes back repeated.  An even row (after
+    its zero roots) is solved in mu = x^2; its nonzero roots come back as
+    the square roots of the mu roots followed by their negations.
     """
     prepared = []
     for i, row in enumerate(coeff_rows):
@@ -381,29 +395,37 @@ def roots_many(
         if c[-1] == 0:
             raise ValueError(f"row {i}: leading coefficient is zero")
         q, core = _split_zero_roots(c)
-        prepared.append((q, core))
+        # an even core is q(x^2): solve it in mu = x^2 at half the degree
+        halved = len(core) > 2 and len(core) % 2 == 1 and not core[1::2].any()
+        if halved:
+            core = core[::2]
+        prepared.append((q, core, halved))
 
     cores: list[np.ndarray | None] = [None] * len(prepared)
-    groups: dict[int, list[int]] = {}
-    for i, (q, core) in enumerate(prepared):
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, (q, core, halved) in enumerate(prepared):
         deg = len(core) - 1
         if deg == 0:
             cores[i] = np.zeros(0, dtype=complex)
         elif deg == 1:
             cores[i] = np.array([-core[0] / core[1]])
         else:
-            groups.setdefault(deg, []).append(i)
+            groups.setdefault((deg, halved), []).append(i)
 
     splits: dict[int, list[tuple[IntPolynomial, int]]] = {}
-    for deg, idxs in groups.items():
+    for (deg, halved), idxs in groups.items():
         stack = np.array([prepared[i][1] for i in idxs])
         try:
             found = _aberth_batch(stack, tol, max_iter)
         except ConvergenceError as exc:
+            i = idxs[exc.row]
+            group = f"degree-{deg} group"
+            if halved:
+                group += f" (solved in x^2, input degree {prepared[i][0] + 2 * deg})"
             raise ConvergenceError(
-                f"degree-{deg} group of {len(idxs)} rows, input row {idxs[exc.row]}: {exc}",
+                f"{group} of {len(idxs)} rows, input row {i}: {exc}",
                 worst_residual=exc.worst_residual,
-                row=idxs[exc.row],
+                row=i,
             ) from None
         for row_pos, i in enumerate(idxs):
             cores[i] = found[row_pos]
@@ -427,7 +449,10 @@ def roots_many(
         for i, parts in splits.items():
             cores[i] = np.concatenate([np.repeat(next(solved), m) for _, m in parts])
 
-    return [
-        np.concatenate([np.zeros(q, dtype=complex), core])
-        for (q, _), core in zip(prepared, cores)
-    ]
+    out = []
+    for (q, _, halved), core in zip(prepared, cores):
+        if halved:
+            root = np.sqrt(core)
+            core = np.concatenate([root, -root])
+        out.append(np.concatenate([np.zeros(q, dtype=complex), core]))
+    return out

@@ -143,8 +143,4 @@ def periodic_spectrum(
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
     solved = preimages(p, targets, tol)
     phis = np.pi * np.arange(samples) / (samples - 1)
-    parts = [
-        SpectrumCloud.from_values(vals, f"per:m={meff}:phi={phi:.3f}")
-        for vals, phi in zip(solved, phis)
-    ]
-    return SpectrumCloud().merged(*parts)
+    return SpectrumCloud.from_values(solved, [f"per:m={meff}:phi={phi:.3f}" for phi in phis])

@@ -9,7 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from signspectra.cli_io import main, read_cloud_csv, write_cloud_csv
+from signspectra import cli_io
+from signspectra.cli_io import cloud_csv_text, main, read_cloud_csv, write_cloud_csv
+from signspectra.cloud import SpectrumCloud
 from signspectra.errors import ParseError
 from signspectra.finite import finite_eigenvalues
 from signspectra.signmodel import parse_sign_vector
@@ -49,6 +51,22 @@ def test_spectrum_csv_round_trip(tmp_path, capsys):
     want = finite_eigenvalues(parse_sign_vector("+")).sorted()
     assert np.array_equal(cloud.values(), want.values())
     assert cloud.tags() == want.tags()
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+def test_csv_text_matches_formatting_each_point(monkeypatch, block):
+    # every float is formatted once per distinct bit pattern within a block,
+    # so -0.0 and 0.0 must still print apart, as must nan, inf and subnormals
+    monkeypatch.setattr(cli_io, "_CSV_BLOCK", block)
+    values = [0.0, -0.0, complex(-0.0, -0.0), np.inf, complex(np.nan, 1.0), 5e-324,
+              -2.5, 1 / 3, complex(1 / 3, -1 / 3), 0.1 + 0.2]
+    cloud = SpectrumCloud(values, [1, 0, 2, 0, 1, 2, 0, 1, 2, 0], ["a", "b=1", "per:m=2"])
+    want = "re,im,tag\n" + "".join(
+        f"{z.real:.17g},{z.imag:.17g},{t}\n" for z, t in zip(cloud.values(), cloud.tags())
+    )
+    assert cloud_csv_text(cloud) == want
+    assert "-0,-0,per:m=2\n" in want and "\n0,0,b=1\n" in want
+    assert cloud_csv_text(SpectrumCloud()) == "re,im,tag\n"
 
 
 def test_outputs_are_reproducible(tmp_path):
@@ -194,8 +212,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["enumerate", "--n", "20"]) == 2
     assert main(["spectrum", "--mode", "periodic", "--k", "+", "--samples", "1"]) == 2
     assert main(["embed", "--k", "+", "--n", "2"]) == 2
-    # global flags come before the subcommand
-    assert main(["--tol", "1e-30", "spectrum", "--mode", "finite", "--k", "++"]) == 3
+    # global flags come before the subcommand; the charpoly of +++ is
+    # x^4 - 3x^2 + 1, iterated as mu^2 - 3mu + 1 (that of ++ is solved exactly)
+    assert main(["--tol", "1e-30", "spectrum", "--mode", "finite", "--k", "+++"]) == 3
     capsys.readouterr()
     bad = str(tmp_path / "missing_dir" / "x.csv")
     assert main(["spectrum", "--mode", "finite", "--k", "+", "--out", bad]) == 4
@@ -224,36 +243,35 @@ def test_write_read_cloud_csv_is_lossless(tmp_path):
     assert np.array_equal(back.values(), cloud.values())
 
 
-# sha256 of outputs, last pinned when the root finder's Cauchy start,
-# polishing step and squarefree split moved points (after checking them
-# against mpmath); any change to the points, ordering, tie-breaking or
-# formatting shows here.
+# sha256 of outputs, last pinned when the root finder began solving even
+# rows in x^2 and moved points (after checking them against mpmath); any
+# change to the points, ordering, tie-breaking or formatting shows here.
 # Cases are named by command, not by digest, so a re-pin keeps the test ids.
 PINNED_OUTPUT_SHA256 = [
     pytest.param(
         ["enumerate", "--n", "10", "--accumulate"],
-        "6fbd12cef8729e388d1fe34695a1d97213d901aa436050f40d6d47cca58f0a42",
+        "2d7b5d794a1ed3b6f9f52acf4924d47d998ac750318d60a47731041b7f2f3318",
         id="enumerate-n10-accumulate",
     ),
     pytest.param(
         ["enumerate", "--n", "9", "--accumulate", "--dedup"],
-        "673d36229a6a37ce040ba23d87978889c8a2d1c7e4628b32054c1432b1f2fc1b",
+        "754e15583436f46275db6bb574cfd1b006520723f95bd9e7a5df818dd14dfa9e",
         id="enumerate-n9-accumulate-dedup",
     ),
     pytest.param(
         ["spectrum", "--mode", "periodic", "--union-max-m", "4", "--samples", "17",
          "--format", "json"],
-        "1854460969ed725d419bdf0150f9d0dd739b117c1af67940ecaf844326a0e446",
+        "81494748487b7e13650c3dda4405a4e601bf31434e17ce5858af7750c0fb2cd8",
         id="spectrum-union4-json",
     ),
     pytest.param(
         ["density", "--max-n", "8", "--max-m", "4", "--samples", "257", "--disk-step", "0.1"],
-        "824d16148a84e49f7d56f88e8e3d6f7b27bdc7c34e2dfb1de53d23592f6dccb2",
+        "a9561942607e13b9c2b869913ff85f2bf2b8a9f297305048752b30f9dc397034",
         id="density-n8-m4",
     ),
     pytest.param(
         ["embed", "--k=+-+-", "--n", "7", "--witness"],
-        "76c0513bf5468584916942dadffc223314bfad8397639d7a99d967ea1ea0d89f",
+        "622a13a3a1721487341f26b20f11e42e2513417cdf4d7fbbf673e894321099fc",
         id="embed-witness",
     ),
 ]

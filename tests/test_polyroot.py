@@ -107,8 +107,9 @@ def test_roots_many_rows_do_not_depend_on_the_batch():
 
 
 def test_nonconvergence_carries_worst_residual():
+    # x^2 + x + 1 is not even, so it is not reduced to a linear solve in x^2
     with pytest.raises(ConvergenceError) as exc:
-        roots(ComplexPolynomial((1, 0, 1)), max_iter=0)
+        roots(ComplexPolynomial((1, 1, 1)), max_iter=0)
     assert exc.value.worst_residual == np.inf
     with pytest.raises(ConvergenceError) as exc:
         roots(ComplexPolynomial((1.1, 0.3, 1)), tol=1e-30)
@@ -116,16 +117,17 @@ def test_nonconvergence_carries_worst_residual():
 
 
 def test_nonconvergence_names_the_group_and_the_row():
-    rows = [np.array([-6.0, 3.0]), np.array([1.0, 0, 1]), np.array([1.0, 0, 0, 1]),
-            np.array([2.0, 0, 1])]
+    # none of the quadratics is even, so each is iterated in x
+    rows = [np.array([-6.0, 3.0]), np.array([1.0, 1, 1]), np.array([1.0, 0, 0, 1]),
+            np.array([2.0, 1, 1])]
     with pytest.raises(ConvergenceError) as exc:
         roots_many(rows, max_iter=0)
     assert exc.value.row == 1
     assert "degree-2 group of 2 rows, input row 1:" in str(exc.value)
-    # x^2 - 1 reaches residual 0 at +-1 and converges even at tol 1e-30;
-    # x^2 - 2 cannot, and the error names it rather than the first row
+    # x^2 - 3x + 2 reaches residual 0 at 1 and 2 and converges even at tol
+    # 1e-30; x^2 + x - 1 cannot, and the error names it rather than the first row
     with pytest.raises(ConvergenceError) as exc:
-        roots_many([np.array([-1.0, 0, 1]), np.array([-2.0, 0, 1])], tol=1e-30)
+        roots_many([np.array([2.0, -3, 1]), np.array([-1.0, 1, 1])], tol=1e-30)
     assert exc.value.row == 1
     assert "degree-2 group of 2 rows, input row 1:" in str(exc.value)
 
@@ -196,14 +198,27 @@ def _reference_roots(coeffs):
     return out, max((m for _, m in factors), default=1)
 
 
+def _bits(z):
+    # each root as the bit patterns of its real and imaginary parts, sorted
+    return sorted(np.asarray(z, dtype=complex).view(np.int64).reshape(-1, 2).tolist())
+
+
+def _leading_zeros(coeffs):
+    return next(i for i, c in enumerate(coeffs) if c != 0)
+
+
 def test_repeated_root_is_returned_exactly():
     # D = -x^3 (x^2 + 1)^4 for the pattern below: at a 4-fold root plain
     # Aberth stops about tol^(1/4) away; the squarefree split puts each of
-    # the four copies of +-i on the rounding floor
+    # the four copies of +-i on the rounding floor.  D is solved as x^3
+    # times (mu + 1)^4 in mu = x^2, so the split applies to the mu row and
+    # the copies come back as exact +- pairs
     d = charpoly_finite(parse_sign_vector("-+---+--+-"))
     expected, most = _reference_roots(d.coeffs)
     assert most == 4
-    assert match_multisets(roots(d), expected, 1e-12)
+    r = roots(d)
+    assert match_multisets(r, expected, 1e-12)
+    assert _bits(r[3:]) == _bits(-r[3:])
 
 
 def test_forward_error_against_mpmath():
@@ -223,6 +238,55 @@ def test_forward_error_against_mpmath():
         scale = np.maximum(1.0, np.abs(np.asarray(expected)))
         assert match_multisets(got, expected, 1e-12 * scale.max()), p
     assert repeated >= 10
+
+
+def test_even_rows_come_back_as_exact_plus_minus_pairs():
+    # every finite charpoly is x^(N mod 2) q(x^2), and so is an even-period
+    # symbol row p - t; the nonzero roots of each are +-sqrt(mu) over the
+    # roots mu of q, so they negate onto themselves bit for bit
+    polys = _all_charpolys(10)
+    for word in ("+-", "++-+", "+-+--+", "-+++-+++"):
+        p = symbol_poly(parse_sign_vector(word)).p
+        polys += [p - IntPolynomial((t,)) for t in (-2, -1, 0, 1, 2)]
+    got = roots_many([p.as_array() for p in polys])
+    halved = 0
+    for p, r in zip(polys, got):
+        assert not any(p.coeffs[1 - _leading_zeros(p.coeffs) % 2::2])
+        nonzero = r[_leading_zeros(p.coeffs):]
+        assert (r[: len(r) - len(nonzero)] == 0).all()
+        assert _bits(nonzero) == _bits(-nonzero), p
+        halved += len(nonzero) >= 4
+    assert halved > 1000
+
+
+def test_odd_times_even_rows_peel_and_halve():
+    # x^3 (x^4 - 3x^2 + 1): three exact zeros, then +-sqrt((3 +- sqrt 5)/2)
+    r = roots(IntPolynomial((0, 0, 0, 1, 0, -3, 0, 1)))
+    assert r[:3].tobytes() == np.zeros(3, dtype=complex).tobytes()
+    assert _bits(r[3:]) == _bits(-r[3:])
+    golden = (1 + 5**0.5) / 2
+    assert match_multisets(r[3:], [golden, -golden, 1 / golden, -1 / golden], 1e-15)
+    # x (x^2 - 2) needs no iteration at all
+    r = roots(IntPolynomial((0, -2, 0, 1)), max_iter=0)
+    assert r.tolist() == [0, 2**0.5, -(2**0.5)]
+
+
+def test_even_quadratic_is_solved_without_iterating():
+    # x^2 + 1 is mu + 1 in mu = x^2: its roots +-i are exact at max_iter=0
+    r = roots(IntPolynomial((1, 0, 1)), max_iter=0)
+    assert sorted(r.tolist(), key=lambda z: z.imag) == [-1j, 1j]
+
+
+def test_nonconvergence_of_a_halved_group_names_the_input_degree():
+    # x^5 + x^3 + x and x^4 + x^2 + 1 are both mu^2 + mu + 1 after peeling;
+    # the message gives the degree of the named row as the caller passed it
+    rows = [np.array([0.0, 1, 0, 1, 0, 1]), np.array([1.0, 1, 1]),
+            np.array([1.0, 0, 1, 0, 1])]
+    with pytest.raises(ConvergenceError) as exc:
+        roots_many(rows, max_iter=0)
+    assert exc.value.row == 0
+    assert ("degree-2 group (solved in x^2, input degree 5) of 2 rows, input row 0:"
+            in str(exc.value))
 
 
 def test_from_roots_small():

@@ -277,6 +277,25 @@ def test_periodic_spectrum_identity_pattern():
     assert tags == {"per:m=1:phi=0.000", "per:m=1:phi=1.571", "per:m=1:phi=3.142"}
 
 
+@pytest.mark.parametrize("samples", [3, 257, 5001])
+def test_periodic_spectrum_is_the_merge_of_one_cloud_per_angle(samples):
+    # one cloud per pattern, with one tag code per angle, must equal merging
+    # one single-tag cloud per angle; at 5001 samples neighbouring angles
+    # print alike at 3 decimals and share a tag
+    k = parse_sign_vector("+-++")
+    cloud = periodic_spectrum(k, samples)
+    p = symbol_poly(parse_sign_vector("+-++" * 2)).p
+    targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
+    parts = [
+        SpectrumCloud.from_values(vals, f"per:m=8:phi={math.pi * s / (samples - 1):.3f}")
+        for s, vals in enumerate(preimages(p, targets))
+    ]
+    want = SpectrumCloud().merged(*parts)
+    assert cloud.values().tobytes() == want.values().tobytes()
+    assert cloud.tags() == want.tags()
+    assert cloud.table() == want.table()
+
+
 def test_periodic_spectrum_imaginary_segment():
     cloud = periodic_spectrum(parse_sign_vector("-"), 257)
     v = cloud.values()
@@ -343,6 +362,13 @@ def test_cloud_plumbing():
     assert np.array_equal(m.values(), [3, 1j, 2, 5, 1, 4])
     assert m.warnings == ("w",)
     assert m.sorted().tags() == ["b", "c", "c", "b", "a", "a"]
+
+    # one tag per row of a 2-D array; equal tags share one table entry
+    r = SpectrumCloud.from_values([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], ["y", "x", "y"])
+    assert r.tags() == ["y", "y", "x", "x", "y", "y"] and r.table() == ("x", "y")
+    assert r.codes().tolist() == [1, 1, 0, 0, 1, 1]
+    with pytest.raises(ValueError):
+        SpectrumCloud.from_values([1.0, 2.0], ["a", "b"])
     assert len(SpectrumCloud().merged(SpectrumCloud())) == 0
 
     # +-0.4 cell offsets from the origin all round to the origin's cell;

@@ -13,6 +13,7 @@ Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -24,12 +25,7 @@ from . import __version__
 from .cloud import SpectrumCloud
 from .density import density_report, periodic_union
 from .embed import verify_embedding
-from .errors import (
-    CapExceededError,
-    ConvergenceError,
-    ParseError,
-    WitnessDegenerateError,
-)
+from .errors import CapExceededError, ConvergenceError, ParseError
 from .finite import ENUMERATION_CAP, enumerate_sigma, finite_eigenvalues
 from .polyroot import DEFAULT_TOL
 from .signmodel import (
@@ -395,9 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import; parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # argparse strips a bare "--" from option values, so "--k=--" would arrive
     # empty; take the patterns of the documented --k=/--l= spelling verbatim
     for token in argv:
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except (ParseError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConvergenceError, WitnessDegenerateError) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -9,10 +9,18 @@ Fourier conjugation yields the nm x nm block circulant
 
 so charpoly(M) factors through the symbol.  Angles come in conjugate pairs
 xi_j, xi_{n-j}, hence every eigenvalue of M away from the real angles
-j = n and j = n/2 has a two-dimensional eigenspace; combining two
-eigenvectors kills the first coordinate, and deleting the first row and
-column of M leaves a plain tridiagonal sign matrix that inherits those
-eigenvalues.  That is the embedding this module verifies numerically.
+j = n and j = n/2 has a two-dimensional eigenspace, spanned by the Bloch
+waves at +-xi_j.  Their combination that vanishes at site 0 is an
+eigenvector of the plain tridiagonal sign matrix left by deleting the first
+row and column of M, which therefore inherits those eigenvalues.
+
+That combination is built directly: with x_0 = 0 and x_1 = 1, the rows of
+M x = lam x are the three-term recurrence x_{t+1} = lam x_t - s_{t-1} x_{t-1}
+over the signs s of the repeated pattern, and the truncation's nonzero
+off-diagonals make the solution unique up to scale.  Each target costs O(nm)
+and all targets of a call run as one batch.  A target is verified when the
+unit vector the recurrence builds leaves a residual ||L y - lam y|| <= tol
+on the truncation L.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import WitnessDegenerateError
-from .finite import charpoly_eval_many
 from .polyroot import DEFAULT_TOL, IntPolynomial
 from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
@@ -92,10 +98,7 @@ def _allowed_angles(n: int) -> list[int]:
 def _target_cloud(n: int, js: list[int], solved: list[np.ndarray]) -> SpectrumCloud:
     if not js:
         return SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
-    parts = [
-        SpectrumCloud.from_values(vals, f"target:j={j}") for j, vals in zip(js, solved)
-    ]
-    return SpectrumCloud().merged(*parts)
+    return SpectrumCloud.from_values(solved, [f"target:j={j}" for j in js])
 
 
 def truncate(k: SignVector, n: int) -> SignVector:
@@ -141,57 +144,37 @@ class EmbeddingResult:
     excluded: tuple[ExcludedTarget, ...]
 
 
-def _residuals_at(l: SignVector, values: np.ndarray) -> tuple[float, ...]:
-    vals, scales = charpoly_eval_many(l, values)
-    out = []
-    for v, s in zip(vals, scales):
-        if v == 0:
-            out.append(0.0)
-        else:
-            out.append(float(abs(v)) / float(s))
-    return tuple(out)
+# rescaling by a power of two is exact; 2^256 keeps every squared
+# component of a rescaled solution far from overflow
+_RESCALE_BITS = 256
 
 
-def _inverse_iterate(mat: np.ndarray, shift: complex, rng, steps: int = 4):
-    size = mat.shape[0]
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    shifted = mat - shift * np.eye(size)
-    for _ in range(steps):
-        v = np.linalg.solve(shifted, v)
-        v /= np.linalg.norm(v)
-    return v
+def _recurrence(signs, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit solutions of x_{t+1} = lam x_t - s_{t-1} x_{t-1}, x_0 = 0, x_1 = 1.
 
-
-def _witness_for(mat, lam, index, rng) -> Witness:
-    eps = 1e-7 * max(1.0, abs(lam))
-    v = _inverse_iterate(mat, lam + eps, rng)
-    w = _inverse_iterate(mat, lam - eps, rng)
-    if abs(v[0]) <= 1e-13:
-        x = v
-    else:
-        perp = w - (np.conjugate(v) @ w) * v
-        if np.linalg.norm(perp) < 1e-6:
-            raise WitnessDegenerateError(
-                f"eigenspace at target {index} (value {lam:.6g}) is numerically "
-                "one-dimensional",
-                target_index=index,
-            )
-        x = w[0] * v - v[0] * w
-    norm = np.linalg.norm(x)
-    if norm < 1e-12:
-        raise WitnessDegenerateError(
-            f"vanishing combination at target {index}", target_index=index
-        )
-    x = x / norm
-    residual = float(np.linalg.norm(mat @ x - lam * x))
-    return Witness(
-        target_index=index,
-        value=complex(lam),
-        vector=x,
-        first_component=float(abs(x[0])),
-        residual=residual,
-    )
+    One column per lam: rows x_0..x_{N-1}, N = len(signs), scaled to unit
+    norm, and the residual |x_N| / ||(x_1..x_{N-1})||, which is
+    ||L y - lam y|| for the unit vector y = x_1..x_{N-1} of the truncation L
+    (subdiagonal s_1..s_{N-2}): every row of L y - lam y but the last is the
+    recurrence itself.  A column that outgrows 2^256 is scaled down together
+    with its predecessor, and its later rows record the extra exponent.
+    """
+    prev = np.zeros(lams.size, dtype=complex)
+    cur = np.ones(lams.size, dtype=complex)
+    shift = np.zeros(lams.size)
+    rows, shifts = [prev, cur], [shift, shift]
+    for s in signs[:-1]:
+        prev, cur = cur, lams * cur - s * prev
+        big = np.abs(cur) > 2.0**_RESCALE_BITS
+        if big.any():
+            scale = np.where(big, 2.0**-_RESCALE_BITS, 1.0)
+            prev, cur, shift = prev * scale, cur * scale, shift + big
+        rows.append(cur)
+        shifts.append(shift)
+    # rows x_0..x_{N-1} brought to the scale of x_N
+    x = np.array(rows[:-1]) * 2.0 ** (_RESCALE_BITS * (np.array(shifts[:-1]) - shift))
+    norm = np.linalg.norm(x, axis=0)
+    return x / norm, np.abs(cur) / norm
 
 
 def verify_embedding(
@@ -203,10 +186,17 @@ def verify_embedding(
     """Check that every guaranteed target is an eigenvalue of the truncation.
 
     The pattern is parity-doubled if needed; the result records the effective
-    period.  Verification evaluates the truncated matrix's characteristic
-    determinant at each target and normalizes by the running magnitude bound.
+    period.  Every target and every excluded value goes through one batched
+    three-term recurrence (see _recurrence), and its residual is
+    ||L y - lam y|| for the unit vector y that the recurrence builds on the
+    truncation L; a target is verified when that residual is at most tol.
     Residuals at the excluded angles (j = n and, for even n, j = n/2) are
     reported for inspection but never asserted.
+
+    With want_witness, target i also gets the unit vector x = (0, y) of the
+    nm x nm block circulant M, the combination of the Bloch waves at +-xi_j
+    that vanishes at site 0, with its first component |x_0| = 0 and its
+    residual ||M x - lam x|| against the assembled M.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -219,7 +209,10 @@ def verify_embedding(
     targets = _target_cloud(n, allowed, solved[: len(allowed)])
     l = truncate(keff, n)
     values = targets.values()
-    residuals = _residuals_at(l, values) if len(values) else ()
+    # the targets are the first rows of solved, in cloud order
+    count = len(values)
+    x, unit_residuals = _recurrence(keff.repeated(n).signs, np.ravel(solved))
+    residuals = tuple(unit_residuals[:count].tolist())
     worst = max(residuals, default=0.0)
     verified = all(r <= tol for r in residuals)
 
@@ -227,19 +220,27 @@ def verify_embedding(
         ExcludedTarget(
             j=j,
             values=tuple(complex(v) for v in vals),
-            residuals=_residuals_at(l, vals),
+            residuals=tuple(res.tolist()),
         )
-        for j, vals in zip(js[len(allowed):], solved[len(allowed):])
+        for j, vals, res in zip(
+            js[len(allowed):], solved[len(allowed):], unit_residuals[count:].reshape(-1, m)
+        )
     )
 
     witnesses = None
-    if want_witness and len(values):
-        mat = build_block_circulant(keff, n)
-        found = []
-        for i, lam in enumerate(values):
-            rng = np.random.default_rng(1000 + i)
-            found.append(_witness_for(mat, complex(lam), i, rng))
-        witnesses = tuple(found)
+    if want_witness and count:
+        x = x[:, :count]
+        defect = np.linalg.norm(build_block_circulant(keff, n) @ x - x * values, axis=0)
+        witnesses = tuple(
+            Witness(
+                target_index=i,
+                value=complex(values[i]),
+                vector=x[:, i].copy(),
+                first_component=float(abs(x[0, i])),
+                residual=float(defect[i]),
+            )
+            for i in range(count)
+        )
 
     return EmbeddingResult(
         l=l,

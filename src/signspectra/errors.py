@@ -6,7 +6,6 @@ __all__ = [
     "ParseError",
     "CapExceededError",
     "ConvergenceError",
-    "WitnessDegenerateError",
 ]
 
 
@@ -33,11 +32,3 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.worst_residual = worst_residual
         self.row = row
-
-
-class WitnessDegenerateError(RuntimeError):
-    """Eigenvector witness construction collapsed; names the failing target."""
-
-    def __init__(self, message: str, target_index: int):
-        super().__init__(message)
-        self.target_index = target_index

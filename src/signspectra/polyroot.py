@@ -53,8 +53,10 @@ __all__ = ["IntPolynomial", "roots", "roots_many"]
 
 DEFAULT_TOL = 1e-10
 # From the Cauchy radius the c10 rows need at most 118 steps, period-64 and
-# period-68 symbol rows at most 43, and the enumerate (n <= 14) and period
-# <= 8 union rows at most 21; 200 leaves room above the hardest of them.
+# period-68 symbol rows at most 89 (the constant words; +-++ x 16 takes 71),
+# and the enumerate (n <= 14) and period <= 8 union rows at most 21; 200
+# leaves room above all of them.  The period-136 rows of +-++ x 17 (doubled)
+# take 188, and those of +-++ x 19 (period 152) do not converge within 200.
 DEFAULT_MAX_ITER = 200
 
 # Irrational angular offset for the starting circle; breaks the symmetry of

@@ -9,7 +9,10 @@ routine it checks, which is what the agreement tests rely on:
   the corner expansion behind ``symbol_poly``;
 - ``_read_corner_det`` (a continuant read entrywise from the assembled
   matrix) checks ``block_circulant_charpoly`` through
-  ``circulant_factorization_check``.
+  ``circulant_factorization_check``;
+- ``_witness_for`` (dense inverse iteration on the assembled block
+  circulant, seeded per target) checks the recurrence witnesses of
+  ``verify_embedding``.
 
 They may use the package's matrix assembly (``symbol_array``,
 ``build_block_circulant``), its containers and its errors.
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from signspectra.embed import build_block_circulant
+from signspectra.embed import Witness, build_block_circulant
 from signspectra.errors import CapExceededError
 from signspectra.polyroot import IntPolynomial, _trim
 from signspectra.signmodel import SignVector
@@ -289,3 +292,51 @@ def circulant_factorization_check(
     err = np.abs(lhs - rhs)
     ref = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     return bool(np.all(err <= tol * ref))
+
+
+# ------------------------------------------------------------------ witnesses
+
+
+def _inverse_iterate(mat: np.ndarray, shift: complex, rng, steps: int = 4):
+    size = mat.shape[0]
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    shifted = mat - shift * np.eye(size)
+    for _ in range(steps):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v)
+    return v
+
+
+def _witness_for(mat, lam, index, rng) -> Witness:
+    """Witness at target lam of mat by inverse iteration from both sides.
+
+    Two shifts lam +- eps span the two-dimensional eigenspace; their
+    combination with first component zero is the witness.  Target i is
+    seeded with default_rng(1000 + i).
+    """
+    eps = 1e-7 * max(1.0, abs(lam))
+    v = _inverse_iterate(mat, lam + eps, rng)
+    w = _inverse_iterate(mat, lam - eps, rng)
+    if abs(v[0]) <= 1e-13:
+        x = v
+    else:
+        perp = w - (np.conjugate(v) @ w) * v
+        if np.linalg.norm(perp) < 1e-6:
+            raise RuntimeError(
+                f"eigenspace at target {index} (value {lam:.6g}) is numerically "
+                "one-dimensional"
+            )
+        x = w[0] * v - v[0] * w
+    norm = np.linalg.norm(x)
+    if norm < 1e-12:
+        raise RuntimeError(f"vanishing combination at target {index}")
+    x = x / norm
+    residual = float(np.linalg.norm(mat @ x - lam * x))
+    return Witness(
+        target_index=index,
+        value=complex(lam),
+        vector=x,
+        first_component=float(abs(x[0])),
+        residual=residual,
+    )

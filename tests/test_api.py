@@ -4,6 +4,7 @@ oracles live in tests/oracles.py."""
 from __future__ import annotations
 
 import signspectra
+import signspectra.errors
 
 PIPELINE = {
     "__version__",
@@ -11,7 +12,6 @@ PIPELINE = {
     "CapExceededError",
     "ConvergenceError",
     "ParseError",
-    "WitnessDegenerateError",
     # sign patterns and gauges
     "PeriodicOperatorSpec",
     "SignVector",
@@ -59,3 +59,9 @@ def test_public_api_is_the_pipeline():
     assert sorted(signspectra.__all__) == sorted(PIPELINE)
     for name in signspectra.__all__:
         assert getattr(signspectra, name) is not None, name
+
+
+def test_witness_degenerate_error_is_gone():
+    # recurrence witnesses have x_1 = 1 and cannot collapse
+    assert "WitnessDegenerateError" not in signspectra.__all__
+    assert not hasattr(signspectra.errors, "WitnessDegenerateError")

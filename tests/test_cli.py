@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -207,6 +210,21 @@ def test_density_command(tmp_path, capsys):
     assert (tmp_path / "density.json.manifest.json").exists()
 
 
+def test_parser_is_built_once_and_not_at_import(capsys):
+    # a fresh interpreter: importing the CLI must not build the parser
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    probe = "import signspectra.cli_io as c; print(c._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "0", out.stderr
+    assert main(["normalize", "--k", "+-", "--l", "++"]) == 0
+    assert main(["normalize", "--k=--", "--l=++"]) == 0
+    assert cli_io._parser() is cli_io._parser()
+    assert cli_io._parser.cache_info().currsize == 1
+    assert cli_io.build_parser() is not cli_io.build_parser()
+    capsys.readouterr()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["spectrum", "--mode", "finite", "--k", "+x"]) == 2
     assert main(["enumerate", "--n", "20"]) == 2
@@ -244,8 +262,10 @@ def test_write_read_cloud_csv_is_lossless(tmp_path):
 
 
 # sha256 of outputs, last pinned when the root finder began solving even
-# rows in x^2 and moved points (after checking them against mpmath); any
-# change to the points, ordering, tie-breaking or formatting shows here.
+# rows in x^2 and moved points (after checking them against mpmath), and
+# for embed-witness when witnesses and residuals came to be built by the
+# three-term recurrence; any change to the points, ordering, tie-breaking
+# or formatting shows here.
 # Cases are named by command, not by digest, so a re-pin keeps the test ids.
 PINNED_OUTPUT_SHA256 = [
     pytest.param(
@@ -271,7 +291,7 @@ PINNED_OUTPUT_SHA256 = [
     ),
     pytest.param(
         ["embed", "--k=+-+-", "--n", "7", "--witness"],
-        "622a13a3a1721487341f26b20f11e42e2513417cdf4d7fbbf673e894321099fc",
+        "cbb321cc04b258bd5cc448e70c0555ec15716fe75292bb15597a87caa244def2",
         id="embed-witness",
     ),
 ]

@@ -4,10 +4,13 @@ of guaranteed periodic eigenvalues into truncated finite matrices."""
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+import signspectra.embed as embed_module
+from signspectra.cloud import SpectrumCloud
 from signspectra.density import directed_hausdorff
 from signspectra.embed import (
     block_circulant_charpoly,
@@ -17,16 +20,24 @@ from signspectra.embed import (
     verify_embedding,
 )
 from signspectra.errors import CapExceededError
-from signspectra.signmodel import parse_sign_vector
-from signspectra.symbol import periodic_spectrum
+from signspectra.signmodel import ensure_even_parity, ones, parse_sign_vector
+from signspectra.symbol import periodic_spectrum, preimages, symbol_poly, two_cos_pi
 
 from oracles import (
     FACTORIZATION_SIZE_CAP,
+    TridiagSignMatrix,
+    _witness_for,
     all_sign_vectors,
     circulant_factorization_check,
+    dense_matrix,
     int_charpoly_oracle,
     match_multisets,
 )
+
+# every pattern of period <= 5 at n = 3..10: 496 (pattern, n) pairs
+SWEEP_SPACE = [
+    (k, n) for m in range(1, 6) for k in all_sign_vectors(m) for n in range(3, 11)
+]
 
 
 def test_build_block_circulant_layouts():
@@ -159,3 +170,88 @@ def test_targets_lie_in_periodic_cloud():
         for n in range(3, 9):
             res = verify_embedding(k, n)
             assert directed_hausdorff(res.targets, cloud) <= 1e-8, (text, n)
+
+
+def test_target_set_is_the_merge_of_one_cloud_per_angle():
+    for text, n in (("+", 12), ("+-+-", 7), ("-----", 10)):
+        keff = ensure_even_parity(parse_sign_vector(text))
+        js = [j for j in range(1, n) if 2 * j != n]
+        solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
+        parts = [SpectrumCloud.from_values(v, f"target:j={j}") for j, v in zip(js, solved)]
+        want = SpectrumCloud().merged(*parts)
+        got = target_set(keff, n)
+        assert np.array_equal(got.values(), want.values())
+        assert np.array_equal(got.codes(), want.codes())
+        assert got.table() == want.table()
+
+
+def test_witnesses_over_the_sweep_space():
+    for k, n in SWEEP_SPACE:
+        res = verify_embedding(k, n, want_witness=True)
+        assert res.verified, (k.to_text(), n)
+        assert len(res.witnesses) == len(res.targets)
+        for w in res.witnesses:
+            assert w.first_component == 0.0
+            assert w.vector[0] == 0
+            assert abs(np.linalg.norm(w.vector) - 1) <= 1e-12
+            assert w.residual <= 1e-12, (k.to_text(), n, w.target_index)
+
+
+def test_witness_spans_the_inverse_iteration_line():
+    # the eigenvector of the truncation is unique up to scale, so the
+    # recurrence and the dense inverse iteration must find the same line
+    pairs = random.Random(20261018).sample(SWEEP_SPACE, 60)
+    for k, n in pairs:
+        res = verify_embedding(k, n, want_witness=True)
+        mat = build_block_circulant(ensure_even_parity(k), n)
+        for i, w in enumerate(res.witnesses):
+            old = _witness_for(mat, w.value, i, np.random.default_rng(1000 + i))
+            assert abs(np.vdot(old.vector, w.vector)) >= 1 - 1e-12, (k.to_text(), n, i)
+
+
+def test_witness_tail_is_an_eigenvector_of_the_dense_truncation():
+    for k, n in random.Random(7).sample(SWEEP_SPACE, 60):
+        res = verify_embedding(k, n, want_witness=True)
+        trunc = dense_matrix(TridiagSignMatrix(res.l, ones(len(res.l))))
+        for w in res.witnesses:
+            y = w.vector[1:]
+            assert np.linalg.norm(trunc @ y - w.value * y) <= 1e-12, (k.to_text(), n)
+
+
+def test_residuals_do_not_depend_on_the_witness_flag():
+    for text, n in (("+", 9), ("+--", 6), ("-+-+-", 10)):
+        k = parse_sign_vector(text)
+        plain = verify_embedding(k, n)
+        full = verify_embedding(k, n, want_witness=True)
+        assert plain.residuals == full.residuals
+        assert plain.worst_residual == full.worst_residual
+        assert [e.residuals for e in plain.excluded] == [e.residuals for e in full.excluded]
+
+
+@pytest.mark.parametrize("text,n", [("+-+", 200), ("-", 400), ("+--+-", 100)])
+def test_residuals_stay_finite_at_large_sizes(text, n):
+    # sizes nm of 800 to 1,200, where the magnitude bound of the
+    # characteristic determinant overflows
+    res = verify_embedding(parse_sign_vector(text), n, want_witness=(text == "+-+"))
+    assert res.verified
+    assert res.worst_residual <= 1e-12
+    excluded = [r for e in res.excluded for r in e.residuals]
+    assert np.isfinite(excluded).all()
+    for w in res.witnesses or ():
+        assert w.residual <= 1e-12
+        assert w.first_component == 0.0
+
+
+@pytest.mark.parametrize("shift", [1e-4, 1e-2, 0.1])
+def test_shifted_targets_are_not_verified(monkeypatch, shift):
+    # a point off the spectrum must fail the residual test at every size;
+    # a residual normalized by a bound that grows like (|lam| + 1)^nm
+    # passes such points once nm reaches a few dozen
+    solve = embed_module.preimages
+    monkeypatch.setattr(
+        embed_module, "preimages", lambda p, t: [v + shift for v in solve(p, t)]
+    )
+    for text, n in (("+", 5), ("+-", 10), ("+--", 10), ("-+-+-", 10), ("+-+", 200)):
+        res = verify_embedding(parse_sign_vector(text), n)
+        assert not res.verified, (text, n)
+        assert min(res.residuals) > 1e-8, (text, n)

@@ -41,7 +41,6 @@ __all__ = [
     "build_parser",
     "cloud_csv_text",
     "write_cloud_csv",
-    "read_cloud_csv",
     "write_cloud_json",
     "cloud_svg_text",
     "write_cloud_svg",
@@ -92,23 +91,6 @@ def _write_text(text: str, path: str) -> None:
 
 def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
     _write_text(cloud_csv_text(cloud), path)
-
-
-def read_cloud_csv(path: str) -> SpectrumCloud:
-    values, tags = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "re,im,tag":
-            raise ParseError(f"unexpected CSV header {header!r}", position=0)
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            re_s, im_s, tag = line.split(",", 2)
-            values.append(complex(float(re_s), float(im_s)))
-            tags.append(tag)
-    table, codes = np.unique(np.array(tags, dtype=str), return_inverse=True)
-    return SpectrumCloud(values, codes, table.tolist())
 
 
 def _points_json(cloud: SpectrumCloud) -> list[dict]:
@@ -241,9 +223,7 @@ def _cmd_enumerate(args) -> int:
     started = time.monotonic()
     tol = _resolve_tol(args, DEFAULT_TOL)
     sizes = range(1, args.n + 1) if args.accumulate else [args.n]
-    parts = [
-        enumerate_sigma(n, tol, cap=args.cap, threads=args.threads) for n in sizes
-    ]
+    parts = [enumerate_sigma(n, tol, cap=args.cap) for n in sizes]
     cloud = SpectrumCloud().merged(*parts)
     if args.dedup:
         cloud = cloud.snapped(SNAP_CELL)
@@ -323,7 +303,6 @@ def _cmd_density(args) -> int:
         args.samples,
         args.disk_step,
         tol=tol,
-        threads=args.threads,
     )
     obj = {"command": "density", **report.to_json_dict()}
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -337,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra of tridiagonal sign matrices and periodic sign operators.",
     )
     parser.add_argument("--tol", type=float, default=None, help="numerical tolerance")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="ignored; kept so old command lines parse"
+    )
     parser.add_argument(
         "--cap", type=int, default=ENUMERATION_CAP, help="enumeration size cap"
     )

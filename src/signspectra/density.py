@@ -227,7 +227,6 @@ def density_report(
     samples: int,
     disk_step: float,
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> DensityReport:
     """Distances from the periodic union and the unit disk to finite spectra.
 
@@ -248,13 +247,13 @@ def density_report(
     pi_best = np.full(len(pi_cloud), np.inf)
     disk_best = np.full(len(grid), np.inf)
     # sigma_1 has no distance of its own; it joins the first scan
-    fresh = enumerate_sigma(1, tol, threads=threads)
+    fresh = enumerate_sigma(1, tol)
     size = 0
     sigma_sizes: dict[int, int] = {}
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
     for n in range(2, max_n + 1):
-        fresh = fresh.merged(enumerate_sigma(n, tol, threads=threads))
+        fresh = fresh.merged(enumerate_sigma(n, tol))
         size += len(fresh)
         sigma_sizes[n] = size
         pi_distances[n] = directed_hausdorff(pi_cloud, fresh, pi_best)

@@ -6,11 +6,12 @@ ones, the characteristic determinant D_{n+1}(x) = det(A - x I) obeys
     D_0 = 1,  D_1 = -x,  D_{j+1} = -x D_j - k_j D_{j-1},
 
 so coefficients are exact integers and point evaluation is O(n).
+charpoly_finite runs it in int64 over a stack of patterns at once, and
+enumeration solves every reversal class of one size in one batch;
+_continuant keeps arbitrary precision for the symbol polynomials.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,15 +31,31 @@ ENUMERATION_CAP = 16
 COEFF_SIZE_CAP = 64
 
 
-def charpoly_finite(k: SignVector) -> IntPolynomial:
-    """det(A - x I) as an exact integer polynomial, degree n+1."""
-    n = len(k)
+def charpoly_finite(signs) -> np.ndarray:
+    """det(A - x I) as ascending int64 coefficients, degree n+1, per pattern.
+
+    ``signs`` is a SignVector or a +-1 array of shape (..., n); the result
+    has shape (..., n+2).  It is exact: the coefficients of D_{j+1} sum in
+    modulus to at most Fib(j+2) < 2^53 for n <= COEFF_SIZE_CAP, so the
+    float64 cast of a row is exact too.
+    """
+    s = np.asarray(signs.signs if isinstance(signs, SignVector) else signs, dtype=np.int64)
+    n = s.shape[-1]
     if n > COEFF_SIZE_CAP:
         raise CapExceededError(
             f"exact coefficients limited to n <= {COEFF_SIZE_CAP}; "
             "use charpoly_eval_many beyond that"
         )
-    return _continuant(k.signs, n + 1)
+    prev = np.zeros(s.shape[:-1] + (n + 2,), dtype=np.int64)
+    cur = np.zeros_like(prev)
+    prev[..., 0] = 1
+    cur[..., 1] = -1
+    for j in range(n):
+        # D_{j+2} = -x D_{j+1} - s_j D_j; D_{j+1} has degree j+1
+        nxt = -s[..., j, None] * prev
+        nxt[..., 1 : j + 3] -= cur[..., : j + 2]
+        prev, cur = cur, nxt
+    return cur
 
 
 def _continuant(signs, size: int) -> IntPolynomial:
@@ -83,47 +100,39 @@ def charpoly_eval_many(k: SignVector, lams) -> tuple[np.ndarray, np.ndarray]:
 
 def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """All n+1 eigenvalues, tagged with the matrix size parameter."""
-    poly = charpoly_finite(k)
-    vals = roots_many([np.asarray(poly.coeffs, dtype=complex)], tol)[0]
+    vals = roots_many(charpoly_finite(k)[None], tol)[0]
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 
 
-def _class_representatives(n: int):
-    """(pattern, multiplicity) pairs, one per reversal class of the 2^n patterns.
+def _reversal_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks of one pattern per reversal class, ascending, and class sizes.
 
     Reversing the pattern transposes the matrix, so both members share one
-    exact characteristic polynomial and the multiset union is unchanged;
-    palindromes are their own class and count once.
+    exact characteristic polynomial and the multiset union is unchanged.
+    A mask is kept when its bit reversal is not smaller; palindromes are
+    their own class and count once.
     """
-    for bits in range(1 << n):
-        k = SignVector(n, bits)
-        rev = k.reflected()
-        if rev.bits < bits:
-            continue
-        yield k, (1 if rev.bits == bits else 2)
-
-
-def _solve_chunk(args):
-    chunk, tol, tag = args
-    rows = [np.asarray(charpoly_finite(k).coeffs, dtype=complex) for k, _ in chunk]
-    solved = roots_many(rows, tol)
-    # one cloud per chunk, in pattern order, each root row repeated mult times
-    return SpectrumCloud.from_values(np.repeat(solved, [m for _, m in chunk], axis=0), tag)
+    bits = np.arange(1 << n, dtype=np.int64)
+    rev = np.zeros_like(bits)
+    for i in range(n):
+        rev |= ((bits >> i) & 1) << (n - 1 - i)
+    keep = rev >= bits
+    return bits[keep], np.where(rev[keep] == bits[keep], 1, 2)
 
 
 def enumerate_sigma(
     n: int,
     tol: float = DEFAULT_TOL,
     cap: int = ENUMERATION_CAP,
-    threads: int = 1,
 ) -> SpectrumCloud:
     """Union of finite_eigenvalues over all 2^n patterns of length n.
 
     One pattern per reversal class is solved and its roots repeated by the
     class size; the root finder treats each row on its own, so this is
-    bitwise equal to solving every pattern.  Output is a multiset ordered
-    by (re, im, tag); the union is associative and order-independent, so
-    chunked parallel collection is safe.
+    bitwise equal to solving every pattern.  The cloud is not sorted: it is
+    in class order (ascending representative mask, bit j set when
+    s_j = -1), each root row repeated by its class size.  The emitters sort
+    once, and that stable sort equals the sorted union bit for bit.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -132,14 +141,7 @@ def enumerate_sigma(
             f"n = {n} above enumeration cap {cap}; raise it explicitly "
             "(cap argument / --cap flag) if you mean it"
         )
-    tag = f"fin:n={n}"
-    pairs = list(_class_representatives(n))
-    chunk_size = 2048
-    chunks = [pairs[i : i + chunk_size] for i in range(0, len(pairs), chunk_size)]
-    jobs = [(c, tol, tag) for c in chunks]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunked = list(pool.map(_solve_chunk, jobs))
-    else:
-        chunked = [_solve_chunk(j) for j in jobs]
-    return SpectrumCloud().merged(*chunked).sorted()
+    bits, mult = _reversal_classes(n)
+    signs = 1 - 2 * ((bits[:, None] >> np.arange(n)) & 1)
+    solved = roots_many(charpoly_finite(signs), tol)
+    return SpectrumCloud.from_values(np.repeat(solved, mult, axis=0), f"fin:n={n}")

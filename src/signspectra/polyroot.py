@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -222,15 +221,6 @@ class IntPolynomial:
     def scaled(self, s: int) -> "IntPolynomial":
         return IntPolynomial(tuple(s * c for c in self.coeffs))
 
-    def times_x(self) -> "IntPolynomial":
-        return IntPolynomial((0,) + self.coeffs)
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
 
@@ -351,13 +341,6 @@ def _overlapping_disks(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (dist <= radius[:, :, None] + radius[:, None, :]).any(axis=(1, 2))
 
 
-def _split_zero_roots(c: np.ndarray) -> tuple[int, np.ndarray]:
-    q = 0
-    while q < len(c) - 1 and c[q] == 0:
-        q += 1
-    return q, c[q:]
-
-
 def roots(
     p: IntPolynomial,
     tol: float = DEFAULT_TOL,
@@ -370,91 +353,118 @@ def roots(
     roots are exact), then the remaining factor goes through the batch
     iteration.
     """
-    out = roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)
-    return out[0]
+    return roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)[0]
+
+
+def _aligned(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows as one complex array, zero-padded on the left, and their lengths.
+
+    Right alignment puts every leading coefficient in the last column, and
+    the core left after a row's zero roots in its last columns.
+    """
+    if isinstance(coeff_rows, np.ndarray) and coeff_rows.ndim == 2:
+        c = np.asarray(coeff_rows, dtype=complex)
+        return c, np.full(len(c), c.shape[1])
+    rows = [np.asarray(row, dtype=complex) for row in coeff_rows]
+    flat = [i for i, row in enumerate(rows) if row.ndim != 1]
+    if flat:
+        raise ValueError(f"row {flat[0]}: need degree >= 1")
+    lengths = np.array([row.size for row in rows], dtype=np.int64)
+    c = np.zeros((len(rows), lengths.max(initial=0)), dtype=complex)
+    if rows:
+        c[np.arange(c.shape[1])[::-1] < lengths[:, None]] = np.concatenate(rows)
+    return c, lengths
+
+
+def _place(out: np.ndarray, rows, halved: bool, core: np.ndarray) -> None:
+    """Write core roots into the last columns of their rows; a halved core gives +-sqrt(mu)."""
+    if halved:
+        root = np.sqrt(core)
+        core = np.concatenate([root, -root], axis=1)
+    out[rows, out.shape[1] - core.shape[1] :] = core
 
 
 def roots_many(
-    coeff_rows: Sequence[np.ndarray],
+    coeff_rows,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[np.ndarray]:
-    """Roots for many polynomials, grouped and batched by shape.
+    """Roots for many polynomials, one root array per row, in input order.
 
-    Rows may have different degrees; each row is ascending complex
-    coefficients with nonzero leading entry.  Returns one root array per
-    input row, in input order.  A row of integers below 2^53 in modulus
-    whose computed roots are not provably simple is split into squarefree
-    factors, so a repeated root comes back repeated.  An even row (after
-    its zero roots) is solved in mu = x^2; its nonzero roots come back as
-    the square roots of the mu roots followed by their negations.
+    ``coeff_rows`` is a 2-D array, one polynomial per row, or a sequence of
+    1-D rows of any lengths: ascending coefficients, leading entry nonzero.
+    The zero-root peel, the evenness test and the output are array
+    operations over all rows, which are batched by (core degree, halved).
+    An even row (after its zero roots) is solved in mu = x^2, and its
+    nonzero roots are the square roots of the mu roots, then their
+    negations.  A row of integers below 2^53 in modulus whose computed roots
+    are not provably simple is split into squarefree factors, so a repeated
+    root comes back repeated.
     """
-    prepared = []
-    for i, row in enumerate(coeff_rows):
-        c = np.asarray(row, dtype=complex)
-        if c.ndim != 1 or len(c) < 2:
-            raise ValueError(f"row {i}: need degree >= 1")
-        if c[-1] == 0:
-            raise ValueError(f"row {i}: leading coefficient is zero")
-        q, core = _split_zero_roots(c)
-        # an even core is q(x^2): solve it in mu = x^2 at half the degree
-        halved = len(core) > 2 and len(core) % 2 == 1 and not core[1::2].any()
-        if halved:
-            core = core[::2]
-        prepared.append((q, core, halved))
+    c, lengths = _aligned(coeff_rows)
+    if not len(c):
+        return []
+    if lengths.min() < 2:
+        raise ValueError(f"row {np.argmax(lengths < 2)}: need degree >= 1")
+    lead = c[:, -1] != 0
+    if not lead.all():
+        raise ValueError(f"row {np.argmin(lead)}: leading coefficient is zero")
+    nonzero = c != 0
+    # the core is what is left after the exact zero roots are peeled off
+    core_len = c.shape[1] - nonzero.argmax(axis=1)
+    # an even core is q(x^2), of odd length with its nonzero coefficients
+    # all of one index parity: solve it in mu = x^2 at half the degree
+    one_parity = ~(nonzero[:, ::2].any(axis=1) & nonzero[:, 1::2].any(axis=1))
+    halved = one_parity & (core_len % 2 == 1)
+    # key 2 deg + halved: a halved core of odd length L has degree L // 2
+    keys = np.where(halved, core_len, 2 * core_len - 2)
 
-    cores: list[np.ndarray | None] = [None] * len(prepared)
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for i, (q, core, halved) in enumerate(prepared):
-        deg = len(core) - 1
-        if deg == 0:
-            cores[i] = np.zeros(0, dtype=complex)
-        elif deg == 1:
-            cores[i] = np.array([-core[0] / core[1]])
-        else:
-            groups.setdefault((deg, halved), []).append(i)
-
+    out = np.zeros((len(c), c.shape[1] - 1), dtype=complex)  # right-aligned too
     splits: dict[int, list[tuple[IntPolynomial, int]]] = {}
-    for (deg, halved), idxs in groups.items():
-        stack = np.array([prepared[i][1] for i in idxs])
+    for key in dict.fromkeys(keys.tolist()):  # groups in order of first row
+        deg, half = divmod(key, 2)
+        if deg == 0:
+            continue
+        idxs = np.flatnonzero(keys == key)
+        stack = c[idxs, c.shape[1] - (1 + half) * deg - 1 :: 1 + half]
+        if deg == 1:
+            _place(out, idxs, half, (-stack[:, 0] / stack[:, 1])[:, None])
+            continue
         try:
             found = _aberth_batch(stack, tol, max_iter)
         except ConvergenceError as exc:
-            i = idxs[exc.row]
+            i = int(idxs[exc.row])
             group = f"degree-{deg} group"
-            if halved:
-                group += f" (solved in x^2, input degree {prepared[i][0] + 2 * deg})"
+            if half:
+                group += f" (solved in x^2, input degree {lengths[i] - 1})"
             raise ConvergenceError(
                 f"{group} of {len(idxs)} rows, input row {i}: {exc}",
                 worst_residual=exc.worst_residual,
                 row=i,
             ) from None
-        for row_pos, i in enumerate(idxs):
-            cores[i] = found[row_pos]
+        _place(out, idxs, half, found)
         real = stack.real
         integral = (
             (stack.imag == 0).all(axis=1)
-            & (real == np.round(real)).all(axis=1)
+            & (real == real.round()).all(axis=1)
             & (np.abs(real) < _EXACT_INT).all(axis=1)
         )
         suspect = np.flatnonzero(integral)
-        suspect = suspect[_overlapping_disks(stack[suspect], found[suspect])]
-        for row_pos in suspect:
-            parts = IntPolynomial(tuple(int(c) for c in real[row_pos])).squarefree()
+        if suspect.size:
+            suspect = suspect[_overlapping_disks(stack[suspect], found[suspect])]
+        for row_pos in suspect.tolist():
+            parts = IntPolynomial(tuple(int(x) for x in real[row_pos])).squarefree()
             if any(m > 1 for _, m in parts):
-                splits[idxs[row_pos]] = parts
+                splits[int(idxs[row_pos])] = parts
 
     if splits:
         # one solve for the squarefree factors of every split row
         factor_rows = [f.as_array() for parts in splits.values() for f, _ in parts]
         solved = iter(roots_many(factor_rows, tol, max_iter))
         for i, parts in splits.items():
-            cores[i] = np.concatenate([np.repeat(next(solved), m) for _, m in parts])
+            core = np.concatenate([np.repeat(next(solved), m) for _, m in parts])
+            _place(out, [i], halved[i], core[None])
 
-    out = []
-    for (q, _, halved), core in zip(prepared, cores):
-        if halved:
-            root = np.sqrt(core)
-            core = np.concatenate([root, -root])
-        out.append(np.concatenate([np.zeros(q, dtype=complex), core]))
-    return out
+    if (lengths == c.shape[1]).all():
+        return list(out)
+    return [row[row.size - n + 1 :] for row, n in zip(out, lengths.tolist())]

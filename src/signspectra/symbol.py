@@ -116,7 +116,7 @@ def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.nd
     """Roots of p(x) - t for each target t, one array per target, in order."""
     rows = np.tile(p.as_array(), (len(targets), 1))
     rows[:, 0] -= np.asarray(targets)
-    return roots_many(list(rows), tol)
+    return roots_many(rows, tol)
 
 
 def periodic_spectrum(

@@ -14,6 +14,8 @@ routine it checks, which is what the agreement tests rely on:
   circulant, seeded per target) checks the recurrence witnesses of
   ``verify_embedding``.
 
+``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits.
+
 They may use the package's matrix assembly (``symbol_array``,
 ``build_block_circulant``), its containers and its errors.
 """
@@ -25,8 +27,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from signspectra.cloud import SpectrumCloud
 from signspectra.embed import Witness, build_block_circulant
-from signspectra.errors import CapExceededError
+from signspectra.errors import CapExceededError, ParseError
 from signspectra.polyroot import IntPolynomial, _trim
 from signspectra.signmodel import SignVector
 from signspectra.symbol import symbol_array
@@ -340,3 +343,23 @@ def _witness_for(mat, lam, index, rng) -> Witness:
         first_component=float(abs(x[0])),
         residual=residual,
     )
+
+
+# ---------------------------------------------------------------- CSV reader
+
+
+def read_cloud_csv(path: str) -> SpectrumCloud:
+    values, tags = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "re,im,tag":
+            raise ParseError(f"unexpected CSV header {header!r}", position=0)
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            re_s, im_s, tag = line.split(",", 2)
+            values.append(complex(float(re_s), float(im_s)))
+            tags.append(tag)
+    table, codes = np.unique(np.array(tags, dtype=str), return_inverse=True)
+    return SpectrumCloud(values, codes, table.tolist())

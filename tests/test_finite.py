@@ -12,12 +12,14 @@ from signspectra.cloud import SpectrumCloud
 from signspectra.errors import CapExceededError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
+    _continuant,
+    _reversal_classes,
     charpoly_eval_many,
     charpoly_finite,
     enumerate_sigma,
     finite_eigenvalues,
 )
-from signspectra.polyroot import roots_many
+from signspectra.polyroot import IntPolynomial, roots_many
 from signspectra.signmodel import SignVector, ones, parse_sign_vector
 
 from oracles import (
@@ -39,7 +41,7 @@ from oracles import (
     ],
 )
 def test_charpoly_examples(text, coeffs):
-    assert charpoly_finite(parse_sign_vector(text)).coeffs == coeffs
+    assert tuple(charpoly_finite(parse_sign_vector(text))) == coeffs
 
 
 def test_charpoly_against_dense_oracle_exhaustive():
@@ -49,7 +51,42 @@ def test_charpoly_against_dense_oracle_exhaustive():
         for k in all_sign_vectors(n):
             a = dense_matrix(TridiagSignMatrix(k, ones(n))).astype(int)
             want = int_charpoly_oracle(a).scaled((-1) ** (n + 1))
-            assert charpoly_finite(k).coeffs == want.coeffs
+            assert tuple(charpoly_finite(k)) == want.coeffs
+
+
+def test_batched_charpoly_is_exact_at_the_cap():
+    # all minus signs give the largest coefficients: their moduli sum to
+    # Fib(66) = 27,777,890,035,288 < 2^53, so int64 and float64 are exact
+    k = SignVector(COEFF_SIZE_CAP, (1 << COEFF_SIZE_CAP) - 1)
+    want = _continuant(k.signs, COEFF_SIZE_CAP + 1).coeffs
+    got = charpoly_finite(k)
+    assert got.dtype == np.int64 and tuple(got) == want
+    assert sum(abs(c) for c in want) == 27_777_890_035_288
+    assert tuple(got.astype(float).astype(np.int64)) == want
+
+
+def test_batched_charpoly_matches_each_pattern():
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 30, COEFF_SIZE_CAP):
+        signs = rng.choice([-1, 1], size=(3, 4, n))
+        got = charpoly_finite(signs)
+        assert got.shape == (3, 4, n + 2)
+        for row, s in zip(got.reshape(-1, n + 2), signs.reshape(-1, n)):
+            assert tuple(row) == _continuant(tuple(s.tolist()), n + 1).coeffs
+
+
+def test_reversal_classes_match_the_reflection_loop():
+    for n in range(1, 13):
+        masks, mult = [], []
+        for b in range(1 << n):
+            rev = SignVector(n, b).reflected().bits
+            if rev >= b:
+                masks.append(b)
+                mult.append(1 if rev == b else 2)
+        got_masks, got_mult = _reversal_classes(n)
+        assert got_masks.tolist() == masks
+        assert got_mult.tolist() == mult
+        assert got_mult.sum() == 1 << n
 
 
 def test_charpoly_size_cap():
@@ -74,7 +111,7 @@ def test_eval_many_matches_coefficient_route():
     rng = np.random.default_rng(77)
     for n in (5, 17, 32):
         k = SignVector(n, int(rng.integers(0, 1 << n)))
-        poly = charpoly_finite(k)
+        poly = IntPolynomial(tuple(charpoly_finite(k)))
         lams = rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100)
         vals, scales = charpoly_eval_many(k, lams)
         assert vals.shape == scales.shape == (100,)
@@ -122,21 +159,23 @@ def test_enumerate_rejects_bad_n_and_cap():
 
 def test_enumerate_matches_solving_every_pattern():
     # enumeration solves one pattern per reversal class; solving all 2^n
-    # patterns one by one must give the same sorted cloud bit for bit
+    # patterns one by one must give the same cloud bit for bit once sorted
     for n in range(1, 9):
         rows = [
-            np.asarray(charpoly_finite(k).coeffs, dtype=complex)
+            charpoly_finite(k).astype(complex)
             for k in all_sign_vectors(n)
         ]
         solved = np.concatenate(roots_many(rows))
         naive = SpectrumCloud.from_values(solved, f"fin:n={n}").sorted()
-        got = enumerate_sigma(n)
+        got = enumerate_sigma(n).sorted()
         assert got.values().tobytes() == naive.values().tobytes()
         assert got.tags() == naive.tags()
 
 
-def test_enumerate_threading_is_deterministic():
-    a = enumerate_sigma(12, threads=1)
-    b = enumerate_sigma(12, threads=3)
-    assert np.array_equal(a.values(), b.values())
-    assert a.tags() == b.tags()
+def test_enumerate_is_in_class_order():
+    # ascending representative masks, each root row repeated by its class
+    # size: n = 2 has classes ++ (1), -+ and +- (2), -- (1)
+    got = enumerate_sigma(2).values()
+    rows = [finite_eigenvalues(parse_sign_vector(t)).values() for t in ("++", "-+", "--")]
+    want = np.concatenate([rows[0], rows[1], rows[1], rows[2]])
+    assert got.tobytes() == want.tobytes()

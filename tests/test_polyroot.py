@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signspectra.errors import CapExceededError, ConvergenceError
-from signspectra.finite import _class_representatives, charpoly_finite
+from signspectra.finite import _reversal_classes, charpoly_finite
 from signspectra.polyroot import IntPolynomial, roots, roots_many
 from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import symbol_poly
@@ -52,8 +52,6 @@ def test_int_polynomial_exact_arithmetic():
     assert (a + b).coeffs == (0, 2, 3)
     assert (a - b).coeffs == (2, 2, -3)
     assert (a * b).coeffs == (-1, -2, 3, 6)
-    assert a.times_x().coeffs == (0, 1, 2)
-    assert b.eval_int(2) == 11
     big = IntPolynomial((1 << 100, 1))
     assert (big * big).coeffs[0] == 1 << 200
 
@@ -106,6 +104,36 @@ def test_roots_many_rows_do_not_depend_on_the_batch():
         assert got.tobytes() == roots_many([row])[0].tobytes(), row
 
 
+def test_mixed_batch_is_bitwise_equal_to_solving_each_row_alone():
+    # lengths 2..12, zero-root counts 0..3, halved and unhalved rows, linear
+    # cores in x and in mu, and -x^3 (x^2 + 1)^4, which needs the squarefree
+    # split; the peel, the evenness test and the output are array-wise
+    split = np.array(charpoly_finite(parse_sign_vector("-+---+--+-")), dtype=complex)
+    rng = np.random.default_rng(3)
+    rows = [
+        split,
+        np.array([-6.0, 3.0]),
+        np.array([0.0, 2, 0, -1]),  # x (2 - x^2): mu core of degree 1
+        np.array([1.0, 1, 1]),
+        np.array([0.0, 1, 0, 1, 0, 1]),
+        np.array([0.0, 0, 1, 1, 0, 1]),
+        rng.normal(size=9) + 1j * rng.normal(size=9),
+        split[3:],
+        np.array([0.0, 0, 0, 1]),
+    ]
+    together = roots_many(rows)
+    assert [len(r) for r in together] == [len(row) - 1 for row in rows]
+    for row, got in zip(rows, together):
+        assert got.tobytes() == roots_many([row])[0].tobytes(), row
+    # the split row's four-fold +-i are exact, after three exact zeros
+    assert (together[0][:3] == 0).all()
+    assert sorted(together[0][3:].tolist(), key=lambda z: z.imag) == [-1j] * 4 + [1j] * 4
+    # a 2-D array of equal-length rows is the same batch as its list of rows
+    block = np.array([split, -split, np.arange(1, 13) + 0.5j])
+    for got, want in zip(roots_many(block), roots_many(list(block))):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_nonconvergence_carries_worst_residual():
     # x^2 + x + 1 is not even, so it is not reduced to a linear solve in x^2
     with pytest.raises(ConvergenceError) as exc:
@@ -134,8 +162,8 @@ def test_nonconvergence_names_the_group_and_the_row():
 
 def _all_charpolys(max_n):
     # reversed patterns share one charpoly, so the class representatives give them all
-    return [charpoly_finite(k) for n in range(1, max_n + 1)
-            for k, _ in _class_representatives(n)]
+    return [IntPolynomial(tuple(charpoly_finite(SignVector(n, b))))
+            for n in range(1, max_n + 1) for b in _reversal_classes(n)[0].tolist()]
 
 
 def _positive(coeffs):
@@ -213,7 +241,7 @@ def test_repeated_root_is_returned_exactly():
     # the four copies of +-i on the rounding floor.  D is solved as x^3
     # times (mu + 1)^4 in mu = x^2, so the split applies to the mu row and
     # the copies come back as exact +- pairs
-    d = charpoly_finite(parse_sign_vector("-+---+--+-"))
+    d = IntPolynomial(tuple(charpoly_finite(parse_sign_vector("-+---+--+-"))))
     expected, most = _reference_roots(d.coeffs)
     assert most == 4
     r = roots(d)
@@ -226,7 +254,8 @@ def test_forward_error_against_mpmath():
     # rows at the band-edge targets +-2, where double roots sit
     polys = _all_charpolys(6)
     rng = np.random.default_rng(12)
-    polys += [charpoly_finite(SignVector(12, int(b))) for b in rng.integers(0, 1 << 12, 12)]
+    polys += [IntPolynomial(tuple(charpoly_finite(SignVector(12, int(b)))))
+              for b in rng.integers(0, 1 << 12, 12)]
     for word in ("+-", "+--+", "++-+", "+-+--+", "-+++-+++"):
         p = symbol_poly(parse_sign_vector(word)).p
         polys += [p - IntPolynomial((t,)) for t in (-2, 2)]

@@ -145,10 +145,10 @@ def test_symbol_poly_against_transfer_trace():
 def _int_transfer_trace(signs) -> IntPolynomial:
     # exact trace of the product of [[lam, -k_j], [1, 0]], built entrywise
     # with IntPolynomial arithmetic; no continuant recursion involved
-    one, zero = IntPolynomial((1,)), IntPolynomial((0,))
+    one, zero, x = IntPolynomial((1,)), IntPolynomial((0,)), IntPolynomial((0, 1))
     t = [[one, zero], [zero, one]]
     for s in signs:
-        top = [t[0][j].times_x() - t[1][j].scaled(s) for j in (0, 1)]
+        top = [t[0][j] * x - t[1][j].scaled(s) for j in (0, 1)]
         t = [top, t[0]]
     return t[0][0] + t[1][1]
 

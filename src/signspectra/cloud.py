@@ -78,9 +78,6 @@ class SpectrumCloud:
     def __len__(self) -> int:
         return self._values.size
 
-    def __bool__(self) -> bool:
-        return self._values.size > 0
-
     def merged(self, *others: "SpectrumCloud") -> "SpectrumCloud":
         clouds = (self, *others)
         table = sorted(set().union(*(c._table for c in clouds)))

@@ -8,7 +8,6 @@ the metric stays valid in mutation tests.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,7 @@ def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> Spectr
     seen: set[tuple[int, ...]] = set()
     parts = []
     for k in _all_patterns_upto(max_m):
-        p = symbol_poly(ensure_even_parity(k)).p
+        p = symbol_poly(ensure_even_parity(k))
         if p.coeffs in seen:
             continue
         seen.add(p.coeffs)
@@ -194,7 +193,6 @@ class DensityReport:
     sigma_sizes: dict[int, int]
     pi_distances: dict[int, float]
     disk_distances: dict[int, float]
-    wall_time_s: float
 
     def monotone(self, slack: float = 1e-12) -> bool:
         for series in (self.pi_distances, self.disk_distances):
@@ -241,7 +239,6 @@ def density_report(
         raise CapExceededError(f"max_n capped at {ENUMERATION_CAP}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    start = time.monotonic()
     pi_cloud = periodic_union(max_m, samples, tol)
     grid = disk_grid(disk_step)
     pi_best = np.full(len(pi_cloud), np.inf)
@@ -268,5 +265,4 @@ def density_report(
         sigma_sizes=sigma_sizes,
         pi_distances=pi_distances,
         disk_distances=disk_distances,
-        wall_time_s=time.monotonic() - start,
     )

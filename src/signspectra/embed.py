@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .polyroot import DEFAULT_TOL, IntPolynomial
+from .errors import CapExceededError
+from .polyroot import IntPolynomial
 from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
 from .symbol import preimages, symbol_array, symbol_poly, two_cos_pi
@@ -41,10 +42,13 @@ __all__ = [
     "EmbeddingResult",
     "build_block_circulant",
     "block_circulant_charpoly",
-    "target_set",
     "truncate",
     "verify_embedding",
 ]
+
+# largest effective nm that verify_embedding takes: the recurrence keeps nm
+# complex values for each of about nm targets, 256 MiB per copy at this size
+EMBED_SIZE_CAP = 4096
 
 
 def build_block_circulant(k: SignVector, n: int) -> np.ndarray:
@@ -69,36 +73,9 @@ def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    sp = symbol_poly(k.repeated(n))
-    shifted = sp.p - IntPolynomial((sp.k_product + 1,))
-    return shifted.scaled(-1 if (n * len(k)) % 2 else 1)
-
-
-def target_set(k: SignVector, n: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:
-    """Guaranteed embedded eigenvalues: spec(a(xi_j)) over allowed angles.
-
-    Allowed angles are j in {1,...,n-1} minus n/2 (the exclusion only exists
-    for even n); the excluded angles are exactly those whose target 2cos(xi_j)
-    hits the segment endpoints +-2, where the conjugate-pair multiplicity
-    argument fails.  Requires an even-parity pattern.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if k.minus_count() % 2:
-        raise ValueError("target_set needs an even-parity pattern; double it first")
-    js = _allowed_angles(n)
-    solved = preimages(symbol_poly(k).p, [two_cos_pi(2 * j, n) for j in js], tol)
-    return _target_cloud(n, js, solved)
-
-
-def _allowed_angles(n: int) -> list[int]:
-    return [j for j in range(1, n) if 2 * j != n]
-
-
-def _target_cloud(n: int, js: list[int], solved: list[np.ndarray]) -> SpectrumCloud:
-    if not js:
-        return SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
-    return SpectrumCloud.from_values(solved, [f"target:j={j}" for j in js])
+    kn = k.repeated(n)
+    shifted = symbol_poly(kn) - IntPolynomial((kn.product() + 1,))
+    return shifted.scaled(-1 if len(kn) % 2 else 1)
 
 
 def truncate(k: SignVector, n: int) -> SignVector:
@@ -185,13 +162,17 @@ def verify_embedding(
 ) -> EmbeddingResult:
     """Check that every guaranteed target is an eigenvalue of the truncation.
 
-    The pattern is parity-doubled if needed; the result records the effective
-    period.  Every target and every excluded value goes through one batched
+    The targets are spec(a(xi_j)) over the allowed angles j in {1..n-1}
+    minus n/2; the excluded angles j = n/2 (even n only) and j = n give the
+    segment endpoints +-2, where the conjugate-pair multiplicity argument
+    fails.  The pattern is parity-doubled if needed; the result records the
+    effective period, and an effective nm above EMBED_SIZE_CAP is refused.
+    Every target and every excluded value goes through one batched
     three-term recurrence (see _recurrence), and its residual is
     ||L y - lam y|| for the unit vector y that the recurrence builds on the
     truncation L; a target is verified when that residual is at most tol.
-    Residuals at the excluded angles (j = n and, for even n, j = n/2) are
-    reported for inspection but never asserted.
+    Residuals at the excluded angles are reported for inspection but never
+    asserted.
 
     With want_witness, target i also gets the unit vector x = (0, y) of the
     nm x nm block circulant M, the combination of the Bloch waves at +-xi_j
@@ -202,11 +183,17 @@ def verify_embedding(
         raise ValueError("n must be at least 2")
     keff = ensure_even_parity(k)
     m = len(keff)
+    if n * m > EMBED_SIZE_CAP:
+        raise CapExceededError(f"embedding size nm = {n * m} above cap {EMBED_SIZE_CAP}")
     # one solve for the allowed angles (the targets) and the excluded ones
-    allowed = _allowed_angles(n)
+    allowed = [j for j in range(1, n) if 2 * j != n]
     js = allowed + ([n // 2] if n % 2 == 0 else []) + [n]
-    solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
-    targets = _target_cloud(n, allowed, solved[: len(allowed)])
+    solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+    if allowed:
+        tags = [f"target:j={j}" for j in allowed]
+        targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
+    else:
+        targets = SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
     l = truncate(keff, n)
     values = targets.values()
     # the targets are the first rows of solved, in cloud order

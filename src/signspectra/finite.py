@@ -5,10 +5,10 @@ ones, the characteristic determinant D_{n+1}(x) = det(A - x I) obeys
 
     D_0 = 1,  D_1 = -x,  D_{j+1} = -x D_j - k_j D_{j-1},
 
-so coefficients are exact integers and point evaluation is O(n).
-charpoly_finite runs it in int64 over a stack of patterns at once, and
-enumeration solves every reversal class of one size in one batch;
-_continuant keeps arbitrary precision for the symbol polynomials.
+so coefficients are exact integers.  charpoly_finite runs it over a stack
+of patterns at once; it is the one continuant of the package, and the
+symbol polynomials are built from it too.  Enumeration solves every
+reversal class of one size in one batch.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import numpy as np
 
 from .cloud import SpectrumCloud
 from .errors import CapExceededError
-from .polyroot import DEFAULT_TOL, IntPolynomial, roots_many
+from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector
 
 __all__ = [
     "charpoly_finite",
-    "charpoly_eval_many",
     "finite_eigenvalues",
     "enumerate_sigma",
 ]
@@ -32,21 +31,19 @@ COEFF_SIZE_CAP = 64
 
 
 def charpoly_finite(signs) -> np.ndarray:
-    """det(A - x I) as ascending int64 coefficients, degree n+1, per pattern.
+    """det(A - x I) as ascending integer coefficients, degree n+1, per pattern.
 
     ``signs`` is a SignVector or a +-1 array of shape (..., n); the result
     has shape (..., n+2).  It is exact: the coefficients of D_{j+1} sum in
-    modulus to at most Fib(j+2) < 2^53 for n <= COEFF_SIZE_CAP, so the
-    float64 cast of a row is exact too.
+    modulus to at most Fib(j+2), which is below 2^53 for n <= COEFF_SIZE_CAP,
+    so there the rows are int64 and their float64 cast is exact too.  Longer
+    patterns run the same loop over Python ints in an object array.
     """
     s = np.asarray(signs.signs if isinstance(signs, SignVector) else signs, dtype=np.int64)
     n = s.shape[-1]
     if n > COEFF_SIZE_CAP:
-        raise CapExceededError(
-            f"exact coefficients limited to n <= {COEFF_SIZE_CAP}; "
-            "use charpoly_eval_many beyond that"
-        )
-    prev = np.zeros(s.shape[:-1] + (n + 2,), dtype=np.int64)
+        s = s.astype(object)
+    prev = np.zeros(s.shape[:-1] + (n + 2,), dtype=s.dtype)
     cur = np.zeros_like(prev)
     prev[..., 0] = 1
     cur[..., 1] = -1
@@ -58,48 +55,10 @@ def charpoly_finite(signs) -> np.ndarray:
     return cur
 
 
-def _continuant(signs, size: int) -> IntPolynomial:
-    """D_size = det(T - x I) as an exact integer polynomial.
-
-    T is the size x size zero-diagonal matrix with unit superdiagonal and
-    subdiagonal signs[0..size-2].  The recursion's seeds D_0 = 1 and
-    D_{-1} = 0 are returned for sizes 0 and -1, which the corner expansion
-    of periods 1 and 2 needs.
-    """
-    if size < 1:
-        return IntPolynomial((1,) if size == 0 else (0,))
-    prev = [1]
-    cur = [0, -1]
-    for s in signs[: size - 1]:
-        nxt = [0] + [-c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= s * c
-        prev, cur = cur, nxt
-    return IntPolynomial(tuple(cur))
-
-
-def charpoly_eval_many(k: SignVector, lams) -> tuple[np.ndarray, np.ndarray]:
-    """Continuant evaluation over an array of points.
-
-    Returns (D_{n+1}(lams), S_{n+1}) where S is the running magnitude bound
-    S_0 = 1, S_1 = |lam|, S_{j+1} = |lam| S_j + S_{j-1}; |D_j| <= S_j always,
-    so |value|/scale is a meaningful normalized residual (S vanishes only
-    where D provably vanishes too).
-    """
-    z = np.asarray(lams, dtype=complex)
-    az = np.abs(z)
-    d_prev = np.ones_like(z)
-    d_cur = -z
-    s_prev = np.ones_like(az)
-    s_cur = az.copy()
-    for s in k.signs:
-        d_prev, d_cur = d_cur, -z * d_cur - s * d_prev
-        s_prev, s_cur = s_cur, az * s_cur + s_prev
-    return d_cur, s_cur
-
-
 def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """All n+1 eigenvalues, tagged with the matrix size parameter."""
+    if len(k) > COEFF_SIZE_CAP:
+        raise CapExceededError(f"n = {len(k)} above cap {COEFF_SIZE_CAP}: inexact in float64")
     vals = roots_many(charpoly_finite(k)[None], tol)[0]
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 

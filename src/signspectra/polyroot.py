@@ -2,8 +2,9 @@
 
 Root finding uses Aberth-Ehrlich: all roots are iterated together, with no
 deflation, so no general dense eigensolver is needed anywhere in the
-package.  Characteristic and symbol polynomials arrive as exact integer
-polynomials (arbitrary precision) and become floats only here.
+package.  Characteristic and symbol polynomials are built exactly over the
+integers (int64 rows, or Python ints past int64) and become floats only
+here.
 
 Start: each row starts on a circle of its Cauchy radius, the positive root
 r of r^d = sum_{i<d} |c_i| r^i of the monic row.  Every root lies in that
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["IntPolynomial", "roots", "roots_many"]
+__all__ = ["IntPolynomial", "roots_many"]
 
 DEFAULT_TOL = 1e-10
 # From the Cauchy radius the c10 rows need at most 118 steps, period-64 and
@@ -339,21 +340,6 @@ def _overlapping_disks(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
         radius = d * np.exp(np.log(value) - np.log(dist).sum(axis=2))
     dist[:, idx, idx] = np.inf
     return (dist <= radius[:, :, None] + radius[:, None, :]).any(axis=(1, 2))
-
-
-def roots(
-    p: IntPolynomial,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """All complex roots of p, with multiplicity, degree(p) of them.
-
-    Only ``p.coeffs`` (ascending) is read, so any polynomial container with
-    that field works.  Exact zero constant terms are peeled off first (those
-    roots are exact), then the remaining factor goes through the batch
-    iteration.
-    """
-    return roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)[0]
 
 
 def _aligned(coeff_rows) -> tuple[np.ndarray, np.ndarray]:

@@ -51,11 +51,6 @@ class SignVector:
             yield -1 if bits & 1 else 1
             bits >>= 1
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return -1 if (self.bits >> i) & 1 else 1
-
     @property
     def signs(self) -> tuple[int, ...]:
         return tuple(self)
@@ -68,13 +63,6 @@ class SignVector:
 
     def product(self) -> int:
         return -1 if self.bits.bit_count() & 1 else 1
-
-    def reflected(self) -> "SignVector":
-        rev = 0
-        for i in range(self.n):
-            if (self.bits >> i) & 1:
-                rev |= 1 << (self.n - 1 - i)
-        return SignVector(self.n, rev)
 
     def doubled(self) -> "SignVector":
         return SignVector(2 * self.n, self.bits | (self.bits << self.n))

@@ -11,28 +11,27 @@ single monic integer polynomial p of degree m:
     det(a(phi) - lambda I) = (-1)^m (p(lambda) - e^{i phi} K - e^{-i phi}),
     p = (-1)^m (D(k_1..k_{m-1}) - k_m E(k_2..k_{m-2})),
 
-K = product of the k_j, D the continuant of the m x m tridiagonal part and
-E that of its interior (rows and columns 2..m-1).  Both continuants come
-from the integer recursion in the finite module, so p is exact at every
-period.  When the -1 count of k is even (K = +1) the right side becomes
-(-1)^m (p(lambda) - 2 cos phi), so the operator spectrum is exactly the
-p-preimage of the segment [-2, 2].
+K = k.product(), the product of the k_j; D is the continuant of the m x m
+tridiagonal part and E that of its interior (rows and columns 2..m-1).
+symbol_poly returns p alone.  D and E are rows of charpoly_finite, whose
+integer recursion switches to Python ints past int64, so p is exact at
+every period.  When the -1 count of k is even (K = +1) the right side
+becomes (-1)^m (p(lambda) - 2 cos phi), so the operator spectrum is
+exactly the p-preimage of the segment [-2, 2].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .finite import _continuant
+from .finite import charpoly_finite
 from .polyroot import DEFAULT_TOL, IntPolynomial, roots_many
 from .signmodel import SignVector, ensure_even_parity
 
 __all__ = [
-    "SymbolPolynomial",
     "symbol_array",
     "symbol_poly",
     "preimages",
@@ -90,26 +89,22 @@ def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SymbolPolynomial:
-    """Monic integer polynomial p of degree m plus the sign product K."""
-
-    p: IntPolynomial
-    k_product: int
-
-
-def symbol_poly(k: SignVector) -> SymbolPolynomial:
+def symbol_poly(k: SignVector) -> IntPolynomial:
     """Exact p by the corner expansion (-1)^m (D(k_1..k_{m-1}) - k_m E(k_2..k_{m-2})).
 
-    D has size m and E size m-2; the continuant's seeds (E = 1 at m = 2,
-    E = 0 at m = 1) make the formula hold where the corners overlap the
-    off-diagonals.  Every step is integer arithmetic.
+    D = charpoly_finite(k_1..k_{m-1}) has size m and E =
+    charpoly_finite(k_2..k_{m-2}) size m-2; the continuant's seeds (E = 1 at
+    m = 2, E = 0 at m = 1) make the formula hold where the corners overlap
+    the off-diagonals.  Every step is integer arithmetic.
     """
     m = len(k)
     signs = k.signs
-    corner = _continuant(signs, m) - _continuant(signs[1:], m - 2).scaled(signs[-1])
-    p = corner.scaled(-1 if m % 2 else 1)
-    return SymbolPolynomial(p=p, k_product=k.product())
+    d = IntPolynomial(tuple(charpoly_finite(signs[: m - 1])))
+    if m > 2:
+        e = IntPolynomial(tuple(charpoly_finite(signs[1 : m - 2])))
+    else:
+        e = IntPolynomial((int(m == 2),))
+    return (d - e.scaled(signs[-1])).scaled(-1 if m % 2 else 1)
 
 
 def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -139,7 +134,7 @@ def periodic_spectrum(
     keff = ensure_even_parity(k)
     meff = len(keff)
     if p is None:
-        p = symbol_poly(keff).p
+        p = symbol_poly(keff)
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
     solved = preimages(p, targets, tol)
     phis = np.pi * np.arange(samples) / (samples - 1)

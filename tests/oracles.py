@@ -5,6 +5,9 @@ routine it checks, which is what the agreement tests rely on:
 
 - ``int_charpoly_oracle`` (Berkowitz on the dense matrix) checks the
   continuant behind ``charpoly_finite``;
+- ``_continuant`` (the same recursion over Python lists of ints, one
+  pattern at a time) checks ``charpoly_finite`` row by row, on both its
+  int64 and its object-array path;
 - ``symbol_char_values`` (LU determinants of the assembled symbol) checks
   the corner expansion behind ``symbol_poly``;
 - ``_read_corner_det`` (a continuant read entrywise from the assembled
@@ -15,6 +18,8 @@ routine it checks, which is what the agreement tests rely on:
   ``verify_embedding``.
 
 ``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits.
+``roots`` solves one polynomial through ``roots_many``, and ``reflected``
+reverses a sign pattern; both are conveniences for the tests.
 
 They may use the package's matrix assembly (``symbol_array``,
 ``build_block_circulant``), its containers and its errors.
@@ -30,7 +35,7 @@ import numpy as np
 from signspectra.cloud import SpectrumCloud
 from signspectra.embed import Witness, build_block_circulant
 from signspectra.errors import CapExceededError, ParseError
-from signspectra.polyroot import IntPolynomial, _trim
+from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
 from signspectra.signmodel import SignVector
 from signspectra.symbol import symbol_array
 
@@ -128,6 +133,11 @@ def int_charpoly_oracle(matrix, max_size: int = 12) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(c)))
 
 
+def roots(p, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+    """All complex roots of p (any container with ascending ``coeffs``), with multiplicity."""
+    return roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)[0]
+
+
 def match_multisets(a, b, tol: float) -> bool:
     """Greedy bipartite matching of two complex multisets at tolerance tol."""
     xs = sorted(np.asarray(a, dtype=complex).ravel(), key=lambda z: (z.real, z.imag))
@@ -178,6 +188,27 @@ def dense_matrix(t: TridiagSignMatrix) -> np.ndarray:
     a[np.arange(size - 1), np.arange(1, size)] = sup
     a[np.arange(1, size), np.arange(size - 1)] = sub
     return a
+
+
+def _continuant(signs, size: int) -> IntPolynomial:
+    """D_size = det(T - x I) as an exact integer polynomial.
+
+    T is the size x size zero-diagonal matrix with unit superdiagonal and
+    subdiagonal signs[0..size-2].
+    """
+    prev = [1]
+    cur = [0, -1]
+    for s in signs[: size - 1]:
+        nxt = [0] + [-c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= s * c
+        prev, cur = cur, nxt
+    return IntPolynomial(tuple(cur))
+
+
+def reflected(k: SignVector) -> SignVector:
+    """The pattern read backwards."""
+    return SignVector(k.n, int(format(k.bits, f"0{k.n}b")[::-1], 2))
 
 
 def all_sign_vectors(n: int) -> Iterator[SignVector]:

@@ -62,16 +62,16 @@ DISK_DISTANCE_BASELINE = {
 def _corner_residuals(k, rng, count, even_form):
     """Worst normalized gap between the LU determinant and the trace form."""
     m = len(k)
-    sp = symbol_poly(k)
+    p = symbol_poly(k)
     phis = rng.uniform(0.0, 2.0 * np.pi, count)
     lams = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
     lu = symbol_char_values(k, phis, lams)
-    pvals = np.polyval(sp.p.as_array()[::-1], lams)
+    pvals = np.polyval(p.as_array()[::-1], lams)
     if even_form:
         rhs = (-1.0) ** m * (pvals - 2.0 * np.cos(phis))
     else:
         rhs = (-1.0) ** m * (
-            pvals - sp.k_product * np.exp(1j * phis) - np.exp(-1j * phis)
+            pvals - k.product() * np.exp(1j * phis) - np.exp(-1j * phis)
         )
     return np.max(np.abs(lu - rhs) / (1.0 + np.abs(lams)) ** m)
 
@@ -183,8 +183,7 @@ def test_c04_embedding_residuals_and_multiplicity():
     for m in range(1, 5):
         for k in all_sign_vectors(m):
             keff = ensure_even_parity(k)
-            sp = symbol_poly(keff)
-            p_int = sp.p
+            p_int = symbol_poly(keff)
             for n in range(3, 9):
                 if n * len(keff) > 24:
                     continue

@@ -3,6 +3,9 @@ oracles live in tests/oracles.py."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import signspectra
 import signspectra.errors
 
@@ -22,15 +25,12 @@ PIPELINE = {
     "parse_sign_vector",
     # exact polynomials and roots
     "IntPolynomial",
-    "roots",
     "roots_many",
     # finite spectra
-    "charpoly_eval_many",
     "charpoly_finite",
     "enumerate_sigma",
     "finite_eigenvalues",
     # symbols and periodic spectra
-    "SymbolPolynomial",
     "periodic_spectrum",
     "preimages",
     "symbol_array",
@@ -42,7 +42,6 @@ PIPELINE = {
     "Witness",
     "block_circulant_charpoly",
     "build_block_circulant",
-    "target_set",
     "truncate",
     "verify_embedding",
     # clouds and density
@@ -65,3 +64,22 @@ def test_witness_degenerate_error_is_gone():
     # recurrence witnesses have x_1 = 1 and cannot collapse
     assert "WitnessDegenerateError" not in signspectra.__all__
     assert not hasattr(signspectra.errors, "WitnessDegenerateError")
+
+
+# exported but not yet called inside the package; the exact inclusion
+# certificate on the ROADMAP is to be its first caller
+NOT_YET_CALLED = {"block_circulant_charpoly"}
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # a public name that only tests call belongs in tests/oracles.py; a
+    # name's own def, class or assignment does not count as a use
+    used = set()
+    for path in Path(signspectra.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = set(signspectra.__all__) - used
+    assert unused == NOT_YET_CALLED

@@ -232,6 +232,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["enumerate", "--n", "20"]) == 2
     assert main(["spectrum", "--mode", "periodic", "--k", "+", "--samples", "1"]) == 2
     assert main(["embed", "--k", "+", "--n", "2"]) == 2
+    assert main(["embed", "--k", "+", "--n", "100000000"]) == 2
+    assert main(["spectrum", "--mode", "finite", "--k=" + "+" * 65]) == 2
     # global flags come before the subcommand; the charpoly of +++ is
     # x^4 - 3x^2 + 1, iterated as mu^2 - 3mu + 1 (that of ++ is solved exactly)
     assert main(["--tol", "1e-30", "spectrum", "--mode", "finite", "--k", "+++"]) == 3

@@ -15,7 +15,6 @@ from signspectra.density import directed_hausdorff
 from signspectra.embed import (
     block_circulant_charpoly,
     build_block_circulant,
-    target_set,
     truncate,
     verify_embedding,
 )
@@ -96,26 +95,32 @@ def test_factorization_check_size_cap():
 
 
 def test_target_set_exact_values():
-    zeros = target_set(parse_sign_vector("+"), 4)
+    zeros = verify_embedding(parse_sign_vector("+"), 4).targets
     assert match_multisets(zeros.values(), [0, 0], 0.0)
     assert sorted(zeros.tags()) == ["target:j=1", "target:j=3"]
 
-    minus_ones = target_set(parse_sign_vector("+"), 3)
+    minus_ones = verify_embedding(parse_sign_vector("+"), 3).targets
     assert match_multisets(minus_ones.values(), [-1, -1], 0.0)
 
-    pm_root2 = target_set(parse_sign_vector("++"), 4)
+    pm_root2 = verify_embedding(parse_sign_vector("++"), 4).targets
     r = math.sqrt(2)
     assert match_multisets(pm_root2.values(), [r, -r, r, -r], 1e-12)
 
 
 def test_target_set_refusals_and_empty_case():
-    empty = target_set(parse_sign_vector("+"), 2)
+    empty = verify_embedding(parse_sign_vector("++"), 2).targets
     assert len(empty) == 0
     assert empty.warnings == ("empty target set: n = 2 excludes every angle",)
     with pytest.raises(ValueError):
-        target_set(parse_sign_vector("+-"), 3)
-    with pytest.raises(ValueError):
-        target_set(parse_sign_vector("+"), 1)
+        verify_embedding(parse_sign_vector("+"), 1)
+
+
+def test_verify_embedding_size_cap():
+    # the cap of 4096 applies to the effective size, after parity doubling:
+    # "+-" runs as "+-+-", so n = 1025 gives nm = 4100
+    for text, n in (("+" * 17, 241), ("+-", 1025), ("+", 10**8)):
+        with pytest.raises(CapExceededError):
+            verify_embedding(parse_sign_vector(text), n)
 
 
 @pytest.mark.parametrize(
@@ -176,10 +181,10 @@ def test_target_set_is_the_merge_of_one_cloud_per_angle():
     for text, n in (("+", 12), ("+-+-", 7), ("-----", 10)):
         keff = ensure_even_parity(parse_sign_vector(text))
         js = [j for j in range(1, n) if 2 * j != n]
-        solved = preimages(symbol_poly(keff).p, [two_cos_pi(2 * j, n) for j in js])
+        solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
         parts = [SpectrumCloud.from_values(v, f"target:j={j}") for j, v in zip(js, solved)]
         want = SpectrumCloud().merged(*parts)
-        got = target_set(keff, n)
+        got = verify_embedding(keff, n).targets
         assert np.array_equal(got.values(), want.values())
         assert np.array_equal(got.codes(), want.codes())
         assert got.table() == want.table()

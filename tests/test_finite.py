@@ -1,5 +1,5 @@
-"""Finite tridiagonal spectra: continuant charpoly, point evaluation, and
-the exhaustive size-n enumeration."""
+"""Finite tridiagonal spectra: the continuant charpoly and the exhaustive
+size-n enumeration."""
 
 from __future__ import annotations
 
@@ -12,23 +12,22 @@ from signspectra.cloud import SpectrumCloud
 from signspectra.errors import CapExceededError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
-    _continuant,
     _reversal_classes,
-    charpoly_eval_many,
     charpoly_finite,
     enumerate_sigma,
     finite_eigenvalues,
 )
-from signspectra.polyroot import IntPolynomial, roots_many
+from signspectra.polyroot import roots_many
 from signspectra.signmodel import SignVector, ones, parse_sign_vector
 
 from oracles import (
     TridiagSignMatrix,
+    _continuant,
     all_sign_vectors,
     dense_matrix,
-    evaluate,
     int_charpoly_oracle,
     match_multisets,
+    reflected,
 )
 
 
@@ -79,7 +78,7 @@ def test_reversal_classes_match_the_reflection_loop():
     for n in range(1, 13):
         masks, mult = [], []
         for b in range(1 << n):
-            rev = SignVector(n, b).reflected().bits
+            rev = reflected(SignVector(n, b)).bits
             if rev >= b:
                 masks.append(b)
                 mult.append(1 if rev == b else 2)
@@ -90,34 +89,19 @@ def test_reversal_classes_match_the_reflection_loop():
 
 
 def test_charpoly_size_cap():
+    # past the cap the coefficients leave int64 and float64; the charpoly
+    # stays exact over Python ints, and finite spectra refuse the pattern
+    rng = np.random.default_rng(65)
+    words = [SignVector(n, (1 << n) - 1) for n in (COEFF_SIZE_CAP + 1, 100)]
+    words.append(SignVector(80, int(rng.integers(0, 1 << 62)) << 18))
+    for k in words:
+        got = charpoly_finite(k)
+        assert got.dtype == object
+        assert tuple(got) == _continuant(k.signs, len(k) + 1).coeffs
+    big = charpoly_finite(words[1])
+    assert max(abs(c) for c in big) > 2**63
     with pytest.raises(CapExceededError):
-        charpoly_finite(SignVector(COEFF_SIZE_CAP + 1, 0))
-    # evaluation has no such cap
-    (val,), (scale,) = charpoly_eval_many(SignVector(COEFF_SIZE_CAP + 1, 0), [0.5])
-    assert scale > 0 and np.isfinite(abs(val))
-
-
-def test_eval_at_exact_small_case():
-    (val,), (scale,) = charpoly_eval_many(parse_sign_vector("+"), [0.0])
-    assert (val, scale) == (-1.0, 1.0)
-
-
-def test_eval_at_detects_known_root():
-    (val,), (scale,) = charpoly_eval_many(parse_sign_vector("++"), [math.sqrt(2)])
-    assert abs(val) <= 1e-12 * scale
-
-
-def test_eval_many_matches_coefficient_route():
-    rng = np.random.default_rng(77)
-    for n in (5, 17, 32):
-        k = SignVector(n, int(rng.integers(0, 1 << n)))
-        poly = IntPolynomial(tuple(charpoly_finite(k)))
-        lams = rng.uniform(-3, 3, 100) + 1j * rng.uniform(-3, 3, 100)
-        vals, scales = charpoly_eval_many(k, lams)
-        assert vals.shape == scales.shape == (100,)
-        for z, d, s in zip(lams, vals, scales):
-            pv, _ = evaluate(poly, complex(z))
-            assert abs(d - pv) <= 1e-10 * s
+        finite_eigenvalues(SignVector(COEFF_SIZE_CAP + 1, 0))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import _reversal_classes, charpoly_finite
-from signspectra.polyroot import IntPolynomial, roots, roots_many
+from signspectra.polyroot import IntPolynomial, roots_many
 from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import symbol_poly
 
@@ -19,6 +19,7 @@ from oracles import (
     from_roots,
     int_charpoly_oracle,
     match_multisets,
+    roots,
 )
 
 
@@ -257,7 +258,7 @@ def test_forward_error_against_mpmath():
     polys += [IntPolynomial(tuple(charpoly_finite(SignVector(12, int(b)))))
               for b in rng.integers(0, 1 << 12, 12)]
     for word in ("+-", "+--+", "++-+", "+-+--+", "-+++-+++"):
-        p = symbol_poly(parse_sign_vector(word)).p
+        p = symbol_poly(parse_sign_vector(word))
         polys += [p - IntPolynomial((t,)) for t in (-2, 2)]
     repeated = 0
     for p in polys:
@@ -275,7 +276,7 @@ def test_even_rows_come_back_as_exact_plus_minus_pairs():
     # roots mu of q, so they negate onto themselves bit for bit
     polys = _all_charpolys(10)
     for word in ("+-", "++-+", "+-+--+", "-+++-+++"):
-        p = symbol_poly(parse_sign_vector(word)).p
+        p = symbol_poly(parse_sign_vector(word))
         polys += [p - IntPolynomial((t,)) for t in (-2, -1, 0, 1, 2)]
     got = roots_many([p.as_array() for p in polys])
     halved = 0

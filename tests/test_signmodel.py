@@ -24,6 +24,7 @@ from oracles import (
     dense_matrix,
     int_charpoly_oracle,
     match_multisets,
+    reflected,
 )
 
 
@@ -32,7 +33,7 @@ def test_parse_round_trip():
     assert k.signs == (1, -1, 1)
     assert k.to_text() == "+-+"
     assert len(k) == 3
-    assert k[1] == -1
+    assert k.signs[1] == -1
     assert k.minus_count() == 1
     assert k.product() == -1
 
@@ -59,7 +60,7 @@ def test_sign_vector_constructors_and_views():
     k = SignVector(3, 0b110)
     assert k == parse_sign_vector("+--")
     assert list(k) == [1, -1, -1]
-    assert k.reflected().signs == (-1, -1, 1)
+    assert reflected(k).signs == (-1, -1, 1)
     assert k.doubled().signs == (1, -1, -1, 1, -1, -1)
     assert k.repeated(3).to_text() == "+--+--+--"
     with pytest.raises(ValueError):

@@ -105,19 +105,18 @@ def test_symbol_char_values_pairs_up():
     ],
 )
 def test_symbol_poly_examples(text, coeffs):
-    sp = symbol_poly(parse_sign_vector(text))
-    assert sp.p.coeffs == coeffs
-    assert sp.p.degree == len(text)
-    assert sp.k_product == parse_sign_vector(text).product()
+    p = symbol_poly(parse_sign_vector(text))
+    assert p.coeffs == coeffs
+    assert p.degree == len(text)
 
 
 def test_symbol_poly_monic_integer_all_small_periods():
     for m in range(1, 9):
         for k in all_sign_vectors(m):
-            sp = symbol_poly(k)
-            assert sp.p.degree == m
-            assert sp.p.coeffs[-1] == 1
-            assert all(c.imag == 0 and c.real == int(c.real) for c in sp.p.coeffs)
+            p = symbol_poly(k)
+            assert p.degree == m
+            assert p.coeffs[-1] == 1
+            assert all(c.imag == 0 and c.real == int(c.real) for c in p.coeffs)
 
 
 def _transfer_trace(signs, lam):
@@ -134,11 +133,11 @@ def test_symbol_poly_against_transfer_trace():
     rng = np.random.default_rng(42)
     for m in range(1, 7):
         for k in all_sign_vectors(m):
-            sp = symbol_poly(k)
+            p = symbol_poly(k)
             for _ in range(10):
                 lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 want = _transfer_trace(k.signs, lam)
-                got, _ = evaluate(sp.p, lam)
+                got, _ = evaluate(p, lam)
                 assert abs(got - want) <= 1e-9 * (1 + abs(lam)) ** m
 
 
@@ -155,10 +154,11 @@ def _int_transfer_trace(signs) -> IntPolynomial:
 
 def test_symbol_poly_exact_long_periods():
     # large coefficients, where floating-point routes to p lose exactness;
-    # 34 and 68 are the parity doublings of "-" * 17 and "+-" * 17
-    for text in ("-" * 32, "-" * 34, "+-" * 34):
+    # 34 and 68 are the parity doublings of "-" * 17 and "+-" * 17; at 136
+    # the largest |coefficient| is about 3.3e8 * 2^63, past int64
+    for text in ("-" * 32, "-" * 34, "+-" * 34, "-" * 136):
         k = parse_sign_vector(text)
-        assert symbol_poly(k).p == _int_transfer_trace(k.signs), text
+        assert symbol_poly(k) == _int_transfer_trace(k.signs), text
 
 
 def test_symbol_poly_exact_period_64():
@@ -171,7 +171,7 @@ def test_symbol_poly_exact_period_64():
         flips = sum(1 << int(pos) for pos in rng.choice(64, 8, replace=False))
         words.append(SignVector(64, full ^ flips))
     for k in words:
-        assert symbol_poly(k).p == _int_transfer_trace(k.signs), k.to_text()
+        assert symbol_poly(k) == _int_transfer_trace(k.signs), k.to_text()
 
 
 def test_corner_identity_sampled():
@@ -179,15 +179,15 @@ def test_corner_identity_sampled():
     rng = np.random.default_rng(314159)
     for m in range(1, 6):
         for k in all_sign_vectors(m):
-            sp = symbol_poly(k)
+            p = symbol_poly(k)
             sign = (-1.0) ** m
             for _ in range(10):
                 phi = rng.uniform(0, 2 * np.pi)
                 lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 lu = symbol_char_value(k, phi, lam)
-                pval, _ = evaluate(sp.p, lam)
+                pval, _ = evaluate(p, lam)
                 rhs = sign * (
-                    pval - sp.k_product * np.exp(1j * phi) - np.exp(-1j * phi)
+                    pval - k.product() * np.exp(1j * phi) - np.exp(-1j * phi)
                 )
                 assert abs(lu - rhs) <= 1e-9 * (1 + abs(lam)) ** m
 
@@ -198,21 +198,20 @@ def test_even_parity_cosine_form_sampled():
         for k in all_sign_vectors(m):
             if k.minus_count() % 2:
                 continue
-            sp = symbol_poly(k)
+            p = symbol_poly(k)
             sign = (-1.0) ** m
             for _ in range(10):
                 phi = rng.uniform(0, 2 * np.pi)
                 lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 lu = symbol_char_value(k, phi, lam)
-                rhs = sign * (evaluate(sp.p, lam)[0] - 2 * np.cos(phi))
+                rhs = sign * (evaluate(p, lam)[0] - 2 * np.cos(phi))
                 assert abs(lu - rhs) <= 1e-9 * (1 + abs(lam)) ** m
 
 
 def _symbol_eigenvalues(k, phi):
     # spec(a(phi)) with multiplicity: roots of p - K e^{i phi} - e^{-i phi}
-    sp = symbol_poly(k)
-    target = sp.k_product * cmath.exp(1j * phi) + cmath.exp(-1j * phi)
-    return preimages(sp.p, [target])[0]
+    target = k.product() * cmath.exp(1j * phi) + cmath.exp(-1j * phi)
+    return preimages(symbol_poly(k), [target])[0]
 
 
 @pytest.mark.parametrize(
@@ -284,7 +283,7 @@ def test_periodic_spectrum_is_the_merge_of_one_cloud_per_angle(samples):
     # print alike at 3 decimals and share a tag
     k = parse_sign_vector("+-++")
     cloud = periodic_spectrum(k, samples)
-    p = symbol_poly(parse_sign_vector("+-++" * 2)).p
+    p = symbol_poly(parse_sign_vector("+-++" * 2))
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
     parts = [
         SpectrumCloud.from_values(vals, f"per:m=8:phi={math.pi * s / (samples - 1):.3f}")

@@ -16,7 +16,6 @@ from .cloud import SpectrumCloud
 from .errors import CapExceededError
 from .finite import ENUMERATION_CAP, enumerate_sigma
 from .polyroot import DEFAULT_TOL
-from .signmodel import SignVector, ensure_even_parity
 from .symbol import periodic_spectrum, symbol_poly
 
 __all__ = [
@@ -139,29 +138,27 @@ def directed_hausdorff(
     return float(best.max())
 
 
-def _all_patterns_upto(max_m: int):
-    for m in range(1, max_m + 1):
-        for bits in range(1 << m):
-            yield SignVector(m, bits)
-
-
 def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """Union of sampled periodic spectra over every pattern of period <= max_m.
 
-    Patterns sharing one effective symbol polynomial (after parity doubling)
-    produce bit-identical clouds, so only one representative per polynomial
-    is solved; the union is a set of spectra, not a multiset over patterns.
+    Patterns are stacked by effective period after parity doubling, in
+    (length, mask) order.  Patterns sharing one symbol polynomial produce
+    bit-identical clouds, so each period is one solve over the first pattern
+    of each polynomial, kept in that order, which fixes the order of tied
+    points; the union is a set of spectra, not a multiset over patterns.
     """
     if max_m > PERIOD_CAP:
         raise CapExceededError(f"period capped at {PERIOD_CAP}")
-    seen: set[tuple[int, ...]] = set()
+    stacks: dict[int, list[np.ndarray]] = {}
+    for m in range(1, max_m + 1):
+        signs = 1 - 2 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1)
+        odd = signs.prod(axis=1) < 0
+        stacks.setdefault(m, []).append(signs[~odd])
+        stacks.setdefault(2 * m, []).append(np.tile(signs[odd], 2))
     parts = []
-    for k in _all_patterns_upto(max_m):
-        p = symbol_poly(ensure_even_parity(k))
-        if p.coeffs in seen:
-            continue
-        seen.add(p.coeffs)
-        parts.append(periodic_spectrum(k, samples, tol, p))
+    for stack in map(np.concatenate, stacks.values()):
+        _, first = np.unique(symbol_poly(stack), axis=0, return_index=True)
+        parts.append(periodic_spectrum(stack[np.sort(first)], samples, tol))
     return SpectrumCloud().merged(*parts)
 
 
@@ -239,10 +236,11 @@ def density_report(
         raise CapExceededError(f"max_n capped at {ENUMERATION_CAP}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    pi_cloud = periodic_union(max_m, samples, tol)
-    grid = disk_grid(disk_step)
-    pi_best = np.full(len(pi_cloud), np.inf)
-    disk_best = np.full(len(grid), np.inf)
+    # one query cloud, the union's points first and the disk grid after them
+    query = periodic_union(max_m, samples, tol)
+    pi_size = len(query)
+    query = query.merged(disk_grid(disk_step))
+    best = np.full(len(query), np.inf)
     # sigma_1 has no distance of its own; it joins the first scan
     fresh = enumerate_sigma(1, tol)
     size = 0
@@ -253,15 +251,16 @@ def density_report(
         fresh = fresh.merged(enumerate_sigma(n, tol))
         size += len(fresh)
         sigma_sizes[n] = size
-        pi_distances[n] = directed_hausdorff(pi_cloud, fresh, pi_best)
-        disk_distances[n] = directed_hausdorff(grid, fresh, disk_best)
+        directed_hausdorff(query, fresh, best)
+        pi_distances[n] = float(best[:pi_size].max())
+        disk_distances[n] = float(best[pi_size:].max())
         fresh = SpectrumCloud()
     return DensityReport(
         max_n=max_n,
         max_m=max_m,
         samples=samples,
         disk_step=disk_step,
-        pi_size=len(pi_cloud),
+        pi_size=pi_size,
         sigma_sizes=sigma_sizes,
         pi_distances=pi_distances,
         disk_distances=disk_distances,

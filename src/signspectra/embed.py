@@ -74,8 +74,9 @@ def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
     if n < 2:
         raise ValueError("n must be at least 2")
     kn = k.repeated(n)
-    shifted = symbol_poly(kn) - IntPolynomial((kn.product() + 1,))
-    return shifted.scaled(-1 if len(kn) % 2 else 1)
+    shifted = symbol_poly(kn)
+    shifted[0] -= kn.product() + 1
+    return IntPolynomial(tuple(-shifted if len(kn) % 2 else shifted))
 
 
 def truncate(k: SignVector, n: int) -> SignVector:
@@ -188,13 +189,13 @@ def verify_embedding(
     # one solve for the allowed angles (the targets) and the excluded ones
     allowed = [j for j in range(1, n) if 2 * j != n]
     js = allowed + ([n // 2] if n % 2 == 0 else []) + [n]
+    l = truncate(keff, n)
     solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
     if allowed:
         tags = [f"target:j={j}" for j in allowed]
         targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
     else:
         targets = SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
-    l = truncate(keff, n)
     values = targets.values()
     # the targets are the first rows of solved, in cloud order
     count = len(values)

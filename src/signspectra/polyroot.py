@@ -222,9 +222,6 @@ class IntPolynomial:
     def scaled(self, s: int) -> "IntPolynomial":
         return IntPolynomial(tuple(s * c for c in self.coeffs))
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
-
 
 def _horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     # c: (B, D+1), z: (B, d); vectorized over both axes
@@ -445,7 +442,7 @@ def roots_many(
 
     if splits:
         # one solve for the squarefree factors of every split row
-        factor_rows = [f.as_array() for parts in splits.values() for f, _ in parts]
+        factor_rows = [f.coeffs for parts in splits.values() for f, _ in parts]
         solved = iter(roots_many(factor_rows, tol, max_iter))
         for i, parts in splits.items():
             core = np.concatenate([np.repeat(next(solved), m) for _, m in parts])

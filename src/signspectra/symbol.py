@@ -13,9 +13,10 @@ single monic integer polynomial p of degree m:
 
 K = k.product(), the product of the k_j; D is the continuant of the m x m
 tridiagonal part and E that of its interior (rows and columns 2..m-1).
-symbol_poly returns p alone.  D and E are rows of charpoly_finite, whose
-integer recursion switches to Python ints past int64, so p is exact at
-every period.  When the -1 count of k is even (K = +1) the right side
+symbol_poly returns p as one integer row per pattern, for a stack of
+patterns at once.  D and E are rows of charpoly_finite, whose integer
+recursion switches to Python ints past int64, so p is exact at every
+period.  When the -1 count of k is even (K = +1) the right side
 becomes (-1)^m (p(lambda) - 2 cos phi), so the operator spectrum is
 exactly the p-preimage of the segment [-2, 2].
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .cloud import SpectrumCloud
 from .finite import charpoly_finite
-from .polyroot import DEFAULT_TOL, IntPolynomial, roots_many
+from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector, ensure_even_parity
 
 __all__ = [
@@ -89,53 +90,54 @@ def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
     return a
 
 
-def symbol_poly(k: SignVector) -> IntPolynomial:
+def symbol_poly(signs) -> np.ndarray:
     """Exact p by the corner expansion (-1)^m (D(k_1..k_{m-1}) - k_m E(k_2..k_{m-2})).
 
-    D = charpoly_finite(k_1..k_{m-1}) has size m and E =
-    charpoly_finite(k_2..k_{m-2}) size m-2; the continuant's seeds (E = 1 at
-    m = 2, E = 0 at m = 1) make the formula hold where the corners overlap
-    the off-diagonals.  Every step is integer arithmetic.
+    ``signs`` is a SignVector or a +-1 array of shape (..., m); the result
+    is one ascending coefficient row per pattern, shape (..., m+1), int64 or
+    (past int64, as in charpoly_finite) Python ints.  D = charpoly_finite(
+    k_1..k_{m-1}) has size m and E = charpoly_finite(k_2..k_{m-2}) size
+    m-2; the continuant's seeds (E = 1 at m = 2, E = 0 at m = 1) make the
+    formula hold where the corners overlap the off-diagonals.
     """
-    m = len(k)
-    signs = k.signs
-    d = IntPolynomial(tuple(charpoly_finite(signs[: m - 1])))
+    s = np.asarray(signs.signs if isinstance(signs, SignVector) else signs, dtype=np.int64)
+    m = s.shape[-1]
+    p = charpoly_finite(s[..., :-1])
     if m > 2:
-        e = IntPolynomial(tuple(charpoly_finite(signs[1 : m - 2])))
-    else:
-        e = IntPolynomial((int(m == 2),))
-    return (d - e.scaled(signs[-1])).scaled(-1 if m % 2 else 1)
+        p[..., : m - 1] -= s[..., -1:] * charpoly_finite(s[..., 1:-2])
+    elif m == 2:
+        p[..., 0] -= s[..., -1]
+    return -p if m % 2 else p
 
 
-def preimages(p: IntPolynomial, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Roots of p(x) - t for each target t, one array per target, in order."""
-    rows = np.tile(p.as_array(), (len(targets), 1))
-    rows[:, 0] -= np.asarray(targets)
-    return roots_many(rows, tol)
+def preimages(p, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Roots of p(x) - t for each row p and target t, targets inside rows.
+
+    ``p`` is one ascending coefficient row or a stack of them.
+    """
+    c = np.asarray(p, dtype=complex)
+    rows = np.repeat(c.reshape(-1, 1, c.shape[-1]), len(targets), axis=1)
+    rows[..., 0] -= np.asarray(targets)
+    return roots_many(rows.reshape(-1, c.shape[-1]), tol)
 
 
-def periodic_spectrum(
-    k: SignVector,
-    samples: int,
-    tol: float = DEFAULT_TOL,
-    p: IntPolynomial | None = None,
-) -> SpectrumCloud:
+def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumCloud:
     """Sampled operator spectrum as the p-preimage of [-2, 2].
 
-    The pattern is parity-doubled first when its -1 count is odd, so the
-    segment form applies.  Angles are uniform, phi_s = pi s/(samples-1), and
-    the targets 2 cos phi_s are Chebyshev-distributed in [-2, 2], which
-    resolves the arc endpoints well.  Each point is tagged with its angle.
-    A caller that already holds symbol_poly of the doubled pattern passes
-    its p, and it is not built again.
+    ``k`` is a SignVector, parity-doubled first when its -1 count is odd so
+    the segment form applies, or a stack of +-1 patterns of one length and
+    even parity, whose clouds are concatenated in stack order.  Angles are
+    uniform, phi_s = pi s/(samples-1), and the targets 2 cos phi_s are
+    Chebyshev-distributed in [-2, 2], which resolves the arc endpoints well.
+    Each point is tagged with its angle.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    keff = ensure_even_parity(k)
-    meff = len(keff)
-    if p is None:
-        p = symbol_poly(keff)
+    k = np.asarray(ensure_even_parity(k).signs if isinstance(k, SignVector) else k)
+    if (np.prod(k, axis=-1) != 1).any():
+        raise ValueError("a stack of patterns needs even parity")
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
-    solved = preimages(p, targets, tol)
+    solved = preimages(symbol_poly(k), targets, tol)
     phis = np.pi * np.arange(samples) / (samples - 1)
-    return SpectrumCloud.from_values(solved, [f"per:m={meff}:phi={phi:.3f}" for phi in phis])
+    tags = [f"per:m={k.shape[-1]}:phi={phi:.3f}" for phi in phis]
+    return SpectrumCloud.from_values(solved, tags * (len(solved) // samples))

@@ -10,6 +10,8 @@ routine it checks, which is what the agreement tests rely on:
   int64 and its object-array path;
 - ``symbol_char_values`` (LU determinants of the assembled symbol) checks
   the corner expansion behind ``symbol_poly``;
+- ``periodic_union_by_pattern`` (one ``periodic_spectrum`` call per pattern
+  with a new symbol polynomial) checks the stacked ``periodic_union``;
 - ``_read_corner_det`` (a continuant read entrywise from the assembled
   matrix) checks ``block_circulant_charpoly`` through
   ``circulant_factorization_check``;
@@ -36,8 +38,8 @@ from signspectra.cloud import SpectrumCloud
 from signspectra.embed import Witness, build_block_circulant
 from signspectra.errors import CapExceededError, ParseError
 from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
-from signspectra.signmodel import SignVector
-from signspectra.symbol import symbol_array
+from signspectra.signmodel import SignVector, ensure_even_parity
+from signspectra.symbol import periodic_spectrum, symbol_array, symbol_poly
 
 FACTORIZATION_SIZE_CAP = 64
 
@@ -227,6 +229,24 @@ def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
     tested; it shares no code with symbol_poly.
     """
     return complex(symbol_char_values(k, [phi], [lam])[0])
+
+
+def periodic_union_by_pattern(max_m: int, samples: int) -> SpectrumCloud:
+    """The periodic union built one pattern at a time, in (period, mask) order.
+
+    A pattern whose parity-doubled symbol polynomial is new gets its own
+    periodic_spectrum call; the others are skipped.  The clouds are merged
+    in that order, so after a stable sort tied points keep it too.
+    """
+    seen = set()
+    parts = []
+    for m in range(1, max_m + 1):
+        for k in all_sign_vectors(m):
+            p = tuple(symbol_poly(ensure_even_parity(k)).tolist())
+            if p not in seen:
+                seen.add(p)
+                parts.append(periodic_spectrum(k, samples))
+    return SpectrumCloud().merged(*parts)
 
 
 def symbol_char_values(k, phis, lams) -> np.ndarray:

@@ -66,7 +66,7 @@ def _corner_residuals(k, rng, count, even_form):
     phis = rng.uniform(0.0, 2.0 * np.pi, count)
     lams = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
     lu = symbol_char_values(k, phis, lams)
-    pvals = np.polyval(p.as_array()[::-1], lams)
+    pvals = np.polyval(p[::-1].astype(complex), lams)
     if even_form:
         rhs = (-1.0) ** m * (pvals - 2.0 * np.cos(phis))
     else:
@@ -183,7 +183,7 @@ def test_c04_embedding_residuals_and_multiplicity():
     for m in range(1, 5):
         for k in all_sign_vectors(m):
             keff = ensure_even_parity(k)
-            p_int = symbol_poly(keff)
+            p_int = IntPolynomial(tuple(symbol_poly(keff)))
             for n in range(3, 9):
                 if n * len(keff) > 24:
                     continue

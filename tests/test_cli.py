@@ -309,8 +309,9 @@ def test_outputs_match_pinned_digests(tmp_path, argv, digest):
 
 
 # sha256 prefixes of the stdout of six runs that cover every subcommand
-# writing data; the same list stands in ROADMAP.md and is re-pinned only
-# under the accuracy gate that also governs PINNED_OUTPUT_SHA256
+# writing data, and of two single-pattern periodic spectra; the same list
+# stands in ROADMAP.md and is re-pinned only under the accuracy gate that
+# also governs PINNED_OUTPUT_SHA256
 STANDING_STDOUT_SHA256 = [
     (["enumerate", "--n", "14", "--accumulate"], "ccf5abbf7ce4bd30"),
     (["enumerate", "--n", "15"], "19ecc8199c84b6d6"),
@@ -321,6 +322,8 @@ STANDING_STDOUT_SHA256 = [
     (["spectrum", "--mode", "periodic", "--union-max-m", "8", "--samples", "257"],
      "5fa33639cada501a"),
     (["embed", "--k=+-+-", "--n", "7", "--witness"], "cbb321cc04b258bd"),
+    (["spectrum", "--mode", "periodic", "--k=+--", "--samples", "257"], "142bcd051a883da3"),
+    (["spectrum", "--mode", "periodic", "--k=+-++", "--samples", "257"], "83b6b79df187b9c0"),
 ]
 
 

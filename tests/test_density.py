@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from signspectra.cli_io import cloud_csv_text
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import (
     DensityReport,
@@ -18,6 +19,8 @@ from signspectra.density import (
 )
 from signspectra.errors import CapExceededError
 from signspectra.finite import enumerate_sigma
+
+from oracles import periodic_union_by_pattern
 
 
 def _cloud(values):
@@ -103,14 +106,24 @@ def test_periodic_union_builds_each_symbol_polynomial_once(monkeypatch):
     build = symbol.symbol_poly
 
     def counted(k):
-        calls.append(k)
+        calls.append(np.shape(k))
         return build(k)
 
     monkeypatch.setattr(density, "symbol_poly", counted)
     monkeypatch.setattr(symbol, "symbol_poly", counted)
-    # six patterns of period <= 2, four of them kept: one build per pattern
+    # effective periods 1, 2 and 4: one batched build over each period's
+    # stack to find the distinct polynomials, one over the kept rows to solve
     assert len(periodic_union(2, 9)) == 81
-    assert len(calls) == 6
+    assert calls == [(1, 1), (1, 1), (3, 2), (2, 2), (2, 4), (1, 4)]
+
+
+@pytest.mark.parametrize("max_m,samples", [(m, 17) for m in range(1, 7)] + [(8, 5)])
+def test_periodic_union_matches_the_per_pattern_reference(max_m, samples):
+    # the CSV text compares values, tags and the order of tied points,
+    # which tells 0.0 from -0.0; below period 8 reversing the kept patterns
+    # of each period leaves the text unchanged, at period 8 it does not
+    got = cloud_csv_text(periodic_union(max_m, samples).sorted())
+    assert got == cloud_csv_text(periodic_union_by_pattern(max_m, samples).sorted())
 
 
 def test_periodic_union_period_cap():

@@ -136,6 +136,17 @@ def test_truncate_needs_three_sites():
         truncate(parse_sign_vector("+"), 2)
 
 
+def test_verify_embedding_refuses_before_solving(monkeypatch):
+    # "+" at n = 2 has nm = 2, below the three sites a truncation needs; the
+    # refusal must come before the preimage solve, not after it
+    def unreachable(*args):
+        raise AssertionError("preimages called for a refused size")
+
+    monkeypatch.setattr(embed_module, "preimages", unreachable)
+    with pytest.raises(ValueError, match="nm >= 3"):
+        verify_embedding(parse_sign_vector("+"), 2)
+
+
 def test_verify_embedding_small_case():
     res = verify_embedding(parse_sign_vector("+"), 4)
     assert res.verified

@@ -258,7 +258,7 @@ def test_forward_error_against_mpmath():
     polys += [IntPolynomial(tuple(charpoly_finite(SignVector(12, int(b)))))
               for b in rng.integers(0, 1 << 12, 12)]
     for word in ("+-", "+--+", "++-+", "+-+--+", "-+++-+++"):
-        p = symbol_poly(parse_sign_vector(word))
+        p = IntPolynomial(tuple(symbol_poly(parse_sign_vector(word))))
         polys += [p - IntPolynomial((t,)) for t in (-2, 2)]
     repeated = 0
     for p in polys:
@@ -276,9 +276,9 @@ def test_even_rows_come_back_as_exact_plus_minus_pairs():
     # roots mu of q, so they negate onto themselves bit for bit
     polys = _all_charpolys(10)
     for word in ("+-", "++-+", "+-+--+", "-+++-+++"):
-        p = symbol_poly(parse_sign_vector(word))
+        p = IntPolynomial(tuple(symbol_poly(parse_sign_vector(word))))
         polys += [p - IntPolynomial((t,)) for t in (-2, -1, 0, 1, 2)]
-    got = roots_many([p.as_array() for p in polys])
+    got = roots_many([p.coeffs for p in polys])
     halved = 0
     for p, r in zip(polys, got):
         assert not any(p.coeffs[1 - _leading_zeros(p.coeffs) % 2::2])

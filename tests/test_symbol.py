@@ -106,17 +106,33 @@ def test_symbol_char_values_pairs_up():
 )
 def test_symbol_poly_examples(text, coeffs):
     p = symbol_poly(parse_sign_vector(text))
-    assert p.coeffs == coeffs
-    assert p.degree == len(text)
+    assert p.shape == (len(text) + 1,)
+    assert tuple(p.tolist()) == coeffs
 
 
 def test_symbol_poly_monic_integer_all_small_periods():
     for m in range(1, 9):
         for k in all_sign_vectors(m):
             p = symbol_poly(k)
-            assert p.degree == m
-            assert p.coeffs[-1] == 1
-            assert all(c.imag == 0 and c.real == int(c.real) for c in p.coeffs)
+            assert p.dtype == np.int64
+            assert p.shape == (m + 1,)
+            assert p[-1] == 1
+
+
+def test_symbol_poly_stack_is_row_by_row():
+    # a stack of patterns of one length gives one row per pattern, equal to
+    # building each alone; past 64 signs the rows hold Python ints
+    for m in (1, 2, 3, 4, 7, 66, 67, 70):
+        words = list(all_sign_vectors(m)) if m < 8 else [
+            SignVector(m, b) for b in (0, (1 << m) - 1, 0x5A5A5A5A5A5A5A5A5 % (1 << m))
+        ]
+        stack = np.array([k.signs for k in words])
+        rows = symbol_poly(stack.reshape(1, len(words), m))[0]
+        assert rows.shape == (len(words), m + 1)
+        assert rows.dtype == (object if m > 65 else np.int64), m
+        for k, row in zip(words, rows):
+            assert tuple(row.tolist()) == tuple(symbol_poly(k).tolist()), k.to_text()
+            assert IntPolynomial(tuple(row)) == _int_transfer_trace(k.signs), k.to_text()
 
 
 def _transfer_trace(signs, lam):
@@ -133,7 +149,7 @@ def test_symbol_poly_against_transfer_trace():
     rng = np.random.default_rng(42)
     for m in range(1, 7):
         for k in all_sign_vectors(m):
-            p = symbol_poly(k)
+            p = IntPolynomial(tuple(symbol_poly(k)))
             for _ in range(10):
                 lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 want = _transfer_trace(k.signs, lam)
@@ -158,7 +174,7 @@ def test_symbol_poly_exact_long_periods():
     # the largest |coefficient| is about 3.3e8 * 2^63, past int64
     for text in ("-" * 32, "-" * 34, "+-" * 34, "-" * 136):
         k = parse_sign_vector(text)
-        assert symbol_poly(k) == _int_transfer_trace(k.signs), text
+        assert IntPolynomial(tuple(symbol_poly(k))) == _int_transfer_trace(k.signs), text
 
 
 def test_symbol_poly_exact_period_64():
@@ -171,7 +187,7 @@ def test_symbol_poly_exact_period_64():
         flips = sum(1 << int(pos) for pos in rng.choice(64, 8, replace=False))
         words.append(SignVector(64, full ^ flips))
     for k in words:
-        assert symbol_poly(k) == _int_transfer_trace(k.signs), k.to_text()
+        assert IntPolynomial(tuple(symbol_poly(k))) == _int_transfer_trace(k.signs), k.to_text()
 
 
 def test_corner_identity_sampled():
@@ -179,7 +195,7 @@ def test_corner_identity_sampled():
     rng = np.random.default_rng(314159)
     for m in range(1, 6):
         for k in all_sign_vectors(m):
-            p = symbol_poly(k)
+            p = IntPolynomial(tuple(symbol_poly(k)))
             sign = (-1.0) ** m
             for _ in range(10):
                 phi = rng.uniform(0, 2 * np.pi)
@@ -198,7 +214,7 @@ def test_even_parity_cosine_form_sampled():
         for k in all_sign_vectors(m):
             if k.minus_count() % 2:
                 continue
-            p = symbol_poly(k)
+            p = IntPolynomial(tuple(symbol_poly(k)))
             sign = (-1.0) ** m
             for _ in range(10):
                 phi = rng.uniform(0, 2 * np.pi)
@@ -253,19 +269,30 @@ def test_symbol_eigenvalues_match_lu_oracle():
     ],
 )
 def test_preimage_examples(coeffs, targets, expected):
-    solved = preimages(IntPolynomial(coeffs), targets)
+    solved = preimages(coeffs, targets)
     assert match_multisets(np.concatenate(solved), expected, 1e-8)
 
 
 def test_preimage_counts():
-    p = IntPolynomial((1, 2, 0, 1))
+    p = (1, 2, 0, 1)
     solved = preimages(p, [0.5, -1j, 3])
-    assert [len(vals) for vals in solved] == [p.degree] * 3
+    assert [len(vals) for vals in solved] == [3] * 3
     for t, vals in zip([0.5, -1j, 3], solved):
         assert np.abs(vals**3 + 2 * vals + 1 - t).max() <= 1e-9
     assert preimages(p, []) == []
     with pytest.raises(ValueError):
-        preimages(IntPolynomial((7,)), [0.0])
+        preimages((7,), [0.0])
+
+
+def test_preimages_of_a_stack_loop_targets_inside_rows():
+    rows = symbol_poly(np.array([[1, 1, -1, -1], [1, -1, 1, -1], [-1, -1, -1, -1]]))
+    targets = [2.0, 0.5, -1j, -2.0]
+    got = preimages(rows, targets)
+    assert len(got) == len(rows) * len(targets)
+    for i, row in enumerate(rows):
+        for t, vals in zip(targets, preimages(row, targets)):
+            assert vals.tobytes() == got[i * len(targets) + targets.index(t)].tobytes()
+    assert preimages(rows, []) == []
 
 
 def test_periodic_spectrum_identity_pattern():
@@ -328,6 +355,22 @@ def test_periodic_spectrum_symmetries():
 def test_periodic_spectrum_rejects_short_sampling():
     with pytest.raises(ValueError):
         periodic_spectrum(parse_sign_vector("+"), 1)
+
+
+def test_periodic_spectrum_of_a_stack_is_the_merge_of_its_patterns():
+    # a stack of even-parity patterns gives their clouds concatenated in
+    # stack order, bit for bit, with one shared tag per angle
+    words = [k for k in all_sign_vectors(6) if k.minus_count() % 2 == 0][::3]
+    stack = np.array([k.signs for k in words])
+    for samples in (2, 17):
+        got = periodic_spectrum(stack, samples)
+        want = SpectrumCloud().merged(*(periodic_spectrum(k, samples) for k in words))
+        assert got.values().tobytes() == want.values().tobytes()
+        assert got.tags() == want.tags()
+        assert got.table() == want.table()
+    # the segment form needs even parity; an odd row is refused, not doubled
+    with pytest.raises(ValueError):
+        periodic_spectrum(np.array([[1, 1], [1, -1]]), 5)
 
 
 def test_cloud_plumbing():

@@ -7,17 +7,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from signspectra import finite, polyroot, symbol
+from signspectra import density, finite, polyroot, symbol
 from signspectra.signmodel import parse_sign_vector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_trace_boundaries_resolve_and_count(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_trace_boundaries_resolve_and_count(monkeypatch):
+    tracer = _tracer(monkeypatch)
     with tracer.installed():
         assert finite.roots_many is not polyroot.roots_many
         finite.enumerate_sigma(3)
@@ -28,3 +32,21 @@ def test_trace_boundaries_resolve_and_count(monkeypatch):
     assert tracer.counts["finite.charpoly_calls"] == 1
     assert tracer.counts["polyroot.rows"] == 6 + 5
     assert tracer.counts["symbol.symbol_poly_calls"] == 1
+
+
+def test_trace_boundaries_see_the_union_and_the_density_scan(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    with tracer.installed():
+        density.periodic_union(3, 5)
+    # effective periods 1, 2, 3, 4 and 6: per period one symbol_poly call
+    # finds the distinct rows and one inside periodic_spectrum solves them
+    assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 5
+    assert tracer.counts["polyroot.calls"] == 5
+
+    tracer = _tracer(monkeypatch)
+    with tracer.installed():
+        density.density_report(5, 2, 9, 0.5)
+    # one Hausdorff scan per size 2..5, the union and the disk in one query
+    assert tracer.counts["density.hausdorff_calls"] == 5 - 1
+    assert tracer.counts["polyroot.calls"] == 3 + 5
+    assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 3

@@ -28,12 +28,7 @@ from .embed import verify_embedding
 from .errors import CapExceededError, ConvergenceError, ParseError
 from .finite import ENUMERATION_CAP, enumerate_sigma, finite_eigenvalues
 from .polyroot import DEFAULT_TOL
-from .signmodel import (
-    PeriodicOperatorSpec,
-    gauge_normalize_finite,
-    gauge_normalize_periodic,
-    parse_sign_vector,
-)
+from .signmodel import gauge_normalize_finite, gauge_normalize_periodic, parse_sign_vector
 from .symbol import periodic_spectrum
 
 __all__ = [
@@ -53,7 +48,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-SNAP_CELL = 1e-6
 # points formatted per block of CSV text
 _CSV_BLOCK = 1 << 12
 
@@ -180,10 +174,10 @@ def _cmd_normalize(args) -> int:
     k = parse_sign_vector(args.k)
     l = parse_sign_vector(args.l)
     if args.periodic:
-        spec = gauge_normalize_periodic(PeriodicOperatorSpec(k, l))
-        print(spec.sub.to_text())
-        if spec.period != len(k):
-            print(f"period doubled: {len(k)} -> {spec.period}")
+        ktilde = gauge_normalize_periodic(k, l)
+        print(ktilde.to_text())
+        if len(ktilde) != len(k):
+            print(f"period doubled: {len(k)} -> {len(ktilde)}")
     else:
         print(gauge_normalize_finite(k, l).to_text())
     return EXIT_OK
@@ -226,7 +220,7 @@ def _cmd_enumerate(args) -> int:
     parts = [enumerate_sigma(n, tol, cap=args.cap) for n in sizes]
     cloud = SpectrumCloud().merged(*parts)
     if args.dedup:
-        cloud = cloud.snapped(SNAP_CELL)
+        cloud = cloud.snapped()
     params = {
         "accumulate": bool(args.accumulate),
         "command": "enumerate",
@@ -385,6 +379,8 @@ def main(argv=None) -> int:
         if token.startswith(("--k=", "--l=")):
             setattr(args, token[2], token[4:])
     try:
+        if args.tol is not None and not 0 < args.tol < 1:
+            raise ValueError(f"--tol must lie in the open interval (0, 1), got {args.tol}")
         return args.func(args)
     except (ParseError, CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -147,6 +147,8 @@ def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> Spectr
     of each polynomial, kept in that order, which fixes the order of tied
     points; the union is a set of spectra, not a multiset over patterns.
     """
+    if max_m < 1:
+        raise ValueError(f"max_m must be at least 1, got {max_m}")
     if max_m > PERIOD_CAP:
         raise CapExceededError(f"period capped at {PERIOD_CAP}")
     stacks: dict[int, list[np.ndarray]] = {}
@@ -169,8 +171,8 @@ def disk_grid(step: float) -> SpectrumCloud:
     projected onto the circle, so the boundary is represented at every
     resolution.  Deterministic for regression baselines.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"disk grid step must be positive and finite, got {step}")
     reach = math.ceil((1.0 + step) / step)
     axis = np.arange(-reach, reach + 1) * step
     re, im = np.repeat(axis, axis.size), np.tile(axis, axis.size)

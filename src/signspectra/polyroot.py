@@ -339,26 +339,6 @@ def _overlapping_disks(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (dist <= radius[:, :, None] + radius[:, None, :]).any(axis=(1, 2))
 
 
-def _aligned(coeff_rows) -> tuple[np.ndarray, np.ndarray]:
-    """Rows as one complex array, zero-padded on the left, and their lengths.
-
-    Right alignment puts every leading coefficient in the last column, and
-    the core left after a row's zero roots in its last columns.
-    """
-    if isinstance(coeff_rows, np.ndarray) and coeff_rows.ndim == 2:
-        c = np.asarray(coeff_rows, dtype=complex)
-        return c, np.full(len(c), c.shape[1])
-    rows = [np.asarray(row, dtype=complex) for row in coeff_rows]
-    flat = [i for i, row in enumerate(rows) if row.ndim != 1]
-    if flat:
-        raise ValueError(f"row {flat[0]}: need degree >= 1")
-    lengths = np.array([row.size for row in rows], dtype=np.int64)
-    c = np.zeros((len(rows), lengths.max(initial=0)), dtype=complex)
-    if rows:
-        c[np.arange(c.shape[1])[::-1] < lengths[:, None]] = np.concatenate(rows)
-    return c, lengths
-
-
 def _place(out: np.ndarray, rows, halved: bool, core: np.ndarray) -> None:
     """Write core roots into the last columns of their rows; a halved core gives +-sqrt(mu)."""
     if halved:
@@ -368,27 +348,28 @@ def _place(out: np.ndarray, rows, halved: bool, core: np.ndarray) -> None:
 
 
 def roots_many(
-    coeff_rows,
+    coeff_rows: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> list[np.ndarray]:
-    """Roots for many polynomials, one root array per row, in input order.
+) -> np.ndarray:
+    """Roots of many polynomials of one degree, one row of roots per row.
 
-    ``coeff_rows`` is a 2-D array, one polynomial per row, or a sequence of
-    1-D rows of any lengths: ascending coefficients, leading entry nonzero.
-    The zero-root peel, the evenness test and the output are array
-    operations over all rows, which are batched by (core degree, halved).
-    An even row (after its zero roots) is solved in mu = x^2, and its
-    nonzero roots are the square roots of the mu roots, then their
+    ``coeff_rows`` is a 2-D array, one polynomial per row: ascending
+    coefficients, leading column nonzero.  The result is a complex array of
+    shape (rows, width - 1), row i holding the roots of row i, its exact
+    zero roots first.  The zero-root peel, the evenness test and the output
+    are array operations over all rows, which are batched by (core degree,
+    halved).  An even row (after its zero roots) is solved in mu = x^2, and
+    its nonzero roots are the square roots of the mu roots, then their
     negations.  A row of integers below 2^53 in modulus whose computed roots
     are not provably simple is split into squarefree factors, so a repeated
     root comes back repeated.
     """
-    c, lengths = _aligned(coeff_rows)
-    if not len(c):
-        return []
-    if lengths.min() < 2:
-        raise ValueError(f"row {np.argmax(lengths < 2)}: need degree >= 1")
+    c = np.asarray(coeff_rows, dtype=complex)
+    if c.ndim != 2:
+        raise ValueError(f"need a 2-D array of coefficient rows, got shape {c.shape}")
+    if c.shape[1] < 2:
+        raise ValueError("need degree >= 1")
     lead = c[:, -1] != 0
     if not lead.all():
         raise ValueError(f"row {np.argmin(lead)}: leading coefficient is zero")
@@ -402,7 +383,8 @@ def roots_many(
     # key 2 deg + halved: a halved core of odd length L has degree L // 2
     keys = np.where(halved, core_len, 2 * core_len - 2)
 
-    out = np.zeros((len(c), c.shape[1] - 1), dtype=complex)  # right-aligned too
+    # right-aligned: a row's core roots fill its last columns
+    out = np.zeros((len(c), c.shape[1] - 1), dtype=complex)
     splits: dict[int, list[tuple[IntPolynomial, int]]] = {}
     for key in dict.fromkeys(keys.tolist()):  # groups in order of first row
         deg, half = divmod(key, 2)
@@ -419,7 +401,7 @@ def roots_many(
             i = int(idxs[exc.row])
             group = f"degree-{deg} group"
             if half:
-                group += f" (solved in x^2, input degree {lengths[i] - 1})"
+                group += f" (solved in x^2, input degree {c.shape[1] - 1})"
             raise ConvergenceError(
                 f"{group} of {len(idxs)} rows, input row {i}: {exc}",
                 worst_residual=exc.worst_residual,
@@ -441,13 +423,14 @@ def roots_many(
                 splits[int(idxs[row_pos])] = parts
 
     if splits:
-        # one solve for the squarefree factors of every split row
-        factor_rows = [f.coeffs for parts in splits.values() for f, _ in parts]
-        solved = iter(roots_many(factor_rows, tol, max_iter))
+        # one solve for the squarefree factors of every split row, left-padded
+        # to one width; the padding adds exact zero roots, which the peel
+        # removes, and each factor's own roots are its last deg f
+        factors = [f.coeffs for parts in splits.values() for f, _ in parts]
+        width = max(map(len, factors))
+        padded = np.array([(0,) * (width - len(f)) + f for f in factors], dtype=complex)
+        solved = iter(roots_many(padded, tol, max_iter))
         for i, parts in splits.items():
-            core = np.concatenate([np.repeat(next(solved), m) for _, m in parts])
+            core = np.concatenate([np.repeat(next(solved)[-f.degree :], m) for f, m in parts])
             _place(out, [i], halved[i], core[None])
-
-    if (lengths == c.shape[1]).all():
-        return list(out)
-    return [row[row.size - n + 1 :] for row, n in zip(out, lengths.tolist())]
+    return out

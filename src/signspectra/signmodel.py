@@ -1,9 +1,9 @@
-"""Sign patterns, periodic operator specs, and gauge normalization.
+"""Sign patterns and gauge normalization.
 
 A sign pattern is a finite word over {+1, -1}.  A finite tridiagonal sign
 matrix of size n+1 has zero diagonal, a superdiagonal sign pattern of length
-n and a subdiagonal sign pattern of length n.  A periodic operator spec is
-the analogous pair of patterns read cyclically on the doubly infinite line.
+n and a subdiagonal sign pattern of length n.  A periodic operator is the
+analogous pair of patterns read cyclically on the doubly infinite line.
 
 Diagonal conjugation by a +-1 diagonal turns any superdiagonal pattern into
 all ones while multiplying each subdiagonal entry by the matching
@@ -20,12 +20,10 @@ from .errors import ParseError
 
 __all__ = [
     "SignVector",
-    "PeriodicOperatorSpec",
     "parse_sign_vector",
     "gauge_normalize_finite",
     "gauge_normalize_periodic",
     "ensure_even_parity",
-    "ones",
 ]
 
 
@@ -95,29 +93,6 @@ def parse_sign_vector(text: str) -> SignVector:
     return SignVector(len(text), bits)
 
 
-@dataclass(frozen=True)
-class PeriodicOperatorSpec:
-    """Period-m operator on the doubly infinite line, stored by one period."""
-
-    sub: SignVector
-    super: SignVector
-
-    def __post_init__(self):
-        if self.sub.n != self.super.n:
-            raise ValueError(
-                f"sub length {self.sub.n} != super length {self.super.n}"
-            )
-
-    @property
-    def period(self) -> int:
-        return self.sub.n
-
-
-def ones(n: int) -> SignVector:
-    """All +1 pattern of length n."""
-    return SignVector(n, 0)
-
-
 def gauge_normalize_finite(k: SignVector, l: SignVector) -> SignVector:
     """Subdiagonal pattern after conjugating the super pattern to all ones.
 
@@ -131,21 +106,17 @@ def gauge_normalize_finite(k: SignVector, l: SignVector) -> SignVector:
     return SignVector(k.n, k.bits ^ l.bits)
 
 
-def gauge_normalize_periodic(spec: PeriodicOperatorSpec) -> PeriodicOperatorSpec:
-    """Normalize a periodic spec so the super pattern is all ones.
+def gauge_normalize_periodic(k: SignVector, l: SignVector) -> SignVector:
+    """Subdiagonal pattern of the periodic (sub k, super l) operator, super all ones.
 
-    When the product of the super entries over one period is +1 the same
-    entrywise product rule as the finite case applies and the period is
-    unchanged.  When the product is -1 the period is doubled first (both
-    patterns repeated twice) so that a periodic +-1 gauge exists; the doubled
-    spec describes the identical operator, merely listed with period 2m.
+    When the product of the l entries over one period is +1 the finite
+    rule applies and the period is unchanged.  When it is -1 no periodic
+    +-1 gauge exists at period m, so both patterns are doubled first; the
+    doubled pair describes the identical operator at period 2m, and its
+    gauged pattern is the finite one repeated twice.
     """
-    k, l = spec.sub, spec.super
-    if l.product() == -1:
-        k = k.doubled()
-        l = l.doubled()
-    ktilde = SignVector(k.n, k.bits ^ l.bits)
-    return PeriodicOperatorSpec(ktilde, ones(k.n))
+    ktilde = gauge_normalize_finite(k, l)
+    return ktilde.doubled() if l.product() == -1 else ktilde
 
 
 def ensure_even_parity(k: SignVector) -> SignVector:

@@ -110,10 +110,12 @@ def symbol_poly(signs) -> np.ndarray:
     return -p if m % 2 else p
 
 
-def preimages(p, targets, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Roots of p(x) - t for each row p and target t, targets inside rows.
+def preimages(p, targets, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Roots of p(x) - t for each row p and target t, as one complex array.
 
-    ``p`` is one ascending coefficient row or a stack of them.
+    ``p`` is one ascending coefficient row or a stack of R rows of one
+    length w; with T targets the result has shape (R T, w - 1), and row
+    r T + t holds the roots for row r and target t.
     """
     c = np.asarray(p, dtype=complex)
     rows = np.repeat(c.reshape(-1, 1, c.shape[-1]), len(targets), axis=1)

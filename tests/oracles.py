@@ -20,8 +20,9 @@ routine it checks, which is what the agreement tests rely on:
   ``verify_embedding``.
 
 ``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits.
-``roots`` solves one polynomial through ``roots_many``, and ``reflected``
-reverses a sign pattern; both are conveniences for the tests.
+``roots`` solves one polynomial through ``roots_many``, ``reflected``
+reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
+conveniences for the tests.
 
 They may use the package's matrix assembly (``symbol_array``,
 ``build_block_circulant``), its containers and its errors.
@@ -137,7 +138,7 @@ def int_charpoly_oracle(matrix, max_size: int = 12) -> IntPolynomial:
 
 def roots(p, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
     """All complex roots of p (any container with ascending ``coeffs``), with multiplicity."""
-    return roots_many([np.asarray(p.coeffs, dtype=complex)], tol, max_iter)[0]
+    return roots_many(np.asarray(p.coeffs, dtype=complex)[None], tol, max_iter)[0]
 
 
 def match_multisets(a, b, tol: float) -> bool:
@@ -206,6 +207,11 @@ def _continuant(signs, size: int) -> IntPolynomial:
             nxt[i] -= s * c
         prev, cur = cur, nxt
     return IntPolynomial(tuple(cur))
+
+
+def ones(n: int) -> SignVector:
+    """All +1 pattern of length n."""
+    return SignVector(n, 0)
 
 
 def reflected(k: SignVector) -> SignVector:

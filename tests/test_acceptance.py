@@ -19,7 +19,7 @@ from signspectra.density import density_report, directed_hausdorff, periodic_uni
 from signspectra.embed import block_circulant_charpoly, verify_embedding
 from signspectra.finite import charpoly_finite, enumerate_sigma, finite_eigenvalues
 from signspectra.polyroot import IntPolynomial, roots_many
-from signspectra.signmodel import ensure_even_parity, ones, parse_sign_vector
+from signspectra.signmodel import ensure_even_parity, parse_sign_vector
 from signspectra.symbol import periodic_spectrum, symbol_poly, two_cos_pi
 
 from oracles import (
@@ -32,6 +32,7 @@ from oracles import (
     from_roots,
     int_charpoly_oracle,
     match_multisets,
+    ones,
     read_cloud_csv,
     symbol_char_values,
 )
@@ -326,6 +327,16 @@ def test_c09_figure_artifacts_and_density_trend(tmp_path):
     assert elapsed < 900.0, f"took {elapsed:.1f} s"
 
 
+def _solve_by_degree(rows):
+    """Roots of each row, from one roots_many call per row length."""
+    solved = [None] * len(rows)
+    for width in sorted({len(c) for c in rows}):
+        idx = [i for i, c in enumerate(rows) if len(c) == width]
+        for i, rts in zip(idx, roots_many(np.array([rows[i] for i in idx]))):
+            solved[i] = rts
+    return solved
+
+
 def test_c10_root_finder_contracts():
     """10^4 random polynomials of degree <= 64 solve to normalized residual
     1e-10; reconstruction from computed roots matches monic input to 1e-6
@@ -338,9 +349,8 @@ def test_c10_root_finder_contracts():
         while abs(c[-1]) < 1e-3:
             c[-1] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rows.append(c)
-    solved = roots_many(rows)
     worst = 0.0
-    for c, rts in zip(rows, solved):
+    for c, rts in zip(rows, _solve_by_degree(rows)):
         poly = ComplexPolynomial(tuple(c))
         for r in rts:
             v, s = evaluate(poly, complex(r))
@@ -356,7 +366,7 @@ def test_c10_root_finder_contracts():
             c[-1] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         rows.append(c)
     worst = 0.0
-    for c, rts in zip(rows, roots_many(rows)):
+    for c, rts in zip(rows, _solve_by_degree(rows)):
         monic = np.asarray(c, dtype=complex) / c[-1]
         rebuilt = from_roots(rts).as_array()
         worst = max(worst, np.abs(rebuilt - monic).max())

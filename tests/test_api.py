@@ -16,12 +16,10 @@ PIPELINE = {
     "ConvergenceError",
     "ParseError",
     # sign patterns and gauges
-    "PeriodicOperatorSpec",
     "SignVector",
     "ensure_even_parity",
     "gauge_normalize_finite",
     "gauge_normalize_periodic",
-    "ones",
     "parse_sign_vector",
     # exact polynomials and roots
     "IntPolynomial",

@@ -36,6 +36,9 @@ def test_normalize_finite(capsys):
 def test_normalize_periodic_doubles(capsys):
     assert main(["normalize", "--k", "+", "--l=-", "--periodic"]) == 0
     assert _lines(capsys) == ["--", "period doubled: 1 -> 2"]
+    # unequal lengths are refused as given, before the doubling
+    assert main(["normalize", "--k", "+", "--l=-+", "--periodic"]) == 2
+    assert "k length 1 != l length 2" in capsys.readouterr().err
 
 
 def test_spectrum_finite_stdout(capsys):
@@ -241,6 +244,36 @@ def test_exit_codes(tmp_path, capsys):
     bad = str(tmp_path / "missing_dir" / "x.csv")
     assert main(["spectrum", "--mode", "finite", "--k", "+", "--out", bad]) == 4
     assert "i/o failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan", "1"])
+def test_tol_outside_the_unit_interval_is_refused(capsys, tol):
+    # inf once printed eigenvalues 0.17 off; 0, -1 and nan ran 200 iterations
+    assert main(["--tol", tol, "enumerate", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_density_max_m_below_one_is_refused(capsys):
+    args = ["density", "--max-n", "3", "--max-m", "0", "--samples", "17", "--disk-step", "0.5"]
+    assert main(args) == 2
+    assert "max_m must be at least 1" in capsys.readouterr().err
+
+
+def test_union_max_m_below_one_is_refused(capsys):
+    # a header-only CSV came out before
+    assert main(["spectrum", "--mode", "periodic", "--union-max-m", "0", "--samples", "17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_m must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_disk_step_not_finite_is_refused(capsys, step):
+    args = ["density", "--max-n", "3", "--max-m", "1", "--samples", "17", "--disk-step", step]
+    assert main(args) == 2
+    assert "disk grid step must be positive and finite" in capsys.readouterr().err
 
 
 def test_enumerate_cap_flag(capsys):

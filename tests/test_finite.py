@@ -18,7 +18,7 @@ from signspectra.finite import (
     finite_eigenvalues,
 )
 from signspectra.polyroot import roots_many
-from signspectra.signmodel import SignVector, ones, parse_sign_vector
+from signspectra.signmodel import SignVector, parse_sign_vector
 
 from oracles import (
     TridiagSignMatrix,
@@ -27,6 +27,7 @@ from oracles import (
     dense_matrix,
     int_charpoly_oracle,
     match_multisets,
+    ones,
     reflected,
 )
 

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from signspectra.errors import ParseError
 from signspectra.signmodel import (
-    PeriodicOperatorSpec,
     SignVector,
     ensure_even_parity,
     gauge_normalize_finite,
     gauge_normalize_periodic,
-    ones,
     parse_sign_vector,
 )
 
@@ -24,6 +22,7 @@ from oracles import (
     dense_matrix,
     int_charpoly_oracle,
     match_multisets,
+    ones,
     reflected,
 )
 
@@ -152,21 +151,18 @@ def test_gauge_identity_and_involution(n, data):
 
 
 def test_periodic_gauge_examples():
-    spec = gauge_normalize_periodic(
-        PeriodicOperatorSpec(parse_sign_vector("+"), parse_sign_vector("+"))
-    )
-    assert spec.sub.to_text() == "+" and spec.period == 1
+    kt = gauge_normalize_periodic(parse_sign_vector("+"), parse_sign_vector("+"))
+    assert kt.to_text() == "+"
 
-    spec = gauge_normalize_periodic(
-        PeriodicOperatorSpec(parse_sign_vector("++"), parse_sign_vector("--"))
-    )
-    assert spec.sub.to_text() == "--" and spec.period == 2
+    kt = gauge_normalize_periodic(parse_sign_vector("++"), parse_sign_vector("--"))
+    assert kt.to_text() == "--"
 
-    spec = gauge_normalize_periodic(
-        PeriodicOperatorSpec(parse_sign_vector("+"), parse_sign_vector("-"))
-    )
-    assert spec.sub.to_text() == "--" and spec.period == 2
-    assert spec.super.to_text() == "++"
+    kt = gauge_normalize_periodic(parse_sign_vector("+"), parse_sign_vector("-"))
+    assert kt.to_text() == "--"
+
+    # unequal lengths are refused as given, before any doubling
+    with pytest.raises(ValueError, match="k length 1 != l length 2"):
+        gauge_normalize_periodic(parse_sign_vector("+"), parse_sign_vector("-+"))
 
 
 def _general_symbol_eigs(ksigns, lsigns, phis):
@@ -196,14 +192,14 @@ def test_periodic_gauge_preserves_sampled_spectrum():
     for m in range(1, 7):
         for k in all_sign_vectors(m):
             for l in all_sign_vectors(m):
-                spec = gauge_normalize_periodic(PeriodicOperatorSpec(k, l))
-                n_out = N if spec.period == m else N // 2
+                kt = gauge_normalize_periodic(k, l)
+                n_out = N if len(kt) == m else N // 2
                 got_in = _general_symbol_eigs(
                     k.signs, l.signs, 2 * np.pi * (np.arange(N) + 0.5) / N
                 )
                 got_out = _general_symbol_eigs(
-                    spec.sub.signs,
-                    spec.super.signs,
+                    kt.signs,
+                    ones(len(kt)).signs,
                     2 * np.pi * (np.arange(n_out) + 0.5) / n_out,
                 )
                 assert match_multisets(got_in, got_out, 1e-9), (

@@ -2,9 +2,11 @@
 
 Determinism contract: identical invocations produce byte-identical CSV,
 JSON, and SVG data files.  Clouds are sorted before emission, JSON keys are
-lexicographic, floats use repr round-tripping (17 significant digits in
-CSV).  Timing never goes into data files; it lives in the side-car manifest
-`<out>.manifest.json` together with sha256 digests of every emitted file.
+lexicographic.  CSV floats are printed with ``'%.17g'`` (17 significant
+digits, enough to read back the same double), SVG coordinates with
+``'%.6g'`` and JSON floats by ``repr``.  Timing never goes into data files;
+it lives in the side-car manifest `<out>.manifest.json` together with sha256
+digests of every emitted file.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 numerical failure, 4 I/O failure.
@@ -48,34 +50,94 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# points formatted per block of CSV text
+# rows assembled per block of bytes
 _CSV_BLOCK = 1 << 12
 
 
-def _rows(cloud: SpectrumCloud):
+def _lines_table(text: str) -> np.ndarray:
+    """One uint8 row per newline-terminated line of `text`, newline dropped,
+    padded with NUL bytes to the longest line."""
+    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    widths = np.diff(ends, prepend=-1) - 1
+    mask = np.arange(widths.max(initial=0)) < widths[:, None]
+    table = np.zeros(mask.shape, dtype=np.uint8)
+    table[mask] = np.delete(buf, ends)
+    return table
+
+
+def _constant(text: str):
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)[None, :], None
+
+
+# indexed by the sign bit: row 0 is padding alone, row 1 is "-"
+_SIGN = np.array([[0], [ord("-")]], dtype=np.uint8)
+
+
+def _number_fields(fmt: str, *columns: np.ndarray) -> list:
+    """Sign and magnitude fields of each column, for `_row_blocks`.
+
+    Each distinct magnitude over all columns is formatted once.  The sign
+    is a field of its own: '-' where the sign bit is set, except on nan,
+    which Python prints as 'nan' whatever its sign; so -0.0 prints '-0'.
+    """
+    mags, inverse = np.unique(np.abs(np.concatenate(columns)), return_inverse=True)
+    table = _lines_table((f"{fmt}\n" * mags.size) % tuple(mags.tolist()))
+    fields = []
+    for x, index in zip(columns, np.split(inverse, len(columns))):
+        neg = np.signbit(x) & ~np.isnan(x)
+        fields += [(_SIGN, neg.view(np.uint8)), (table, index)]
+    return fields
+
+
+def _row_blocks(fields: list, size: int):
+    """Yield the bytes of `size` rows, `_CSV_BLOCK` rows at a time.
+
+    A field is (table, index): row i takes table row index[i], or table
+    row 0 when index is None, and the fields are concatenated in order.
+    NUL bytes are padding and are dropped, so no text may hold one.
+    """
+    for a in range(0, size, _CSV_BLOCK):
+        n = min(_CSV_BLOCK, size - a)
+        rec = np.concatenate(
+            [
+                np.broadcast_to(table, (n, table.shape[1])) if index is None
+                else table[index[a : a + n]]
+                for table, index in fields
+            ],
+            axis=1,
+        )
+        yield rec[rec != 0].tobytes()
+
+
+def _csv_blocks(cloud: SpectrumCloud):
     v = cloud.values()
-    return zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+    tails = _lines_table("".join(f",{t}\n" for t in cloud.table()))
+    re_sign, re, im_sign, im = _number_fields("%.17g", v.real, v.imag)
+    fields = [re_sign, re, _constant(","), im_sign, im, (tails, cloud.codes()), _constant("\n")]
+    yield b"re,im,tag\n"
+    yield from _row_blocks(fields, v.size)
 
 
-def _format_each(x: np.ndarray, fmt: str) -> np.ndarray:
-    # each distinct bit pattern is formatted once; keying by bits rather
-    # than by value keeps -0.0 and 0.0 apart
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    text = np.array([fmt % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse]
+def _write_blocks(blocks, path: str) -> None:
+    with open(path, "wb") as fh:
+        for block in blocks:
+            fh.write(block)
 
 
 def cloud_csv_text(cloud: SpectrumCloud) -> str:
-    v, codes = cloud.values(), cloud.codes()
-    tails = np.array([f",{t}\n" for t in cloud.table()], dtype=object)
-    # blocks bound the per-field strings held at once; clouds arrive sorted
-    # by re, so a repeated real part still falls mostly within one block
-    parts = ["re,im,tag\n"]
-    for a in range(0, v.size, _CSV_BLOCK):
-        b = slice(a, a + _CSV_BLOCK)
-        fields = [_format_each(v.real[b], "%.17g"), _format_each(v.imag[b], ",%.17g"), tails[codes[b]]]
-        parts.append("".join(np.stack(fields, axis=1).ravel().tolist()))
-    return "".join(parts)
+    """The CSV of a cloud, in the cloud's order (the caller sorts).
+
+    A header line ``re,im,tag`` and then one ``re,im,tag`` line per point,
+    each float printed with ``'%.17g'`` and every line ending in a newline.
+    Tags hold no newline and no NUL.
+    """
+    return b"".join(_csv_blocks(cloud)).decode("utf-8")
+
+
+def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
+    """Write exactly ``cloud_csv_text(cloud)`` as UTF-8 to `path`, block by block."""
+    _write_blocks(_csv_blocks(cloud), path)
 
 
 def _write_text(text: str, path: str) -> None:
@@ -83,12 +145,10 @@ def _write_text(text: str, path: str) -> None:
         fh.write(text)
 
 
-def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
-    _write_text(cloud_csv_text(cloud), path)
-
-
 def _points_json(cloud: SpectrumCloud) -> list[dict]:
-    return [{"im": im, "re": re, "tag": t} for re, im, t in _rows(cloud)]
+    v = cloud.values()
+    rows = zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+    return [{"im": im, "re": re, "tag": t} for re, im, t in rows]
 
 
 def cloud_json_text(cloud: SpectrumCloud, params: dict) -> str:
@@ -104,25 +164,29 @@ def write_cloud_json(cloud: SpectrumCloud, params: dict, path: str) -> None:
     _write_text(cloud_json_text(cloud, params), path)
 
 
-def cloud_svg_text(cloud: SpectrumCloud) -> str:
+def _svg_blocks(cloud: SpectrumCloud):
+    v = cloud.values()
+    x_sign, x, y_sign, y = _number_fields("%.6g", v.real, -v.imag)
+    fields = [
+        _constant('<circle cx="'), x_sign, x, _constant('" cy="'), y_sign, y,
+        _constant('" r="0.005" fill="black" fill-opacity="0.6"/>\n'),
+    ]
     # fixed square viewport covering the attainable square |re|+|im| <= 2
-    head = (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="880" height="880" '
-        'viewBox="-2.2 -2.2 4.4 4.4">\n'
-        '<rect x="-2.2" y="-2.2" width="4.4" height="4.4" fill="white"/>\n'
+    yield (
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="880" height="880" '
+        b'viewBox="-2.2 -2.2 4.4 4.4">\n'
+        b'<rect x="-2.2" y="-2.2" width="4.4" height="4.4" fill="white"/>\n'
     )
-    parts = [head]
-    for re, im, _ in _rows(cloud):
-        parts.append(
-            f'<circle cx="{re:.6g}" cy="{-im:.6g}" r="0.005" '
-            'fill="black" fill-opacity="0.6"/>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield from _row_blocks(fields, v.size)
+    yield b"</svg>\n"
+
+
+def cloud_svg_text(cloud: SpectrumCloud) -> str:
+    return b"".join(_svg_blocks(cloud)).decode("utf-8")
 
 
 def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
-    _write_text(cloud_svg_text(cloud), path)
+    _write_blocks(_svg_blocks(cloud), path)
 
 
 def _sha256(path: str) -> str:

@@ -19,7 +19,10 @@ routine it checks, which is what the agreement tests rely on:
   circulant, seeded per target) checks the recurrence witnesses of
   ``verify_embedding``.
 
-``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits.
+``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits, and
+``csv_text_by_point`` and ``svg_circles_by_point`` format the CSV text and
+the SVG circles one point at a time with f-strings, which checks the
+bytewise table assembly of ``cloud_csv_text`` and ``cloud_svg_text``.
 ``roots`` solves one polynomial through ``roots_many``, ``reflected``
 reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
 conveniences for the tests.
@@ -402,7 +405,23 @@ def _witness_for(mat, lam, index, rng) -> Witness:
     )
 
 
-# ---------------------------------------------------------------- CSV reader
+# ---------------------------------------------------------- CSV and SVG text
+
+
+def csv_text_by_point(cloud: SpectrumCloud) -> str:
+    v = cloud.values()
+    return "re,im,tag\n" + "".join(
+        f"{re:.17g},{im:.17g},{tag}\n"
+        for re, im, tag in zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+    )
+
+
+def svg_circles_by_point(cloud: SpectrumCloud) -> str:
+    v = cloud.values()
+    return "".join(
+        f'<circle cx="{re:.6g}" cy="{-im:.6g}" r="0.005" fill="black" fill-opacity="0.6"/>\n'
+        for re, im in zip(v.real.tolist(), v.imag.tolist())
+    )
 
 
 def read_cloud_csv(path: str) -> SpectrumCloud:

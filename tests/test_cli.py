@@ -11,15 +11,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signspectra import cli_io
-from signspectra.cli_io import cloud_csv_text, main, write_cloud_csv
+from signspectra.cli_io import cloud_csv_text, cloud_svg_text, main, write_cloud_csv
 from signspectra.cloud import SpectrumCloud
 from signspectra.errors import ParseError
 from signspectra.finite import finite_eigenvalues
 from signspectra.signmodel import parse_sign_vector
 
-from oracles import read_cloud_csv
+from oracles import csv_text_by_point, read_cloud_csv, svg_circles_by_point
 
 
 def _lines(capsys):
@@ -61,20 +63,60 @@ def test_spectrum_csv_round_trip(tmp_path, capsys):
     assert cloud.tags() == want.tags()
 
 
-@pytest.mark.parametrize("block", [3, 4096])
+@pytest.mark.parametrize("block", [1, 3, 4096])
 def test_csv_text_matches_formatting_each_point(monkeypatch, block):
-    # every float is formatted once per distinct bit pattern within a block,
-    # so -0.0 and 0.0 must still print apart, as must nan, inf and subnormals
+    # each distinct magnitude is formatted once over both columns and the sign
+    # is printed apart, so -0.0 and 0.0 must still print apart, a nan with its
+    # sign bit set must print "nan", and 1/3 must print "-" only where negative
     monkeypatch.setattr(cli_io, "_CSV_BLOCK", block)
     values = [0.0, -0.0, complex(-0.0, -0.0), np.inf, complex(np.nan, 1.0), 5e-324,
-              -2.5, 1 / 3, complex(1 / 3, -1 / 3), 0.1 + 0.2]
-    cloud = SpectrumCloud(values, [1, 0, 2, 0, 1, 2, 0, 1, 2, 0], ["a", "b=1", "per:m=2"])
-    want = "re,im,tag\n" + "".join(
-        f"{z.real:.17g},{z.imag:.17g},{t}\n" for z, t in zip(cloud.values(), cloud.tags())
-    )
+              -2.5, 1 / 3, complex(1 / 3, -1 / 3), 0.1 + 0.2,
+              complex(np.copysign(np.nan, -1), -np.inf), complex(1e-31, -1e17)]
+    codes = [1, 0, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    cloud = SpectrumCloud(values, codes, ["a", "b=1", "per:m=2"])
+    assert np.signbit(cloud.values()[10].real)
+    want = csv_text_by_point(cloud)
     assert cloud_csv_text(cloud) == want
     assert "-0,-0,per:m=2\n" in want and "\n0,0,b=1\n" in want
+    assert "\nnan,-inf,b=1\n1.0000000000000001e-31,-1e+17,per:m=2\n" in want
+    assert "\n0.33333333333333331,-0.33333333333333331,per:m=2\n" in want
     assert cloud_csv_text(SpectrumCloud()) == "re,im,tag\n"
+
+
+@pytest.mark.parametrize("size", [3, 4, 5])
+def test_written_csv_is_the_csv_text(tmp_path, monkeypatch, size):
+    # blocks are written as they are made; the file must equal the text at
+    # one short block, whole blocks only, and one point past them
+    monkeypatch.setattr(cli_io, "_CSV_BLOCK", 4)
+    five = finite_eigenvalues(parse_sign_vector("+-+-+"))
+    cloud = SpectrumCloud(five.values()[:size], five.codes()[:size], five.table())
+    path = tmp_path / "c.csv"
+    write_cloud_csv(cloud, str(path))
+    assert path.read_bytes() == cloud_csv_text(cloud).encode()
+    write_cloud_csv(SpectrumCloud(), str(path))
+    assert path.read_bytes() == b"re,im,tag\n"
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_any_float, _any_float, st.integers(0, 2)), max_size=12),
+    st.lists(st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\0"),
+                     max_size=6),
+             min_size=3, max_size=3, unique=True),
+    st.sampled_from([1, 2, 5, 4096]),
+)
+def test_csv_and_svg_text_match_formatting_each_point(points, tags, block):
+    cloud = SpectrumCloud([complex(re, im) for re, im, _ in points],
+                          [code for _, _, code in points], sorted(tags))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_io, "_CSV_BLOCK", block)
+        assert cloud_csv_text(cloud) == csv_text_by_point(cloud)
+        svg = cloud_svg_text(cloud)
+    circles = svg.split("/>\n", 1)[1]
+    assert circles == svg_circles_by_point(cloud) + "</svg>\n"
 
 
 def test_outputs_are_reproducible(tmp_path):

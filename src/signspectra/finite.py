@@ -7,8 +7,12 @@ ones, the characteristic determinant D_{n+1}(x) = det(A - x I) obeys
 
 so coefficients are exact integers.  charpoly_finite runs it over a stack
 of patterns at once; it is the one continuant of the package, and the
-symbol polynomials are built from it too.  Enumeration solves every
-reversal class of one size in one batch.
+symbol polynomials are built from it too.  Enumeration solves one pattern
+per {reversal, negation} orbit of one size in one batch: reversal
+transposes the matrix, and negation rotates the spectrum, D_{-k}(x) =
+i^{-N} D_k(i x) with N = n + 1, so sigma(-k) = i sigma(k) (spectra are
+symmetric under z -> -z).  The negated patterns get the exact image
+(-z.imag, z.real) of each solved root z, which carries exactly z's error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import CapExceededError
+from .errors import CapExceededError, ConvergenceError
 from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector
 
@@ -63,20 +67,22 @@ def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 
 
-def _reversal_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bit masks of one pattern per reversal class, ascending, and class sizes.
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One bit mask per {k, rev k, -k, rev -k} orbit, its smallest, ascending
+    (bit j set when s_j = -1, so -k is the complement), and a repeat count.
 
-    Reversing the pattern transposes the matrix, so both members share one
-    exact characteristic polynomial and the multiset union is unchanged.
-    A mask is kept when its bit reversal is not smaller; palindromes are
-    their own class and count once.
+    The orbit has 4 members, or 2 when rev k = k or rev k = -k.  The root row
+    of k stands for half of them and its image i z for the other half, so
+    each is repeated by the count.  (When rev k = -k the spectrum is
+    invariant under i, but its computed roots are not bitwise.)
     """
     bits = np.arange(1 << n, dtype=np.int64)
     rev = np.zeros_like(bits)
     for i in range(n):
         rev |= ((bits >> i) & 1) << (n - 1 - i)
-    keep = rev >= bits
-    return bits[keep], np.where(rev[keep] == bits[keep], 1, 2)
+    neg = bits ^ ((1 << n) - 1)
+    keep = (bits <= rev) & (bits < neg) & (bits <= rev ^ ((1 << n) - 1))
+    return bits[keep], np.where((rev == bits) | (rev == neg), 1, 2)[keep]
 
 
 def enumerate_sigma(
@@ -86,12 +92,12 @@ def enumerate_sigma(
 ) -> SpectrumCloud:
     """Union of finite_eigenvalues over all 2^n patterns of length n.
 
-    One pattern per reversal class is solved and its roots repeated by the
-    class size; the root finder treats each row on its own, so this is
-    bitwise equal to solving every pattern.  The cloud is not sorted: it is
-    in class order (ascending representative mask, bit j set when
-    s_j = -1), each root row repeated by its class size.  The emitters sort
-    once, and that stable sort equals the sorted union bit for bit.
+    One pattern per orbit is solved, bitwise as it would be alone; since
+    D_{-k}(x) = i^{-N} D_k(i x), the negated patterns get the exact image
+    i z = (-z.imag, z.real) of its roots, with exactly their error.  The
+    cloud is not sorted: its first half is the root rows in orbit order
+    (ascending representative mask, bit j set when s_j = -1), each repeated
+    by its count, and its second half their images in that order.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -100,7 +106,16 @@ def enumerate_sigma(
             f"n = {n} above enumeration cap {cap}; raise it explicitly "
             "(cap argument / --cap flag) if you mean it"
         )
-    bits, mult = _reversal_classes(n)
+    bits, mult = _orbits(n)
     signs = 1 - 2 * ((bits[:, None] >> np.arange(n)) & 1)
-    solved = roots_many(charpoly_finite(signs), tol)
-    return SpectrumCloud.from_values(np.repeat(solved, mult, axis=0), f"fin:n={n}")
+    try:
+        solved = roots_many(charpoly_finite(signs), tol)
+    except ConvergenceError as exc:
+        word = SignVector(n, int(bits[exc.row])).to_text()
+        msg = f"enumerate n = {n}, pattern {word}: {exc}"
+        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
+    cloud = np.empty((2, 1 << (n - 1), n + 1), dtype=complex)
+    np.take(solved, np.repeat(np.arange(len(bits)), mult), axis=0, out=cloud[0])
+    cloud[1].real = -cloud[0].imag
+    cloud[1].imag = cloud[0].real
+    return SpectrumCloud.from_values(cloud, f"fin:n={n}")

@@ -247,7 +247,7 @@ def _cauchy_radius(absc: np.ndarray) -> np.ndarray:
     r = base.max(axis=1)
     for _ in range(_RADIUS_STEPS):
         t = (base / r[:, None]) ** e
-        r = r * (1.0 + (t.sum(axis=1) - 1.0) / (t @ e))
+        r = r * (1.0 + (t.sum(axis=1) - 1.0) / (t * e).sum(axis=1))
     return r
 
 

@@ -3,16 +3,17 @@ size-n enumeration."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from signspectra.cloud import SpectrumCloud
-from signspectra.errors import CapExceededError
+from signspectra import finite, polyroot
+from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
-    _reversal_classes,
+    _orbits,
     charpoly_finite,
     enumerate_sigma,
     finite_eigenvalues,
@@ -75,18 +76,79 @@ def test_batched_charpoly_matches_each_pattern():
             assert tuple(row) == _continuant(tuple(s.tolist()), n + 1).coeffs
 
 
-def test_reversal_classes_match_the_reflection_loop():
+def _negated(k: SignVector) -> SignVector:
+    return SignVector(k.n, k.bits ^ ((1 << k.n) - 1))
+
+
+def test_orbits_match_a_brute_force_set_loop():
+    # one representative (the smallest mask) per {k, rev k, -k, rev -k}; its
+    # root row and the row's image each stand for half of the orbit
     for n in range(1, 13):
-        masks, mult = [], []
+        masks, mult, kinds = [], [], set()
         for b in range(1 << n):
-            rev = reflected(SignVector(n, b)).bits
-            if rev >= b:
+            k = SignVector(n, b)
+            own = {b, reflected(k).bits}
+            image = {_negated(k).bits, reflected(_negated(k)).bits}
+            orbit = own | image
+            if b == min(orbit):
                 masks.append(b)
-                mult.append(1 if rev == b else 2)
-        got_masks, got_mult = _reversal_classes(n)
+                mult.append(len(orbit) // 2)
+                # generic (2 + 2), palindromic (1 + 1), rev k = -k (the orbit {k, -k})
+                kinds.add((len(own), len(image), own == image))
+        got_masks, got_mult = _orbits(n)
         assert got_masks.tolist() == masks
         assert got_mult.tolist() == mult
-        assert got_mult.sum() == 1 << n
+        assert 2 * got_mult.sum() == 1 << n
+        want_kinds = {(1, 1, False)}
+        if n >= 3:
+            want_kinds.add((2, 2, False))
+        if n % 2 == 0:
+            want_kinds.add((2, 2, True))
+        assert kinds == want_kinds
+
+
+def test_orbit_counts():
+    # Burnside over {1, rev, neg, rev neg}: (2^n + 2 * 2^(n/2)) / 4 at even n,
+    # since 2^(n/2) patterns are palindromes, 2^(n/2) have rev k = -k and
+    # none equals its negation
+    assert len(_orbits(14)[0]) == 4160
+    assert len(_orbits(16)[0]) == 16512
+
+
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def test_negation_rotates_the_charpoly_exactly():
+    # D_{-k}(x) = i^{-N} D_k(i x), N = n + 1, in exact Gaussian integers: the
+    # coefficient of x^j is c_j i^(j - N), which must be the real integer
+    # coefficient of the negated pattern (int64 up to 64 signs, Python ints
+    # past it)
+    rng = np.random.default_rng(16)
+    sizes = [n for n in range(1, 15) for _ in range(6)] + [64, 64, 65, 65]
+    for n in sizes:
+        k = SignVector(n, sum(int(b) << i for i, b in enumerate(rng.integers(0, 2, n))))
+        c = charpoly_finite(k).tolist()
+        rotated = [tuple(cj * w for w in _I_POWERS[(j - n - 1) % 4]) for j, cj in enumerate(c)]
+        assert all(im == 0 for _, im in rotated), k
+        assert charpoly_finite(_negated(k)).tolist() == [re for re, _ in rotated], k
+
+
+def _times_i(z: np.ndarray) -> np.ndarray:
+    w = np.empty_like(z)
+    w.real = -z.imag
+    w.imag = z.real
+    return w
+
+
+def _multiset(z: np.ndarray) -> np.ndarray:
+    return z[np.lexsort((z.imag, z.real))]
+
+
+def test_sigma_is_exactly_invariant_under_rotation_by_i():
+    # as a multiset of floats, compared by value (so -0 equals 0)
+    for n in range(1, 11):
+        v = enumerate_sigma(n).values()
+        assert (_multiset(_times_i(v)) == _multiset(v)).all(), n
 
 
 def test_charpoly_size_cap():
@@ -143,24 +205,45 @@ def test_enumerate_rejects_bad_n_and_cap():
 
 
 def test_enumerate_matches_solving_every_pattern():
-    # enumeration solves one pattern per reversal class; solving all 2^n
-    # patterns one by one must give the same cloud bit for bit once sorted
+    # each orbit representative is solved as it would be alone, each image
+    # is bitwise i times its row, and the cloud stays within 1e-12 max(1, |z|)
+    # in set distance of solving all 2^n patterns one by one
     for n in range(1, 9):
-        rows = [
-            charpoly_finite(k).astype(complex)
-            for k in all_sign_vectors(n)
-        ]
-        solved = np.concatenate(roots_many(rows))
-        naive = SpectrumCloud.from_values(solved, f"fin:n={n}").sorted()
-        got = enumerate_sigma(n).sorted()
-        assert got.values().tobytes() == naive.values().tobytes()
-        assert got.tags() == naive.tags()
+        bits, mult = _orbits(n)
+        alone = np.concatenate([
+            roots_many(charpoly_finite(SignVector(n, int(b)))[None]) for b in bits
+        ])
+        got = enumerate_sigma(n)
+        rows = got.values().reshape(2, 1 << (n - 1), n + 1)
+        assert rows[0].tobytes() == np.repeat(alone, mult, axis=0).tobytes()
+        assert rows[1].tobytes() == _times_i(rows[0]).tobytes()
+        every = np.concatenate([
+            roots_many(charpoly_finite(k)[None])[0] for k in all_sign_vectors(n)
+        ])
+        dist = np.abs(got.values()[:, None] - every[None, :])
+        assert (dist.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(got.values()))).all()
+        assert (dist.min(axis=0) <= 1e-12 * np.maximum(1.0, np.abs(every))).all()
+        assert set(got.tags()) == {f"fin:n={n}"}
 
 
-def test_enumerate_is_in_class_order():
-    # ascending representative masks, each root row repeated by its class
-    # size: n = 2 has classes ++ (1), -+ and +- (2), -- (1)
-    got = enumerate_sigma(2).values()
-    rows = [finite_eigenvalues(parse_sign_vector(t)).values() for t in ("++", "-+", "--")]
-    want = np.concatenate([rows[0], rows[1], rows[1], rows[2]])
+def test_enumerate_is_in_orbit_order():
+    # n = 3 has orbits +++ (palindrome, count 1), -++ (count 2) and +-+
+    # (palindrome, count 1): the rows in that order, then their images
+    got = enumerate_sigma(3).values()
+    rows = [finite_eigenvalues(parse_sign_vector(t)).values() for t in ("+++", "-++", "+-+")]
+    first = np.concatenate([rows[0], rows[1], rows[1], rows[2]])
+    want = np.concatenate([first, _times_i(first)])
     assert got.tobytes() == want.tobytes()
+
+
+def test_enumerate_error_names_stage_size_and_pattern(monkeypatch):
+    monkeypatch.setattr(finite, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
+    with pytest.raises(ConvergenceError) as exc:
+        enumerate_sigma(6)
+    msg = str(exc.value)
+    word = SignVector(6, int(_orbits(6)[0][exc.value.row])).to_text()
+    assert msg.startswith(f"enumerate n = 6, pattern {word}: degree-")
+    assert "within 1 iterations" in msg and exc.value.worst_residual > 0
+    # the named pattern fails on its own too
+    with pytest.raises(ConvergenceError):
+        polyroot.roots_many(charpoly_finite(parse_sign_vector(word))[None], max_iter=1)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signspectra.errors import CapExceededError, ConvergenceError
-from signspectra.finite import _reversal_classes, charpoly_finite
+from signspectra.finite import charpoly_finite
 from signspectra.polyroot import IntPolynomial, roots_many
 from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import symbol_poly
@@ -19,6 +19,7 @@ from oracles import (
     from_roots,
     int_charpoly_oracle,
     match_multisets,
+    reflected,
     roots,
 )
 
@@ -162,12 +163,6 @@ def test_mixed_batch_is_bitwise_equal_to_solving_each_row_alone():
     assert sorted(together[0][3:].tolist(), key=lambda z: z.imag) == [-1j] * 4 + [1j] * 4
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_cauchy_radius forms its Newton step with t @ e, a BLAS gemv whose "
-    "last bit depends on the batch, so a row's start circle and roots can "
-    "move by an ulp",
-)
 def test_split_row_in_a_batch_of_one_length():
     # length-12 rows: the split row -x^3 (x^2 + 1)^4 and its negation next to
     # rows with 0..3 exact zero roots, complex, integer and even (halved)
@@ -220,9 +215,11 @@ def test_nonconvergence_names_the_group_and_the_row():
 
 
 def _all_charpolys(max_n):
-    # reversed patterns share one charpoly, so the class representatives give them all
+    # reversed patterns share one charpoly, so one pattern per reversal
+    # class (the smaller mask) gives them all
     return [IntPolynomial(tuple(charpoly_finite(SignVector(n, b))))
-            for n in range(1, max_n + 1) for b in _reversal_classes(n)[0].tolist()]
+            for n in range(1, max_n + 1) for b in range(1 << n)
+            if reflected(SignVector(n, b)).bits >= b]
 
 
 def _positive(coeffs):

@@ -27,10 +27,10 @@ def test_trace_boundaries_resolve_and_count(monkeypatch):
         finite.enumerate_sigma(3)
         symbol.periodic_spectrum(parse_sign_vector("+"), 5)
     assert finite.roots_many is polyroot.roots_many
-    # 8 patterns of length 3 fall into 6 reversal classes: one batched
-    # charpoly call builds all six rows, and each row is solved once
+    # 8 patterns of length 3 fall into 3 {reversal, negation} orbits: one
+    # batched charpoly call builds the three rows, and each row is solved once
     assert tracer.counts["finite.charpoly_calls"] == 1
-    assert tracer.counts["polyroot.rows"] == 6 + 5
+    assert tracer.counts["polyroot.rows"] == 3 + 5
     assert tracer.counts["symbol.symbol_poly_calls"] == 1
 
 

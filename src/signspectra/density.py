@@ -1,8 +1,8 @@
 """Quantitative density checks: how close finite spectra come to periodic ones.
 
 The metric is the directed Hausdorff distance d(X -> Y) = max over x of the
-distance from x to Y.  Nothing here assumes any symmetry of the clouds, so
-the metric stays valid in mutation tests.
+distance from x to Y.  directed_hausdorff assumes no symmetry, so it stays
+valid in mutation tests; density_report relies on sigma_n = i sigma_n.
 """
 
 from __future__ import annotations
@@ -108,6 +108,14 @@ def _lower_pairs(xs, ys, best, owner, lo, cnt) -> None:
         run = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
         o = o[run]
         best[o] = np.minimum(best[o], np.minimum.reduceat(d, start[run]))
+
+
+def _fold_by_i(z: np.ndarray) -> np.ndarray:
+    """i^k z in {re > 0, im >= 0}, by exact swaps and negations of parts; 0 stays 0."""
+    flip = (z.imag < 0) | ((z.imag == 0) & (z.real < 0))  # z -> -z
+    x, y = np.where(flip, -z.real, z.real), np.where(flip, -z.imag, z.imag)
+    turn = (x <= 0) & (y > 0)  # z -> -i z
+    return np.stack([np.where(turn, y, x), np.where(turn, -x, y)], axis=-1).view(complex)[:, 0]
 
 
 def directed_hausdorff(
@@ -232,17 +240,22 @@ def density_report(
     n by construction: the minimum over a superset can only shrink.  A
     minimum over sigma up to n is the smaller of the one up to n - 1 and the
     one over sigma_n, so each query point carries its nearest distance and
-    every step scans only the new sigma_n.
+    every step scans only the new sigma_n.  That sigma_n must be exactly
+    invariant under z -> i z, as enumerate_sigma builds it; a quarter turn of
+    both points keeps |x - y| bitwise, so each i-orbit of the query cloud
+    (which needs no symmetry) is scanned once.
     """
     if max_n > ENUMERATION_CAP:
         raise CapExceededError(f"max_n capped at {ENUMERATION_CAP}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    # one query cloud, the union's points first and the disk grid after them
-    query = periodic_union(max_m, samples, tol)
-    pi_size = len(query)
-    query = query.merged(disk_grid(disk_step))
-    best = np.full(len(query), np.inf)
+    # the union's points, then the disk grid's, folded to one point per i-orbit
+    union = periodic_union(max_m, samples, tol).values()
+    pi_size = union.size
+    points = np.concatenate([union, disk_grid(disk_step).values()])
+    folded, inverse = np.unique(_fold_by_i(points), return_inverse=True)
+    query = SpectrumCloud.from_values(folded, "query")
+    best = np.full(folded.size, np.inf)
     # sigma_1 has no distance of its own; it joins the first scan
     fresh = enumerate_sigma(1, tol)
     size = 0
@@ -254,8 +267,8 @@ def density_report(
         size += len(fresh)
         sigma_sizes[n] = size
         directed_hausdorff(query, fresh, best)
-        pi_distances[n] = float(best[:pi_size].max())
-        disk_distances[n] = float(best[pi_size:].max())
+        pi_distances[n] = float(best[inverse[:pi_size]].max())
+        disk_distances[n] = float(best[inverse[pi_size:]].max())
         fresh = SpectrumCloud()
     return DensityReport(
         max_n=max_n,

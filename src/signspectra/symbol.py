@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .cloud import SpectrumCloud
+from .errors import ConvergenceError
 from .finite import charpoly_finite
 from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector, ensure_even_parity
@@ -139,7 +140,13 @@ def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumClou
     if (np.prod(k, axis=-1) != 1).any():
         raise ValueError("a stack of patterns needs even parity")
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]
-    solved = preimages(symbol_poly(k), targets, tol)
+    try:
+        solved = preimages(symbol_poly(k), targets, tol)
+    except ConvergenceError as exc:
+        r, s = divmod(exc.row, samples)
+        word = "".join("-" if x < 0 else "+" for x in np.atleast_2d(k)[r])
+        msg = f"periodic spectrum, period {k.shape[-1]}, pattern {word}, angle {s}: {exc}"
+        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
     phis = np.pi * np.arange(samples) / (samples - 1)
     tags = [f"per:m={k.shape[-1]}:phi={phi:.3f}" for phi in phis]
     return SpectrumCloud.from_values(solved, tags * (len(solved) // samples))

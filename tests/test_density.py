@@ -12,6 +12,7 @@ from signspectra.cli_io import cloud_csv_text
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import (
     DensityReport,
+    _fold_by_i,
     density_report,
     directed_hausdorff,
     disk_grid,
@@ -177,6 +178,44 @@ def test_density_report_matches_brute_force_over_merged_sigma():
         assert rep.sigma_sizes[n] == merged.size
         for x, got in ((pi, rep.pi_distances[n]), (disk, rep.disk_distances[n])):
             assert got == np.abs(x[:, None] - merged[None, :]).min(axis=1).max(), n
+
+
+def _same_bits(a, b):
+    return (a == b) & (np.signbit(a) == np.signbit(b))
+
+
+def test_fold_by_i_is_an_exact_quarter_turn_into_the_first_quadrant():
+    # every pair of parts from a set with both zeros, points on both axes and
+    # random values; parts are assigned, so signed zeros reach the fold
+    rng = np.random.default_rng(17)
+    parts = np.concatenate([[0.0, -0.0, 1.0, -1.0, 2.5, -2.5], rng.uniform(-2, 2, 30)])
+    z = np.empty(parts.size**2, dtype=complex)
+    z.real, z.imag = np.repeat(parts, parts.size), np.tile(parts, parts.size)
+    got = _fold_by_i(z)
+    zero = z == 0
+    assert np.array_equal(got == 0, zero)
+    assert ((got.real > 0) & (got.imag >= 0))[~zero].all()
+    # bit for bit one of z, i z, -z, -i z, each built from swapped and negated parts
+    x, y = z.real, z.imag
+    turns = [(x, y), (-y, x), (-x, -y), (y, -x)]
+    assert np.logical_or.reduce(
+        [_same_bits(got.real, a) & _same_bits(got.imag, b) for a, b in turns]
+    ).all()
+
+
+def test_density_report_equals_a_scan_of_the_unfolded_queries():
+    # c09's parameters: a carried scan of every query point, with no fold,
+    # must give the report's distances as the same floats
+    rep = density_report(8, 4, 257, 0.1)
+    union = periodic_union(4, 257)
+    query = union.merged(disk_grid(0.1))
+    best = np.full(len(query), np.inf)
+    fresh = enumerate_sigma(1)
+    for n in range(2, 9):
+        directed_hausdorff(query, fresh.merged(enumerate_sigma(n)), best)
+        fresh = SpectrumCloud()
+        assert rep.pi_distances[n] == best[: len(union)].max(), n
+        assert rep.disk_distances[n] == best[len(union) :].max(), n
 
 
 def test_density_report_input_checks():

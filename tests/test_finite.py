@@ -13,6 +13,7 @@ from signspectra import finite, polyroot
 from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
+    ENUMERATION_CAP,
     _orbits,
     charpoly_finite,
     enumerate_sigma,
@@ -144,11 +145,21 @@ def _multiset(z: np.ndarray) -> np.ndarray:
     return z[np.lexsort((z.imag, z.real))]
 
 
-def test_sigma_is_exactly_invariant_under_rotation_by_i():
-    # as a multiset of floats, compared by value (so -0 equals 0)
-    for n in range(1, 11):
+def _assert_invariant_under_rotation_by_i(sizes):
+    # as a multiset of floats, compared by value (so -0 equals 0); the
+    # density scan folds its queries by this symmetry up to ENUMERATION_CAP
+    for n in sizes:
         v = enumerate_sigma(n).values()
         assert (_multiset(_times_i(v)) == _multiset(v)).all(), n
+
+
+def test_sigma_is_exactly_invariant_under_rotation_by_i():
+    _assert_invariant_under_rotation_by_i(range(1, 13))
+
+
+@pytest.mark.slow
+def test_sigma_is_exactly_invariant_under_rotation_by_i_up_to_the_cap():
+    _assert_invariant_under_rotation_by_i(range(13, ENUMERATION_CAP + 1))
 
 
 def test_charpoly_size_cap():

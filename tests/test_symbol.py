@@ -4,12 +4,15 @@ periodic spectra."""
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from signspectra import polyroot, symbol
 from signspectra.cloud import SpectrumCloud
+from signspectra.errors import ConvergenceError
 from signspectra.polyroot import IntPolynomial
 from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import (
@@ -371,6 +374,39 @@ def test_periodic_spectrum_of_a_stack_is_the_merge_of_its_patterns():
     # the segment form needs even parity; an odd row is refused, not doubled
     with pytest.raises(ValueError):
         periodic_spectrum(np.array([[1, 1], [1, -1]]), 5)
+
+
+def test_periodic_error_names_period_pattern_and_angle(monkeypatch):
+    monkeypatch.setattr(symbol, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
+    stack = np.array([[1, 1, 1, 1, 1, 1], [1, -1, 1, 1, -1, 1], [-1, -1, 1, -1, -1, 1]])
+    targets = [two_cos_pi(s, 8) for s in range(9)]
+    with pytest.raises(ConvergenceError) as raw:
+        preimages(symbol_poly(stack), targets)
+    with pytest.raises(ConvergenceError) as exc:
+        periodic_spectrum(stack, 9)
+    # the input row and the residual pass through; the message names the rest
+    assert exc.value.row == raw.value.row and exc.value.worst_residual == raw.value.worst_residual
+    r, s = divmod(exc.value.row, 9)
+    word = "".join("-" if x < 0 else "+" for x in stack[r])
+    assert str(exc.value) == f"periodic spectrum, period 6, pattern {word}, angle {s}: {raw.value}"
+    # the named pattern fails on its own at the named angle too
+    with pytest.raises(ConvergenceError):
+        preimages(symbol_poly(parse_sign_vector(word)), [targets[s]])
+
+
+@pytest.mark.xfail(strict=True, reason="Horner on monomial coefficients loses accuracy with the period")
+def test_periodic_spectrum_matches_eigvals_at_interior_angles():
+    # every point within 1e-12 max(1, |lambda|) of the eigenvalues of the
+    # symbol matrix, both ways, at periods 24, 40, 68 and 90; today the
+    # error grows from about 6e-13 at period 24 to 7e-2 at period 90
+    for text in ("+-++" * 6, "+-++" * 10, "+-" * 34, "+--" * 30):
+        k = parse_sign_vector(text)
+        got = periodic_spectrum(k, 257).values().reshape(257, len(k))
+        for s in (32, 80, 128, 176, 224):
+            want = np.linalg.eigvals(symbol_array(k, np.pi * s / 256))
+            d = np.abs(got[s][:, None] - want[None, :])
+            assert (d.min(axis=1) <= 1e-12 * np.maximum(1, np.abs(got[s]))).all(), (text, s)
+            assert (d.min(axis=0) <= 1e-12 * np.maximum(1, np.abs(want))).all(), (text, s)
 
 
 def test_cloud_plumbing():

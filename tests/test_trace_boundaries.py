@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from signspectra import density, finite, polyroot, symbol
 from signspectra.signmodel import parse_sign_vector
 
@@ -47,6 +49,11 @@ def test_trace_boundaries_see_the_union_and_the_density_scan(monkeypatch):
     with tracer.installed():
         density.density_report(5, 2, 9, 0.5)
     # one Hausdorff scan per size 2..5, the union and the disk in one query
+    # of one point per orbit under z -> i z, found here from (re, im) pairs
     assert tracer.counts["density.hausdorff_calls"] == 5 - 1
+    q = np.concatenate([density.periodic_union(2, 9).values(), density.disk_grid(0.5).values()])
+    orbits = {min((x, y), (-y, x), (-x, -y), (y, -x)) for x, y in zip(q.real, q.imag)}
+    assert len(orbits) < q.size
+    assert tracer.counts["density.hausdorff_query_points"] == 4 * len(orbits)
     assert tracer.counts["polyroot.calls"] == 3 + 5
     assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 3

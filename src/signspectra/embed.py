@@ -1,4 +1,4 @@
-"""Block-circulant assembly and the constructive spectral embedding.
+"""The constructive spectral embedding of periodic spectra into finite ones.
 
 Arranging the symbol matrices a(xi_j) at the n-th roots of unity
 xi_j = 2 pi j / n into a block-diagonal matrix and undoing the discrete
@@ -18,9 +18,11 @@ That combination is built directly: with x_0 = 0 and x_1 = 1, the rows of
 M x = lam x are the three-term recurrence x_{t+1} = lam x_t - s_{t-1} x_{t-1}
 over the signs s of the repeated pattern, and the truncation's nonzero
 off-diagonals make the solution unique up to scale.  Each target costs O(nm)
-and all targets of a call run as one batch.  A target is verified when the
-unit vector the recurrence builds leaves a residual ||L y - lam y|| <= tol
-on the truncation L.
+and all targets of a call run as one batch, which keeps no rows unless
+witnesses are asked for.  A target is verified when the unit vector the
+recurrence builds leaves a residual ||L y - lam y|| <= tol on the
+truncation L.  M is never assembled: a witness is checked by its banded
+action, two nonzeros per row.
 """
 
 from __future__ import annotations
@@ -30,38 +32,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import CapExceededError
+from .errors import CapExceededError, ConvergenceError
 from .polyroot import IntPolynomial
 from .polyroot import roots_many  # unused here; perfbench/tracing.py wraps it
 from .signmodel import SignVector, ensure_even_parity
-from .symbol import preimages, symbol_array, symbol_poly, two_cos_pi
+from .symbol import preimages, symbol_poly, two_cos_pi
 
 __all__ = [
     "Witness",
     "ExcludedTarget",
     "EmbeddingResult",
-    "build_block_circulant",
     "block_circulant_charpoly",
     "truncate",
     "verify_embedding",
 ]
 
-# largest effective nm that verify_embedding takes: the recurrence keeps nm
-# complex values for each of about nm targets, 256 MiB per copy at this size
+# largest effective nm that verify_embedding takes; only witnesses hold an
+# nm x targets complex array, 268 MB at this size
 EMBED_SIZE_CAP = 4096
-
-
-def build_block_circulant(k: SignVector, n: int) -> np.ndarray:
-    """The nm x nm circulant-coupled tridiagonal matrix for pattern k.
-
-    Identical to the symbol of the n-fold repeated pattern at angle 0, so
-    the nm = 2 degeneracy (corners meeting off-diagonals) is resolved by the
-    same entry-summation rule.  Parity of k is NOT adjusted here; callers
-    that need the even-parity form double the pattern first.
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return symbol_array(k.repeated(n), 0.0).real.copy()
 
 
 def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
@@ -126,33 +114,43 @@ class EmbeddingResult:
 # component of a rescaled solution far from overflow
 _RESCALE_BITS = 256
 
+# target columns per block of the witness check; a block of two or more
+# columns gets the norms that one reduction over all of them gives
+_WITNESS_BLOCK = 64
 
-def _recurrence(signs, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit solutions of x_{t+1} = lam x_t - s_{t-1} x_{t-1}, x_0 = 0, x_1 = 1.
 
-    One column per lam: rows x_0..x_{N-1}, N = len(signs), scaled to unit
-    norm, and the residual |x_N| / ||(x_1..x_{N-1})||, which is
+def _recurrence(signs, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Residuals of x_{t+1} = lam x_t - s_{t-1} x_{t-1}, x_0 = 0, x_1 = 1.
+
+    One value per lam: |x_N| / ||(x_1..x_{N-1})||, N = len(signs), which is
     ||L y - lam y|| for the unit vector y = x_1..x_{N-1} of the truncation L
     (subdiagonal s_1..s_{N-2}): every row of L y - lam y but the last is the
-    recurrence itself.  A column that outgrows 2^256 is scaled down together
-    with its predecessor, and its later rows record the extra exponent.
+    recurrence itself.  The squared norm is summed as the rows are made, in
+    the row order of np.linalg.norm(axis=0).  A column whose squared modulus
+    outgrows 2^512 is scaled by 2^-256 with its predecessor and its sum.
+    With ``out``, a zeroed (N, len(lams)) array, rows x_1..x_{N-1} are
+    written into it, rescaled with their column, and divided by the norm.
     """
     prev = np.zeros(lams.size, dtype=complex)
     cur = np.ones(lams.size, dtype=complex)
-    shift = np.zeros(lams.size)
-    rows, shifts = [prev, cur], [shift, shift]
-    for s in signs[:-1]:
+    total, term = np.zeros(lams.size), np.ones(lams.size)
+    for t, s in enumerate(signs[:-1], start=2):
+        total += term
+        if out is not None:
+            out[t - 1] = cur
         prev, cur = cur, lams * cur - s * prev
-        big = np.abs(cur) > 2.0**_RESCALE_BITS
+        term = (cur.conj() * cur).real
+        big = term > 2.0 ** (2 * _RESCALE_BITS)
         if big.any():
             scale = np.where(big, 2.0**-_RESCALE_BITS, 1.0)
-            prev, cur, shift = prev * scale, cur * scale, shift + big
-        rows.append(cur)
-        shifts.append(shift)
-    # rows x_0..x_{N-1} brought to the scale of x_N
-    x = np.array(rows[:-1]) * 2.0 ** (_RESCALE_BITS * (np.array(shifts[:-1]) - shift))
-    norm = np.linalg.norm(x, axis=0)
-    return x / norm, np.abs(cur) / norm
+            prev, cur, term, total = prev * scale, cur * scale, term * scale**2, total * scale**2
+            if out is not None:
+                out[:t, big] *= 2.0**-_RESCALE_BITS
+    norm = np.sqrt(total)
+    if out is not None:
+        out /= norm
+        out.flags.writeable = False
+    return np.abs(cur) / norm
 
 
 def verify_embedding(
@@ -178,7 +176,9 @@ def verify_embedding(
     With want_witness, target i also gets the unit vector x = (0, y) of the
     nm x nm block circulant M, the combination of the Bloch waves at +-xi_j
     that vanishes at site 0, with its first component |x_0| = 0 and its
-    residual ||M x - lam x|| against the assembled M.
+    residual ||M x - lam x|| by M's banded action.  The vectors are
+    read-only views of one array.  A ConvergenceError of the solve names
+    the pattern, n and the angle.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -190,7 +190,11 @@ def verify_embedding(
     allowed = [j for j in range(1, n) if 2 * j != n]
     js = allowed + ([n // 2] if n % 2 == 0 else []) + [n]
     l = truncate(keff, n)
-    solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+    try:
+        solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+    except ConvergenceError as exc:
+        where = f"period {m}, pattern {keff.to_text()}, n = {n}, angle j = {js[exc.row]}"
+        raise ConvergenceError(f"embed, {where}: {exc}", exc.worst_residual, exc.row) from None
     if allowed:
         tags = [f"target:j={j}" for j in allowed]
         targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
@@ -199,7 +203,9 @@ def verify_embedding(
     values = targets.values()
     # the targets are the first rows of solved, in cloud order
     count = len(values)
-    x, unit_residuals = _recurrence(keff.repeated(n).signs, np.ravel(solved))
+    signs = keff.repeated(n).signs
+    x = np.zeros((n * m, solved.size), dtype=complex) if want_witness and count else None
+    unit_residuals = _recurrence(signs, np.ravel(solved), x)
     residuals = tuple(unit_residuals[:count].tolist())
     worst = max(residuals, default=0.0)
     verified = all(r <= tol for r in residuals)
@@ -216,14 +222,21 @@ def verify_embedding(
     )
 
     witnesses = None
-    if want_witness and count:
-        x = x[:, :count]
-        defect = np.linalg.norm(build_block_circulant(keff, n) @ x - x * values, axis=0)
+    if x is not None:
+        # (M x)_t = x_{t+1} + s_{t-1} x_{t-1} cyclically: with one +1 and one
+        # sign per row of M this is the dense product bit for bit
+        sub = np.roll(np.asarray(signs, dtype=float), 1)[:, None]
+        pieces = max(1, count // _WITNESS_BLOCK)
+        blocks = zip(np.array_split(x[:, :count], pieces, 1), np.array_split(values, pieces))
+        defect = np.concatenate([
+            np.linalg.norm(np.roll(xb, -1, 0) + sub * np.roll(xb, 1, 0) - xb * vb, axis=0)
+            for xb, vb in blocks
+        ])
         witnesses = tuple(
             Witness(
                 target_index=i,
                 value=complex(values[i]),
-                vector=x[:, i].copy(),
+                vector=x[:, i],
                 first_component=float(abs(x[0, i])),
                 residual=float(defect[i]),
             )

@@ -427,9 +427,15 @@ def roots_many(
         # to one width; the padding adds exact zero roots, which the peel
         # removes, and each factor's own roots are its last deg f
         factors = [f.coeffs for parts in splits.values() for f, _ in parts]
+        owners = [i for i, parts in splits.items() for _ in parts]
         width = max(map(len, factors))
         padded = np.array([(0,) * (width - len(f)) + f for f in factors], dtype=complex)
-        solved = iter(roots_many(padded, tol, max_iter))
+        try:
+            solved = iter(roots_many(padded, tol, max_iter))
+        except ConvergenceError as exc:
+            i = owners[exc.row]
+            msg = f"squarefree factor of input row {i}: {exc}"
+            raise ConvergenceError(msg, exc.worst_residual, i) from None
         for i, parts in splits.items():
             core = np.concatenate([np.repeat(next(solved)[-f.degree :], m) for f, m in parts])
             _place(out, [i], halved[i], core[None])

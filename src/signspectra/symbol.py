@@ -34,7 +34,6 @@ from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector, ensure_even_parity
 
 __all__ = [
-    "symbol_array",
     "symbol_poly",
     "preimages",
     "periodic_spectrum",
@@ -68,27 +67,6 @@ def two_cos_pi(numer: int, denom: int) -> float:
     if 3 * s == denom:
         return sign * 1.0
     return sign * 2.0 * math.cos(math.pi * s / denom)
-
-
-def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
-    """Dense m x m array of the symbol at angle phi, or a stack of them.
-
-    The result has shape phi.shape + (m, m).  All contributions are
-    accumulated with +=, which resolves the m = 1 and m = 2 degeneracies
-    (corner positions coincide with the diagonal or the off-diagonals) by
-    entry summation.
-    """
-    m = len(k)
-    signs = k.signs
-    phi = np.asarray(phi, dtype=float)
-    a = np.zeros(phi.shape + (m, m), dtype=complex)
-    idx = np.arange(m - 1)
-    if m >= 2:
-        a[..., idx, idx + 1] += 1.0
-        a[..., idx + 1, idx] += signs[:-1]
-    a[..., 0, m - 1] += signs[-1] * np.exp(1j * phi)
-    a[..., m - 1, 0] += np.exp(-1j * phi)
-    return a
 
 
 def symbol_poly(signs) -> np.ndarray:

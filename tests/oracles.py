@@ -17,7 +17,11 @@ routine it checks, which is what the agreement tests rely on:
   ``circulant_factorization_check``;
 - ``_witness_for`` (dense inverse iteration on the assembled block
   circulant, seeded per target) checks the recurrence witnesses of
-  ``verify_embedding``.
+  ``verify_embedding``;
+- ``recurrence_by_rows`` (the recurrence that keeps every row and takes
+  the norm of the stacked rows) checks the streamed residuals and
+  witness vectors of ``verify_embedding``, and ``build_block_circulant``
+  checks its banded witness defect by a dense product.
 
 ``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits, and
 ``csv_text_by_point`` and ``svg_circles_by_point`` format the CSV text and
@@ -27,8 +31,10 @@ bytewise table assembly of ``cloud_csv_text`` and ``cloud_svg_text``.
 reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
 conveniences for the tests.
 
-They may use the package's matrix assembly (``symbol_array``,
-``build_block_circulant``), its containers and its errors.
+The dense matrices live here too: ``symbol_array`` assembles the symbol
+a(phi) and ``build_block_circulant`` the nm x nm block circulant M, which
+the package itself never forms.  The oracles may use the package's
+containers and its errors.
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from signspectra.cloud import SpectrumCloud
-from signspectra.embed import Witness, build_block_circulant
+from signspectra.embed import Witness
 from signspectra.errors import CapExceededError, ParseError
 from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
 from signspectra.signmodel import SignVector, ensure_even_parity
-from signspectra.symbol import periodic_spectrum, symbol_array, symbol_poly
+from signspectra.symbol import periodic_spectrum, symbol_poly
 
 FACTORIZATION_SIZE_CAP = 64
 
@@ -231,6 +237,27 @@ def all_sign_vectors(n: int) -> Iterator[SignVector]:
 # --------------------------------------------------------------------- symbol
 
 
+def symbol_array(k: SignVector, phi: float | np.ndarray) -> np.ndarray:
+    """Dense m x m array of the symbol at angle phi, or a stack of them.
+
+    The result has shape phi.shape + (m, m).  All contributions are
+    accumulated with +=, which resolves the m = 1 and m = 2 degeneracies
+    (corner positions coincide with the diagonal or the off-diagonals) by
+    entry summation.
+    """
+    m = len(k)
+    signs = k.signs
+    phi = np.asarray(phi, dtype=float)
+    a = np.zeros(phi.shape + (m, m), dtype=complex)
+    idx = np.arange(m - 1)
+    if m >= 2:
+        a[..., idx, idx + 1] += 1.0
+        a[..., idx + 1, idx] += signs[:-1]
+    a[..., 0, m - 1] += signs[-1] * np.exp(1j * phi)
+    a[..., m - 1, 0] += np.exp(-1j * phi)
+    return a
+
+
 def symbol_char_value(k: SignVector, phi: float, lam: complex) -> complex:
     """det(a(phi) - lambda I) by LU with partial pivoting.
 
@@ -271,6 +298,19 @@ def symbol_char_values(k, phis, lams) -> np.ndarray:
 
 
 # ------------------------------------------------------------ block circulant
+
+
+def build_block_circulant(k: SignVector, n: int) -> np.ndarray:
+    """The nm x nm circulant-coupled tridiagonal matrix for pattern k.
+
+    Identical to the symbol of the n-fold repeated pattern at angle 0, so
+    the nm = 2 degeneracy (corners meeting off-diagonals) is resolved by the
+    same entry-summation rule.  Parity of k is NOT adjusted here; callers
+    that need the even-parity form double the pattern first.
+    """
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    return symbol_array(k.repeated(n), 0.0).real.copy()
 
 
 def _read_corner_det(matrix: np.ndarray, lam: np.ndarray):
@@ -358,6 +398,39 @@ def circulant_factorization_check(
 
 
 # ------------------------------------------------------------------ witnesses
+
+
+# rescaling by a power of two is exact; 2^256 keeps every squared
+# component of a rescaled solution far from overflow
+_RESCALE_BITS = 256
+
+
+def recurrence_by_rows(signs, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit solutions of x_{t+1} = lam x_t - s_{t-1} x_{t-1}, x_0 = 0, x_1 = 1.
+
+    One column per lam: rows x_0..x_{N-1}, N = len(signs), scaled to unit
+    norm, and the residual |x_N| / ||(x_1..x_{N-1})||, which is
+    ||L y - lam y|| for the unit vector y = x_1..x_{N-1} of the truncation L
+    (subdiagonal s_1..s_{N-2}): every row of L y - lam y but the last is the
+    recurrence itself.  A column that outgrows 2^256 is scaled down together
+    with its predecessor, and its later rows record the extra exponent.
+    """
+    prev = np.zeros(lams.size, dtype=complex)
+    cur = np.ones(lams.size, dtype=complex)
+    shift = np.zeros(lams.size)
+    rows, shifts = [prev, cur], [shift, shift]
+    for s in signs[:-1]:
+        prev, cur = cur, lams * cur - s * prev
+        big = np.abs(cur) > 2.0**_RESCALE_BITS
+        if big.any():
+            scale = np.where(big, 2.0**-_RESCALE_BITS, 1.0)
+            prev, cur, shift = prev * scale, cur * scale, shift + big
+        rows.append(cur)
+        shifts.append(shift)
+    # rows x_0..x_{N-1} brought to the scale of x_N
+    x = np.array(rows[:-1]) * 2.0 ** (_RESCALE_BITS * (np.array(shifts[:-1]) - shift))
+    norm = np.linalg.norm(x, axis=0)
+    return x / norm, np.abs(cur) / norm
 
 
 def _inverse_iterate(mat: np.ndarray, shift: complex, rng, steps: int = 4):

@@ -31,7 +31,6 @@ PIPELINE = {
     # symbols and periodic spectra
     "periodic_spectrum",
     "preimages",
-    "symbol_array",
     "symbol_poly",
     "two_cos_pi",
     # embedding
@@ -39,7 +38,6 @@ PIPELINE = {
     "ExcludedTarget",
     "Witness",
     "block_circulant_charpoly",
-    "build_block_circulant",
     "truncate",
     "verify_embedding",
     # clouds and density

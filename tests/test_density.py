@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from signspectra import density
 from signspectra.cli_io import cloud_csv_text
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import (
@@ -216,6 +217,36 @@ def test_density_report_equals_a_scan_of_the_unfolded_queries():
         fresh = SpectrumCloud()
         assert rep.pi_distances[n] == best[: len(union)].max(), n
         assert rep.disk_distances[n] == best[len(union) :].max(), n
+
+
+def _parts(cloud):
+    return list(zip(cloud.values().real.tolist(), cloud.values().imag.tolist()))
+
+
+def test_each_folded_query_carries_the_distance_of_its_whole_orbit(monkeypatch):
+    # the maxima can survive a wrong fold, so compare point by point: after
+    # each size, the distance the report carries for a folded query point
+    # must be, bit for bit, the unfolded scan's distance of every point of
+    # its orbit under z -> i z, found here from (re, im) quarter turns
+    scan, carried = density.directed_hausdorff, []
+
+    def record(x_cloud, y_cloud, best=None):
+        result = scan(x_cloud, y_cloud, best)
+        carried.append(dict(zip(_parts(x_cloud), best.tolist())))
+        return result
+
+    monkeypatch.setattr(density, "directed_hausdorff", record)
+    density_report(8, 4, 257, 0.1)
+    monkeypatch.undo()
+    points = periodic_union(4, 257).merged(disk_grid(0.1))
+    best = np.full(len(points), np.inf)
+    fresh = enumerate_sigma(1)
+    for n, folded in zip(range(2, 9), carried, strict=True):
+        directed_hausdorff(points, fresh.merged(enumerate_sigma(n)), best)
+        fresh = SpectrumCloud()
+        for (x, y), want in zip(_parts(points), best.tolist()):
+            got = [folded[q] for q in ((x, y), (-y, x), (-x, -y), (y, -x)) if q in folded]
+            assert got and all(d == want for d in got), (n, x, y)
 
 
 def test_density_report_input_checks():

@@ -3,22 +3,22 @@ of guaranteed periodic eigenvalues into truncated finite matrices."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import signspectra.embed as embed_module
+from signspectra import cli_io, polyroot, symbol
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import directed_hausdorff
-from signspectra.embed import (
-    block_circulant_charpoly,
-    build_block_circulant,
-    truncate,
-    verify_embedding,
-)
-from signspectra.errors import CapExceededError
+from signspectra.embed import block_circulant_charpoly, truncate, verify_embedding
+from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.signmodel import ensure_even_parity, parse_sign_vector
 from signspectra.symbol import periodic_spectrum, preimages, symbol_poly, two_cos_pi
 
@@ -27,11 +27,13 @@ from oracles import (
     TridiagSignMatrix,
     _witness_for,
     all_sign_vectors,
+    build_block_circulant,
     circulant_factorization_check,
     dense_matrix,
     int_charpoly_oracle,
     match_multisets,
     ones,
+    recurrence_by_rows,
 )
 
 # every pattern of period <= 5 at n = 3..10: 496 (pattern, n) pairs
@@ -272,3 +274,83 @@ def test_shifted_targets_are_not_verified(monkeypatch, shift):
         res = verify_embedding(parse_sign_vector(text), n)
         assert not res.verified, (text, n)
         assert min(res.residuals) > 1e-8, (text, n)
+
+
+@pytest.mark.parametrize("size", [1000, 4096])
+def test_streamed_recurrence_equals_the_stored_rows(size):
+    # off-spectrum values grow fast, so their columns are rescaled many
+    # times; residuals must agree bitwise, vectors up to subnormal entries,
+    # which repeated rescaling rounds twice
+    rng = np.random.default_rng(20261019 + size)
+    signs = tuple(int(s) for s in rng.choice([-1, 1], size))
+    seeded = rng.uniform(-2.5, 2.5, 40) + 1j * rng.uniform(-2.5, 2.5, 40)
+    lams = np.r_[3, 2.5 + 0.5j, 0.1j, 2, -2, seeded]
+    want_x, want = recurrence_by_rows(signs, lams)
+    x = np.zeros((size, lams.size), dtype=complex)
+    got = embed_module._recurrence(signs, lams, x)
+    assert got.tobytes() == want.tobytes()
+    assert embed_module._recurrence(signs, lams).tobytes() == want.tobytes()
+    # |y_1| = 1 / ||x|| below 2^-600 needs a column rescaled at least twice
+    assert (np.abs(want_x[1]) < 2.0**-600).sum() >= 5
+    differ = x != want_x
+    tiny = 2.0**-1022
+    assert (np.abs(x[differ]) < tiny).all() and (np.abs(want_x[differ]) < tiny).all()
+    assert not x.flags.writeable
+
+
+def test_banded_witness_defect_equals_the_dense_product():
+    # M has one +1 and one sign per row, so M's banded action is the dense
+    # product bit for bit; nm = 3 and 4 are the smallest circulants, and
+    # the larger sizes check the defect in several blocks of columns
+    extra = [(parse_sign_vector(t), n) for t, n in (("+", 200), ("+-+", 100), ("+--+-", 30))]
+    for k, n in SWEEP_SPACE + extra:
+        res = verify_embedding(k, n, want_witness=True)
+        x = np.stack([w.vector for w in res.witnesses], axis=1)
+        values = res.targets.values()
+        mat = build_block_circulant(ensure_even_parity(k), n)
+        want = np.linalg.norm(mat @ x - x * values, axis=0)
+        got = np.array([w.residual for w in res.witnesses])
+        assert got.tobytes() == want.tobytes(), (k.to_text(), n)
+    assert (parse_sign_vector("+"), 3) in SWEEP_SPACE and (parse_sign_vector("+"), 4) in SWEEP_SPACE
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_at_the_cap_keeps_no_rows():
+    # effective nm = 4,096; storing the rows of every target took 769 MiB
+    peak = _traced_peak(lambda: verify_embedding(parse_sign_vector("+-"), 1024))
+    assert peak < 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.slow
+def test_witnesses_at_the_cap_hold_one_array():
+    # the witness array alone is 4,096 x 4,096 complex values, 256 MiB; the
+    # dense circulant and copies of the rows took 896 MiB
+    peak = _traced_peak(lambda: verify_embedding(parse_sign_vector("+-"), 1024, want_witness=True))
+    assert peak < 400 * 2**20, peak / 2**20
+
+
+def test_embed_error_names_period_pattern_n_and_angle(monkeypatch):
+    monkeypatch.setattr(symbol, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
+    k, n = parse_sign_vector("+-+"), 5
+    keff = ensure_even_parity(k)
+    js = [1, 2, 3, 4, 5]
+    with pytest.raises(ConvergenceError) as raw:
+        preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+    with pytest.raises(ConvergenceError) as exc:
+        verify_embedding(k, n)
+    # the row and the residual pass through; the message names the rest
+    assert exc.value.row == raw.value.row and exc.value.worst_residual == raw.value.worst_residual
+    j = js[exc.value.row]
+    assert str(exc.value) == f"embed, period 6, pattern +-++-+, n = 5, angle j = {j}: {raw.value}"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        assert cli_io.main(["embed", "--k=+-+", "--n", "5"]) == 3
+    assert err.getvalue() == f"numerical failure: {exc.value}\n"

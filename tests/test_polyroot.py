@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from signspectra import polyroot
 from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import charpoly_finite
 from signspectra.polyroot import IntPolynomial, roots_many
@@ -373,6 +374,28 @@ def test_nonconvergence_of_a_halved_group_names_the_input_degree():
     assert exc.value.row == 0
     assert ("degree-2 group (solved in x^2, input degree 5) of 2 rows, input row 0:"
             in str(exc.value))
+
+
+def test_nonconvergence_of_a_squarefree_factor_names_the_split_row(monkeypatch):
+    # input row 3, (x - 1)^2 (x + 2)(x - 3), is split and its factors are
+    # solved in a second Aberth call; a failure there names input row 3,
+    # not the factor's row in the stack of factors
+    rows = np.array([from_roots(r).as_array() for r in
+                     ([1, 2, 3, 4], [-1, 2, -3, 5], [1, 3, -4, 6], [1, 1, -2, 3])])
+    assert match_multisets(roots_many(rows)[3], [-2, 1, 1, 3], 1e-12)
+    solve, calls = polyroot._aberth_batch, []
+
+    def second_call_fails(coeffs, tol, max_iter):
+        calls.append(len(coeffs))
+        return solve(coeffs, tol, 0 if len(calls) == 2 else max_iter)
+
+    monkeypatch.setattr(polyroot, "_aberth_batch", second_call_fails)
+    with pytest.raises(ConvergenceError) as exc:
+        roots_many(rows)
+    assert calls == [4, 1]
+    assert exc.value.row == 3 and exc.value.worst_residual == np.inf
+    assert str(exc.value).startswith(
+        "squarefree factor of input row 3: degree-2 group of 1 rows, input row 0:")
 
 
 def test_from_roots_small():

@@ -18,7 +18,6 @@ from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import (
     periodic_spectrum,
     preimages,
-    symbol_array,
     symbol_poly,
     two_cos_pi,
 )
@@ -27,6 +26,7 @@ from oracles import (
     all_sign_vectors,
     evaluate,
     match_multisets,
+    symbol_array,
     symbol_char_value,
     symbol_char_values,
 )

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from signspectra import density, finite, polyroot, symbol
+from signspectra import cli_io, density, embed, finite, polyroot, symbol
 from signspectra.signmodel import parse_sign_vector
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -57,3 +57,19 @@ def test_trace_boundaries_see_the_union_and_the_density_scan(monkeypatch):
     assert tracer.counts["density.hausdorff_query_points"] == 4 * len(orbits)
     assert tracer.counts["polyroot.calls"] == 3 + 5
     assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 3
+
+
+def test_trace_boundaries_see_the_embed_command(monkeypatch, tmp_path):
+    # the embed-sweep workload's boundaries: one verify_embedding call, one
+    # symbol polynomial, and a data file plus its manifest
+    out = tmp_path / "embed.json"
+    tracer = _tracer(monkeypatch)
+    with tracer.installed():
+        assert embed.roots_many is not polyroot.roots_many
+        assert cli_io.main(["embed", "--k=+-+", "--n", "5", "--witness", "--out", str(out)]) == 0
+    assert embed.roots_many is polyroot.roots_many
+    result = embed.verify_embedding(parse_sign_vector("+-+"), 5, want_witness=True)
+    assert tracer.counts["embed.verify_calls"] == 1
+    assert tracer.counts["embed.targets"] == len(result.targets) == len(result.witnesses) > 0
+    assert tracer.counts["symbol.symbol_poly_calls"] == 1
+    assert tracer.counts["cli_io.files_written"] == 2

@@ -1,12 +1,15 @@
 """Command-line interface, file emitters, and run manifests.
 
+Every output is a generator of byte blocks, written once by `_emit`: to
+stdout, or with ``--out`` to the file, hashed as the blocks are written,
+and then the side-car manifest `<out>.manifest.json` (command, params,
+version, wall time and that sha256).  Timing never goes into data files.
+
 Determinism contract: identical invocations produce byte-identical CSV,
 JSON, and SVG data files.  Clouds are sorted before emission, JSON keys are
 lexicographic.  CSV floats are printed with ``'%.17g'`` (17 significant
 digits, enough to read back the same double), SVG coordinates with
-``'%.6g'`` and JSON floats by ``repr``.  Timing never goes into data files;
-it lives in the side-car manifest `<out>.manifest.json` together with sha256
-digests of every emitted file.
+``'%.6g'`` and JSON floats by ``repr``.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 numerical failure, 4 I/O failure.
@@ -36,11 +39,7 @@ from .symbol import periodic_spectrum
 __all__ = [
     "main",
     "build_parser",
-    "cloud_csv_text",
     "write_cloud_csv",
-    "write_cloud_json",
-    "cloud_svg_text",
-    "write_cloud_svg",
     "write_manifest",
 ]
 
@@ -110,7 +109,7 @@ def _row_blocks(fields: list, size: int):
         yield rec[rec != 0].tobytes()
 
 
-def _csv_blocks(cloud: SpectrumCloud):
+def _csv_blocks(cloud: SpectrumCloud, params: dict | None = None):
     v = cloud.values()
     tails = _lines_table("".join(f",{t}\n" for t in cloud.table()))
     re_sign, re, im_sign, im = _number_fields("%.17g", v.real, v.imag)
@@ -119,52 +118,49 @@ def _csv_blocks(cloud: SpectrumCloud):
     yield from _row_blocks(fields, v.size)
 
 
-def _write_blocks(blocks, path: str) -> None:
-    with open(path, "wb") as fh:
-        for block in blocks:
-            fh.write(block)
-
-
-def cloud_csv_text(cloud: SpectrumCloud) -> str:
-    """The CSV of a cloud, in the cloud's order (the caller sorts).
-
-    A header line ``re,im,tag`` and then one ``re,im,tag`` line per point,
-    each float printed with ``'%.17g'`` and every line ending in a newline.
-    Tags hold no newline and no NUL.
-    """
-    return b"".join(_csv_blocks(cloud)).decode("utf-8")
-
-
 def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
-    """Write exactly ``cloud_csv_text(cloud)`` as UTF-8 to `path`, block by block."""
-    _write_blocks(_csv_blocks(cloud), path)
+    """Write the CSV of `cloud` to `path` block by block, in the cloud's order:
+    a header line ``re,im,tag``, then one such line per point with floats by
+    ``'%.17g'``.  Tags hold no newline and no NUL."""
+    with open(path, "wb") as fh:
+        fh.writelines(_csv_blocks(cloud))
 
 
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _points_json(cloud: SpectrumCloud) -> list[dict]:
-    v = cloud.values()
-    rows = zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
-    return [{"im": im, "re": re, "tag": t} for re, im, t in rows]
-
-
-def cloud_json_text(cloud: SpectrumCloud, params: dict) -> str:
-    obj = {
-        "params": params,
-        "points": _points_json(cloud),
-        "warnings": list(cloud.warnings),
-    }
+def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def write_cloud_json(cloud: SpectrumCloud, params: dict, path: str) -> None:
-    _write_text(cloud_json_text(cloud, params), path)
+# indexed by "not the first point": row 1 is the "," before a point
+_COMMA = np.array([[0], [ord(",")]], dtype=np.uint8)
 
 
-def _svg_blocks(cloud: SpectrumCloud):
+def _json_blocks(cloud: SpectrumCloud, params: dict):
+    """The bytes of ``json.dumps({"params", "points", "warnings"},
+    sort_keys=True, indent=2)`` plus a newline, a point being
+    ``{"im", "re", "tag"}``; the points come from byte tables.
+
+    Every value must be finite, as the solved roots of a cloud are: floats
+    are printed by ``'%r'``, which gives 'nan' and 'inf' where json gives
+    'NaN' and 'Infinity'.
+    """
+    v = cloud.values()
+    obj = {"params": params, "points": [], "warnings": list(cloud.warnings)}
+    head, points, tail = _json_text(obj).partition('\n  "points": [')
+    tags = _lines_table("".join(json.dumps(t) + "\n" for t in cloud.table()))
+    im_sign, im, re_sign, re = _number_fields("%r", v.imag, v.real)
+    fields = [
+        (_COMMA, (np.arange(v.size) > 0).view(np.uint8)),
+        _constant('\n    {\n      "im": '), im_sign, im,
+        _constant(',\n      "re": '), re_sign, re,
+        _constant(',\n      "tag": '), (tags, cloud.codes()),
+        _constant("\n    }"),
+    ]
+    yield (head + points).encode()
+    yield from _row_blocks(fields, v.size)
+    yield (tail if v.size == 0 else "\n  " + tail).encode()
+
+
+def _svg_blocks(cloud: SpectrumCloud, params: dict | None = None):
     v = cloud.values()
     x_sign, x, y_sign, y = _number_fields("%.6g", v.real, -v.imag)
     fields = [
@@ -181,57 +177,43 @@ def _svg_blocks(cloud: SpectrumCloud):
     yield b"</svg>\n"
 
 
-def cloud_svg_text(cloud: SpectrumCloud) -> str:
-    return b"".join(_svg_blocks(cloud)).decode("utf-8")
+# the blocks of a sorted cloud in each --format; only JSON records the params
+_CLOUD_BLOCKS = {"csv": _csv_blocks, "svg": _svg_blocks, "json": _json_blocks}
 
 
-def write_cloud_svg(cloud: SpectrumCloud, path: str) -> None:
-    _write_blocks(_svg_blocks(cloud), path)
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def write_manifest(out_path: str, command: str, params: dict, wall_time_s: float) -> str:
+def write_manifest(out_path: str, blocks, command: str, params: dict, started: float) -> str:
+    """Write `blocks` to `out_path`, hashing the bytes as they are written,
+    then the manifest `<out_path>.manifest.json`; return the manifest's path."""
+    sha = hashlib.sha256()
+    with open(out_path, "wb") as fh:
+        for block in blocks:
+            sha.update(block)
+            fh.write(block)
     manifest = {
         "command": command,
-        "outputs": [{"path": out_path, "sha256": _sha256(out_path)}],
+        "outputs": [{"path": out_path, "sha256": sha.hexdigest()}],
         "params": params,
         "version": __version__,
-        "wall_time_s": wall_time_s,
+        "wall_time_s": time.monotonic() - started,
     }
     manifest_path = f"{out_path}.manifest.json"
-    _write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", manifest_path)
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_json_text(manifest))
     return manifest_path
 
 
-def _emit(out, data, text, write, command: str, params: dict, started: float) -> None:
-    """Print text(data) to stdout, or call write(data, out) and add the manifest."""
+def _emit(out, blocks, command: str, params: dict, started: float) -> None:
+    """Write `blocks` to stdout, or to `out` with its manifest."""
     if out is None:
-        sys.stdout.write(text(data))
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
         return
-    write(data, out)
-    write_manifest(out, command, params, time.monotonic() - started)
+    write_manifest(out, blocks, command, params, started)
 
 
 def _emit_cloud(cloud: SpectrumCloud, args, params: dict, started: float) -> None:
-    if args.format == "csv":
-        text, write = cloud_csv_text, write_cloud_csv
-    elif args.format == "svg":
-        text, write = cloud_svg_text, write_cloud_svg
-    else:
-        text = lambda c: cloud_json_text(c, params)  # noqa: E731
-        write = lambda c, path: write_cloud_json(c, params, path)  # noqa: E731
-    _emit(args.out, cloud.sorted(), text, write, params["command"], params, started)
-
-
-def _resolve_tol(args, fallback: float) -> float:
-    return fallback if args.tol is None else args.tol
+    blocks = _CLOUD_BLOCKS[args.format](cloud.sorted(), params)
+    _emit(args.out, blocks, params["command"], params, started)
 
 
 def _cmd_normalize(args) -> int:
@@ -249,7 +231,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     started = time.monotonic()
-    tol = _resolve_tol(args, DEFAULT_TOL)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     params: dict = {
         "command": "spectrum",
         "format": args.format,
@@ -279,7 +261,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     started = time.monotonic()
-    tol = _resolve_tol(args, DEFAULT_TOL)
+    tol = DEFAULT_TOL if args.tol is None else args.tol
     sizes = range(1, args.n + 1) if args.accumulate else [args.n]
     parts = [enumerate_sigma(n, tol, cap=args.cap) for n in sizes]
     cloud = SpectrumCloud().merged(*parts)
@@ -300,8 +282,9 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _embed_json(result, params: dict) -> str:
-    obj = {
+def _embed_obj(result, params: dict) -> dict:
+    v = result.targets.values()
+    return {
         "excluded": [
             {
                 "j": e.j,
@@ -315,7 +298,10 @@ def _embed_json(result, params: dict) -> str:
         "n": result.n,
         "params": params,
         "residuals": list(result.residuals),
-        "targets": _points_json(result.targets),
+        "targets": [
+            {"im": im, "re": re, "tag": t}
+            for re, im, t in zip(v.real.tolist(), v.imag.tolist(), result.targets.tags())
+        ],
         "verified": result.verified,
         "warnings": list(result.targets.warnings),
         "witnesses": None
@@ -330,14 +316,13 @@ def _embed_json(result, params: dict) -> str:
         ],
         "worst_residual": result.worst_residual,
     }
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_embed(args) -> int:
     started = time.monotonic()
     if args.n < 3:
         raise ValueError("embedding needs --n >= 3")
-    tol = _resolve_tol(args, 1e-8)
+    tol = 1e-8 if args.tol is None else args.tol
     k = parse_sign_vector(args.k)
     result = verify_embedding(k, args.n, tol=tol, want_witness=args.witness)
     params = {
@@ -347,24 +332,18 @@ def _cmd_embed(args) -> int:
         "tol": tol,
         "witness": bool(args.witness),
     }
-    text = _embed_json(result, params)
-    _emit(args.out, text, str, _write_text, "embed", params, started)
+    _emit(args.out, [_json_text(_embed_obj(result, params)).encode()], "embed", params, started)
     return EXIT_OK if result.verified else EXIT_UNVERIFIED
 
 
 def _cmd_density(args) -> int:
     started = time.monotonic()
-    tol = _resolve_tol(args, DEFAULT_TOL)
-    report = density_report(
-        args.max_n,
-        args.max_m,
-        args.samples,
-        args.disk_step,
-        tol=tol,
-    )
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    report = density_report(args.max_n, args.max_m, args.samples, args.disk_step, tol=tol)
     obj = {"command": "density", **report.to_json_dict()}
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    _emit(args.out, text, str, _write_text, "density", obj["params"], started)
+    # tol and command go into the manifest's params only: the report's bytes stay
+    params = {**obj["params"], "command": "density", "tol": tol}
+    _emit(args.out, [_json_text(obj).encode()], "density", params, started)
     return EXIT_OK if report.monotone() else EXIT_UNVERIFIED
 
 

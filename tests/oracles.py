@@ -25,8 +25,10 @@ routine it checks, which is what the agreement tests rely on:
 
 ``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits, and
 ``csv_text_by_point`` and ``svg_circles_by_point`` format the CSV text and
-the SVG circles one point at a time with f-strings, which checks the
-bytewise table assembly of ``cloud_csv_text`` and ``cloud_svg_text``.
+the SVG circles one point at a time with f-strings, and
+``json_text_by_point`` encodes one dict per point with ``json.dumps``,
+which checks the bytewise table assembly of the CLI's CSV, SVG and JSON
+cloud blocks.
 ``roots`` solves one polynomial through ``roots_many``, ``reflected``
 reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
 conveniences for the tests.
@@ -39,6 +41,7 @@ containers and its errors.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -495,6 +498,21 @@ def svg_circles_by_point(cloud: SpectrumCloud) -> str:
         f'<circle cx="{re:.6g}" cy="{-im:.6g}" r="0.005" fill="black" fill-opacity="0.6"/>\n'
         for re, im in zip(v.real.tolist(), v.imag.tolist())
     )
+
+
+def _points_json(cloud: SpectrumCloud) -> list[dict]:
+    v = cloud.values()
+    rows = zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+    return [{"im": im, "re": re, "tag": t} for re, im, t in rows]
+
+
+def json_text_by_point(cloud: SpectrumCloud, params: dict) -> str:
+    obj = {
+        "params": params,
+        "points": _points_json(cloud),
+        "warnings": list(cloud.warnings),
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def read_cloud_csv(path: str) -> SpectrumCloud:

@@ -15,13 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signspectra import cli_io
-from signspectra.cli_io import cloud_csv_text, cloud_svg_text, main, write_cloud_csv
+from signspectra.cli_io import main, write_cloud_csv
 from signspectra.cloud import SpectrumCloud
 from signspectra.errors import ParseError
 from signspectra.finite import finite_eigenvalues
 from signspectra.signmodel import parse_sign_vector
 
-from oracles import csv_text_by_point, read_cloud_csv, svg_circles_by_point
+from oracles import csv_text_by_point, json_text_by_point, read_cloud_csv, svg_circles_by_point
+
+
+def _text(blocks) -> str:
+    return b"".join(blocks).decode("utf-8")
 
 
 def _lines(capsys):
@@ -76,11 +80,11 @@ def test_csv_text_matches_formatting_each_point(monkeypatch, block):
     cloud = SpectrumCloud(values, codes, ["a", "b=1", "per:m=2"])
     assert np.signbit(cloud.values()[10].real)
     want = csv_text_by_point(cloud)
-    assert cloud_csv_text(cloud) == want
+    assert _text(cli_io._csv_blocks(cloud)) == want
     assert "-0,-0,per:m=2\n" in want and "\n0,0,b=1\n" in want
     assert "\nnan,-inf,b=1\n1.0000000000000001e-31,-1e+17,per:m=2\n" in want
     assert "\n0.33333333333333331,-0.33333333333333331,per:m=2\n" in want
-    assert cloud_csv_text(SpectrumCloud()) == "re,im,tag\n"
+    assert _text(cli_io._csv_blocks(SpectrumCloud())) == "re,im,tag\n"
 
 
 @pytest.mark.parametrize("size", [3, 4, 5])
@@ -92,7 +96,7 @@ def test_written_csv_is_the_csv_text(tmp_path, monkeypatch, size):
     cloud = SpectrumCloud(five.values()[:size], five.codes()[:size], five.table())
     path = tmp_path / "c.csv"
     write_cloud_csv(cloud, str(path))
-    assert path.read_bytes() == cloud_csv_text(cloud).encode()
+    assert path.read_bytes() == b"".join(cli_io._csv_blocks(cloud))
     write_cloud_csv(SpectrumCloud(), str(path))
     assert path.read_bytes() == b"re,im,tag\n"
 
@@ -113,23 +117,72 @@ def test_csv_and_svg_text_match_formatting_each_point(points, tags, block):
                           [code for _, _, code in points], sorted(tags))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli_io, "_CSV_BLOCK", block)
-        assert cloud_csv_text(cloud) == csv_text_by_point(cloud)
-        svg = cloud_svg_text(cloud)
+        assert _text(cli_io._csv_blocks(cloud)) == csv_text_by_point(cloud)
+        svg = _text(cli_io._svg_blocks(cloud))
     circles = svg.split("/>\n", 1)[1]
     assert circles == svg_circles_by_point(cloud) + "</svg>\n"
 
 
+# JSON clouds hold solved roots only, so every float is finite
+_finite_float = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | \
+    st.sampled_from([-0.0, 5e-324, 1e16, 0.1 + 0.2])
+_json_tag = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\é∞'),
+                    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_finite_float, _finite_float, st.integers(0, 2)), max_size=12),
+    st.lists(_json_tag, min_size=3, max_size=3, unique=True),
+    st.lists(_json_tag, max_size=2),
+    st.dictionaries(st.sampled_from(["command", "points", "k", "tol"]),
+                    _finite_float | _json_tag, max_size=3),
+    st.sampled_from([1, 2, 5, 4096]),
+)
+def test_json_blocks_match_encoding_each_point(points, tags, warnings, params, block):
+    cloud = SpectrumCloud([complex(re, im) for re, im, _ in points],
+                          [code for _, _, code in points], sorted(tags), warnings)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_io, "_CSV_BLOCK", block)
+        assert _text(cli_io._json_blocks(cloud, params)) == json_text_by_point(cloud, params)
+        empty = SpectrumCloud(warnings=warnings)
+        assert _text(cli_io._json_blocks(empty, params)) == json_text_by_point(empty, params)
+
+
+# one run of every output kind: csv, svg and json clouds, embed and density
+EVERY_OUTPUT = [
+    pytest.param(["enumerate", "--n", "3"], id="enumerate-csv"),
+    pytest.param(["spectrum", "--mode", "finite", "--k", "+-+", "--format", "svg"], id="svg"),
+    pytest.param(["spectrum", "--mode", "periodic", "--k=+-", "--samples", "5",
+                  "--format", "json"], id="json"),
+    pytest.param(["embed", "--k", "+-", "--n", "4", "--witness"], id="embed"),
+    pytest.param(["density", "--max-n", "3", "--max-m", "1", "--samples", "17",
+                  "--disk-step", "0.5"], id="density"),
+]
+
+
 def test_outputs_are_reproducible(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    for path in (a, b):
-        assert main(["enumerate", "--n", "3", "--out", str(path)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-    assert set(manifest) == {"command", "outputs", "params", "version", "wall_time_s"}
-    assert manifest["command"] == "enumerate"
-    assert manifest["outputs"][0]["path"] == str(a)
-    assert manifest["outputs"][0]["sha256"] == hashlib.sha256(a.read_bytes()).hexdigest()
+    for i, param in enumerate(EVERY_OUTPUT):
+        argv = param.values[0]
+        a = tmp_path / f"a{i}"
+        b = tmp_path / f"b{i}"
+        for path in (a, b):
+            assert main([*argv, "--out", str(path)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        manifest = json.loads((tmp_path / f"a{i}.manifest.json").read_text())
+        assert set(manifest) == {"command", "outputs", "params", "version", "wall_time_s"}
+        assert manifest["command"] == argv[0] == manifest["params"]["command"]
+        assert manifest["outputs"][0]["path"] == str(a)
+        assert manifest["outputs"][0]["sha256"] == hashlib.sha256(a.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", EVERY_OUTPUT)
+def test_stdout_is_exactly_the_out_file(tmp_path, capsysbinary, argv):
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    path = tmp_path / "out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert out == path.read_bytes() != b""
 
 
 def test_spectrum_json_format(tmp_path):
@@ -157,17 +210,6 @@ def test_svg_output(tmp_path):
     assert text.rstrip().endswith("</svg>")
 
 
-def test_svg_to_stdout_matches_file(tmp_path, capsys):
-    args = ["spectrum", "--mode", "finite", "--k", "+-+", "--format", "svg"]
-    assert main(args) == 0
-    text = capsys.readouterr().out
-    assert text.startswith('<svg xmlns="http://www.w3.org/2000/svg"')
-    assert text.count("<circle") == 4
-    out = tmp_path / "k.svg"
-    assert main([*args, "--out", str(out)]) == 0
-    assert text == out.read_text()
-
-
 def _err_lines(capsys):
     return capsys.readouterr().err.strip().splitlines()
 
@@ -182,14 +224,6 @@ def test_enumerate_counters(capsys):
     # snapping collapses shared eigenvalues (six exact zeros, repeats of +-1)
     assert main(["enumerate", "--n", "2", "--accumulate", "--dedup"]) == 0
     assert "points: 9" in _err_lines(capsys)
-
-
-def test_enumerate_stdout_is_exactly_the_csv(tmp_path, capsys):
-    assert main(["enumerate", "--n", "2"]) == 0
-    out = capsys.readouterr().out
-    path = tmp_path / "sigma2.csv"
-    assert main(["enumerate", "--n", "2", "--out", str(path)]) == 0
-    assert out == path.read_text()
 
 
 def test_periodic_spectrum_period_34(capsys):
@@ -255,6 +289,21 @@ def test_density_command(tmp_path, capsys):
     out = tmp_path / "density.json"
     assert main([*args, "--out", str(out)]) == 0
     assert (tmp_path / "density.json.manifest.json").exists()
+
+
+def test_density_manifest_records_tol_and_command(tmp_path):
+    # the data file keeps its four report params, so its bytes do not move
+    args = ["density", "--max-n", "3", "--max-m", "1", "--samples", "17", "--disk-step", "0.5"]
+    manifests = []
+    for tol in ("1e-10", "1e-12"):
+        out = tmp_path / f"density{tol}.json"
+        assert main(["--tol", tol, *args, "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert set(data["params"]) == {"disk_step", "max_m", "max_n", "samples"}
+        manifest = json.loads((tmp_path / f"density{tol}.json.manifest.json").read_text())
+        assert manifest["params"] == {**data["params"], "command": "density", "tol": float(tol)}
+        manifests.append(manifest["params"])
+    assert manifests[0] != manifests[1]
 
 
 def test_parser_is_built_once_and_not_at_import(capsys):

@@ -73,3 +73,15 @@ def test_trace_boundaries_see_the_embed_command(monkeypatch, tmp_path):
     assert tracer.counts["embed.targets"] == len(result.targets) == len(result.witnesses) > 0
     assert tracer.counts["symbol.symbol_poly_calls"] == 1
     assert tracer.counts["cli_io.files_written"] == 2
+
+
+def test_trace_boundaries_put_every_data_file_in_the_emit_span(monkeypatch, tmp_path):
+    # write_manifest writes the data file itself, so the cli_io.emit span
+    # covers the CSV bytes as well as the manifest
+    out = tmp_path / "sigma3.csv"
+    tracer = _tracer(monkeypatch)
+    with tracer.installed():
+        assert cli_io.main(["enumerate", "--n", "3", "--out", str(out)]) == 0
+    assert tracer.counts["cli_io.files_written"] == 2
+    assert tracer.counts["cli_io.bytes_written"] > out.stat().st_size > 0
+    assert tracer.total["cli_io.emit"] > 0

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .cloud import SpectrumCloud
 from .density import density_report, periodic_union
-from .embed import verify_embedding
+from .embed import EMBED_TOL, verify_embedding
 from .errors import CapExceededError, ConvergenceError, ParseError
 from .finite import ENUMERATION_CAP, enumerate_sigma, finite_eigenvalues
 from .polyroot import DEFAULT_TOL
@@ -135,16 +135,17 @@ _COMMA = np.array([[0], [ord(",")]], dtype=np.uint8)
 
 
 def _json_blocks(cloud: SpectrumCloud, params: dict):
-    """The bytes of ``json.dumps({"params", "points", "warnings"},
+    """The bytes of ``json.dumps({"params", "points", "warnings": []},
     sort_keys=True, indent=2)`` plus a newline, a point being
-    ``{"im", "re", "tag"}``; the points come from byte tables.
+    ``{"im", "re", "tag"}``; the points come from byte tables.  No cloud
+    carries warnings; the empty list stays so the file format is unchanged.
 
     Every value must be finite, as the solved roots of a cloud are: floats
     are printed by ``'%r'``, which gives 'nan' and 'inf' where json gives
     'NaN' and 'Infinity'.
     """
     v = cloud.values()
-    obj = {"params": params, "points": [], "warnings": list(cloud.warnings)}
+    obj = {"params": params, "points": [], "warnings": []}
     head, points, tail = _json_text(obj).partition('\n  "points": [')
     tags = _lines_table("".join(json.dumps(t) + "\n" for t in cloud.table()))
     im_sign, im, re_sign, re = _number_fields("%r", v.imag, v.real)
@@ -238,14 +239,14 @@ def _cmd_spectrum(args) -> int:
         "mode": args.mode,
         "tol": tol,
     }
+    if args.union_max_m is not None and (args.mode == "finite" or args.k is not None):
+        raise ValueError("--union-max-m needs --mode periodic and no --k")
     if args.mode == "finite":
         if args.k is None:
             raise ValueError("finite mode needs --k")
         cloud = finite_eigenvalues(parse_sign_vector(args.k), tol)
         params["k"] = args.k
     else:
-        if args.samples < 2:
-            raise ValueError("periodic mode needs --samples >= 2")
         params["samples"] = args.samples
         if args.union_max_m is not None:
             cloud = periodic_union(args.union_max_m, args.samples, tol)
@@ -303,7 +304,7 @@ def _embed_obj(result, params: dict) -> dict:
             for re, im, t in zip(v.real.tolist(), v.imag.tolist(), result.targets.tags())
         ],
         "verified": result.verified,
-        "warnings": list(result.targets.warnings),
+        "warnings": [],
         "witnesses": None
         if result.witnesses is None
         else [
@@ -320,9 +321,7 @@ def _embed_obj(result, params: dict) -> dict:
 
 def _cmd_embed(args) -> int:
     started = time.monotonic()
-    if args.n < 3:
-        raise ValueError("embedding needs --n >= 3")
-    tol = 1e-8 if args.tol is None else args.tol
+    tol = EMBED_TOL if args.tol is None else args.tol
     k = parse_sign_vector(args.k)
     result = verify_embedding(k, args.n, tol=tol, want_witness=args.witness)
     params = {
@@ -339,7 +338,9 @@ def _cmd_embed(args) -> int:
 def _cmd_density(args) -> int:
     started = time.monotonic()
     tol = DEFAULT_TOL if args.tol is None else args.tol
-    report = density_report(args.max_n, args.max_m, args.samples, args.disk_step, tol=tol)
+    report = density_report(
+        args.max_n, args.max_m, args.samples, args.disk_step, tol=tol, cap=args.cap
+    )
     obj = {"command": "density", **report.to_json_dict()}
     # tol and command go into the manifest's params only: the report's bytes stay
     params = {**obj["params"], "command": "density", "tol": tol}

@@ -27,22 +27,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SpectrumCloud:
     """Immutable multiset of tagged complex points."""
 
-    __slots__ = ("_values", "_codes", "_table", "warnings")
+    __slots__ = ("_values", "_codes", "_table")
 
-    def __init__(
-        self,
-        values=(),
-        codes=(),
-        table: Sequence[str] = (),
-        warnings: Sequence[str] = (),
-    ):
-        """``table`` must be sorted and distinct; ``codes`` index it."""
+    def __init__(self, values=(), codes=(), table: Sequence[str] = ()):
+        """One code per value, indexing ``table``, which must be sorted and distinct."""
         self._values = _readonly(np.asarray(values, dtype=complex).ravel())
         self._codes = _readonly(np.asarray(codes, dtype=np.int32).ravel())
         if self._values.size != self._codes.size:
             raise ValueError(f"{self._codes.size} codes for {self._values.size} values")
         self._table = tuple(table)
-        self.warnings = tuple(warnings)
 
     @classmethod
     def from_values(cls, values, tag: str | Sequence[str]) -> "SpectrumCloud":
@@ -87,14 +80,11 @@ class SpectrumCloud:
             for c in clouds
         ]
         return SpectrumCloud(
-            np.concatenate([c._values for c in clouds]),
-            np.concatenate(codes),
-            table,
-            [w for c in clouds for w in c.warnings],
+            np.concatenate([c._values for c in clouds]), np.concatenate(codes), table
         )
 
     def _take(self, idx: np.ndarray) -> "SpectrumCloud":
-        return SpectrumCloud(self._values[idx], self._codes[idx], self._table, self.warnings)
+        return SpectrumCloud(self._values[idx], self._codes[idx], self._table)
 
     def sorted(self) -> "SpectrumCloud":
         """Deterministic ordering by (re, im, tag); ties keep input order."""

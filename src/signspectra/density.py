@@ -232,6 +232,7 @@ def density_report(
     samples: int,
     disk_step: float,
     tol: float = DEFAULT_TOL,
+    cap: int = ENUMERATION_CAP,
 ) -> DensityReport:
     """Distances from the periodic union and the unit disk to finite spectra.
 
@@ -243,10 +244,11 @@ def density_report(
     every step scans only the new sigma_n.  That sigma_n must be exactly
     invariant under z -> i z, as enumerate_sigma builds it; a quarter turn of
     both points keeps |x - y| bitwise, so each i-orbit of the query cloud
-    (which needs no symmetry) is scanned once.
+    (which needs no symmetry) is scanned once.  A max_n above ``cap``, the
+    enumeration cap, is refused before any solve.
     """
-    if max_n > ENUMERATION_CAP:
-        raise CapExceededError(f"max_n capped at {ENUMERATION_CAP}")
+    if max_n > cap:
+        raise CapExceededError(f"max_n capped at {cap}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     # the union's points, then the disk grid's, folded to one point per i-orbit
@@ -263,7 +265,7 @@ def density_report(
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
     for n in range(2, max_n + 1):
-        fresh = fresh.merged(enumerate_sigma(n, tol))
+        fresh = fresh.merged(enumerate_sigma(n, tol, cap=cap))
         size += len(fresh)
         sigma_sizes[n] = size
         directed_hausdorff(query, fresh, best)

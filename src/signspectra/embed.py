@@ -51,6 +51,9 @@ __all__ = [
 # nm x targets complex array, 268 MB at this size
 EMBED_SIZE_CAP = 4096
 
+# default residual bound of a verified target
+EMBED_TOL = 1e-8
+
 
 def block_circulant_charpoly(k: SignVector, n: int) -> IntPolynomial:
     """Exact det(M - x I) of the block circulant, any size.
@@ -156,7 +159,7 @@ def _recurrence(signs, lams: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def verify_embedding(
     k: SignVector,
     n: int,
-    tol: float = 1e-8,
+    tol: float = EMBED_TOL,
     want_witness: bool = False,
 ) -> EmbeddingResult:
     """Check that every guaranteed target is an eigenvalue of the truncation.
@@ -164,8 +167,10 @@ def verify_embedding(
     The targets are spec(a(xi_j)) over the allowed angles j in {1..n-1}
     minus n/2; the excluded angles j = n/2 (even n only) and j = n give the
     segment endpoints +-2, where the conjugate-pair multiplicity argument
-    fails.  The pattern is parity-doubled if needed; the result records the
-    effective period, and an effective nm above EMBED_SIZE_CAP is refused.
+    fails.  n must be at least 3, the first n with an allowed angle, so
+    j = 1 and j = n - 1 are always targets.  The pattern is parity-doubled
+    if needed; the result records the effective period, and an effective nm
+    above EMBED_SIZE_CAP is refused.
     Every target and every excluded value goes through one batched
     three-term recurrence (see _recurrence), and its residual is
     ||L y - lam y|| for the unit vector y that the recurrence builds on the
@@ -180,8 +185,8 @@ def verify_embedding(
     read-only views of one array.  A ConvergenceError of the solve names
     the pattern, n and the angle.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if n < 3:
+        raise ValueError("n must be at least 3")
     keff = ensure_even_parity(k)
     m = len(keff)
     if n * m > EMBED_SIZE_CAP:
@@ -195,19 +200,16 @@ def verify_embedding(
     except ConvergenceError as exc:
         where = f"period {m}, pattern {keff.to_text()}, n = {n}, angle j = {js[exc.row]}"
         raise ConvergenceError(f"embed, {where}: {exc}", exc.worst_residual, exc.row) from None
-    if allowed:
-        tags = [f"target:j={j}" for j in allowed]
-        targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
-    else:
-        targets = SpectrumCloud(warnings=(f"empty target set: n = {n} excludes every angle",))
+    tags = [f"target:j={j}" for j in allowed]
+    targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
     values = targets.values()
     # the targets are the first rows of solved, in cloud order
     count = len(values)
     signs = keff.repeated(n).signs
-    x = np.zeros((n * m, solved.size), dtype=complex) if want_witness and count else None
+    x = np.zeros((n * m, solved.size), dtype=complex) if want_witness else None
     unit_residuals = _recurrence(signs, np.ravel(solved), x)
     residuals = tuple(unit_residuals[:count].tolist())
-    worst = max(residuals, default=0.0)
+    worst = max(residuals)
     verified = all(r <= tol for r in residuals)
 
     excluded = tuple(

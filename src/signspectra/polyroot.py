@@ -123,22 +123,14 @@ class IntPolynomial:
 
         Always possible when the leading coefficient of other is +-1, and
         whenever other divides self exactly; raises ValueError when a
-        quotient coefficient would not be an integer.
+        quotient coefficient would not be an integer.  This is pseudo_divmod
+        divided through by lc(other)^max(e, 0); when q divides, so does r.
         """
-        b = other.coeffs
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        db, lead = len(b) - 1, b[-1]
-        r = list(self.coeffs)
-        q = [0] * max(len(r) - db, 1)
-        for k in range(len(r) - 1 - db, -1, -1):
-            t, rest = divmod(r[k + db], lead)
-            if rest:
-                raise ValueError("quotient is not an integer polynomial")
-            q[k] = t
-            for j, c in enumerate(b):
-                r[k + j] -= t * c
-        return IntPolynomial(tuple(q)), IntPolynomial(tuple(r[:db]) or (0,))
+        q, r = self.pseudo_divmod(other)
+        s = other.coeffs[-1] ** max(self.degree - other.degree + 1, 0)
+        if any(c % s for c in q.coeffs):
+            raise ValueError("quotient is not an integer polynomial")
+        return tuple(IntPolynomial(tuple(c // s for c in p.coeffs)) for p in (q, r))
 
     def pseudo_divmod(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """(q, r) with lc(other)^e * self = q * other + r, e = deg self - deg other + 1.

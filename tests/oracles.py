@@ -510,7 +510,7 @@ def json_text_by_point(cloud: SpectrumCloud, params: dict) -> str:
     obj = {
         "params": params,
         "points": _points_json(cloud),
-        "warnings": list(cloud.warnings),
+        "warnings": [],
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

@@ -134,18 +134,17 @@ _json_tag = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(
 @given(
     st.lists(st.tuples(_finite_float, _finite_float, st.integers(0, 2)), max_size=12),
     st.lists(_json_tag, min_size=3, max_size=3, unique=True),
-    st.lists(_json_tag, max_size=2),
     st.dictionaries(st.sampled_from(["command", "points", "k", "tol"]),
                     _finite_float | _json_tag, max_size=3),
     st.sampled_from([1, 2, 5, 4096]),
 )
-def test_json_blocks_match_encoding_each_point(points, tags, warnings, params, block):
+def test_json_blocks_match_encoding_each_point(points, tags, params, block):
     cloud = SpectrumCloud([complex(re, im) for re, im, _ in points],
-                          [code for _, _, code in points], sorted(tags), warnings)
+                          [code for _, _, code in points], sorted(tags))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli_io, "_CSV_BLOCK", block)
         assert _text(cli_io._json_blocks(cloud, params)) == json_text_by_point(cloud, params)
-        empty = SpectrumCloud(warnings=warnings)
+        empty = SpectrumCloud()
         assert _text(cli_io._json_blocks(empty, params)) == json_text_by_point(empty, params)
 
 
@@ -324,8 +323,6 @@ def test_parser_is_built_once_and_not_at_import(capsys):
 def test_exit_codes(tmp_path, capsys):
     assert main(["spectrum", "--mode", "finite", "--k", "+x"]) == 2
     assert main(["enumerate", "--n", "20"]) == 2
-    assert main(["spectrum", "--mode", "periodic", "--k", "+", "--samples", "1"]) == 2
-    assert main(["embed", "--k", "+", "--n", "2"]) == 2
     assert main(["embed", "--k", "+", "--n", "100000000"]) == 2
     assert main(["spectrum", "--mode", "finite", "--k=" + "+" * 65]) == 2
     # global flags come before the subcommand; the charpoly of +++ is
@@ -365,6 +362,31 @@ def test_disk_step_not_finite_is_refused(capsys, step):
     args = ["density", "--max-n", "3", "--max-m", "1", "--samples", "17", "--disk-step", step]
     assert main(args) == 2
     assert "disk grid step must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        pytest.param(["spectrum", "--mode", "periodic", "--k=+", "--samples", "1"],
+                     "samples must be at least 2", id="samples-1"),
+        pytest.param(["embed", "--k=+", "--n", "2"], "n must be at least 3", id="embed-n2"),
+        pytest.param(["embed", "--k=++", "--n", "2"], "n must be at least 3", id="embed-n2-m2"),
+        # flags that a run would otherwise leave out of its output
+        pytest.param(["spectrum", "--mode", "periodic", "--k=+", "--union-max-m", "2"],
+                     "--union-max-m", id="union-with-k"),
+        pytest.param(["spectrum", "--mode", "finite", "--k=+", "--union-max-m", "2"],
+                     "--union-max-m", id="union-finite-with-k"),
+        pytest.param(["spectrum", "--mode", "finite", "--union-max-m", "2"],
+                     "--union-max-m", id="union-finite"),
+        pytest.param(["--cap", "3", "density", "--max-n", "4", "--max-m", "1", "--samples",
+                      "3", "--disk-step", "1"], "max_n capped at 3", id="density-above-cap"),
+    ],
+)
+def test_refused_input_writes_no_stdout(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert err in captured.err
 
 
 def test_enumerate_cap_flag(capsys):

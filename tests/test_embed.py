@@ -110,14 +110,6 @@ def test_target_set_exact_values():
     assert match_multisets(pm_root2.values(), [r, -r, r, -r], 1e-12)
 
 
-def test_target_set_refusals_and_empty_case():
-    empty = verify_embedding(parse_sign_vector("++"), 2).targets
-    assert len(empty) == 0
-    assert empty.warnings == ("empty target set: n = 2 excludes every angle",)
-    with pytest.raises(ValueError):
-        verify_embedding(parse_sign_vector("+"), 1)
-
-
 def test_verify_embedding_size_cap():
     # the cap of 4096 applies to the effective size, after parity doubling:
     # "+-" runs as "+-+-", so n = 1025 gives nm = 4100
@@ -140,14 +132,17 @@ def test_truncate_needs_three_sites():
 
 
 def test_verify_embedding_refuses_before_solving(monkeypatch):
-    # "+" at n = 2 has nm = 2, below the three sites a truncation needs; the
-    # refusal must come before the preimage solve, not after it
+    # n = 2 leaves no allowed angle, whatever the pattern, so it is refused
+    # rather than an empty success ("+" also has nm = 2, below the three
+    # sites a truncation needs); the refusal must come before the preimage
+    # solve, not after it
     def unreachable(*args):
         raise AssertionError("preimages called for a refused size")
 
     monkeypatch.setattr(embed_module, "preimages", unreachable)
-    with pytest.raises(ValueError, match="nm >= 3"):
-        verify_embedding(parse_sign_vector("+"), 2)
+    for text, n in (("+", 2), ("++", 2), ("+", 1)):
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            verify_embedding(parse_sign_vector(text), n)
 
 
 def test_verify_embedding_small_case():

@@ -257,6 +257,12 @@ def test_int_polynomial_division_gcd_and_squarefree_against_sympy():
         _, expect = sympy.sqf_list(sym(d))
         got = {(f.coeffs, m) for f, m in d.squarefree()}
         assert got == {(_positive(ours(f)), m) for f, m in expect}, d
+    # (2x + 1)(x - 3) by its non-monic factor, and a divisor with leading coefficient -1
+    for num, den in (((-3, -5, 2), (1, 2)), ((1, 2, 3, 4), (5, 0, -1))):
+        num, den = IntPolynomial(num), IntPolynomial(den)
+        q, r = divmod(num, den)
+        sq, sr = sympy.div(sym(num), sym(den))
+        assert q.coeffs == ours(sq) and r.coeffs == ours(sr), (num, den)
     with pytest.raises(ValueError):
         divmod(IntPolynomial((1, 0, 1)), IntPolynomial((1, 2)))
     with pytest.raises(ZeroDivisionError):

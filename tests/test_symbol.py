@@ -432,13 +432,12 @@ def test_cloud_plumbing():
         assert np.signbit(z.values().real).tolist() == [*np.signbit(zeros), False]
 
     # merging remaps codes from different tag tables into the union table
-    f = SpectrumCloud(np.array([2.0, 5.0, 1.0]), [1, 0, 1], ("a", "c"), ("w",))
+    f = SpectrumCloud(np.array([2.0, 5.0, 1.0]), [1, 0, 1], ("a", "c"))
     m = SpectrumCloud.from_values(np.array([3.0, 1j]), "b").merged(
         f, SpectrumCloud.from_values(np.array([4.0]), "a")
     )
     assert m.tags() == ["b", "b", "c", "a", "c", "a"]
     assert np.array_equal(m.values(), [3, 1j, 2, 5, 1, 4])
-    assert m.warnings == ("w",)
     assert m.sorted().tags() == ["b", "c", "c", "b", "a", "a"]
 
     # one tag per row of a 2-D array; equal tags share one table entry

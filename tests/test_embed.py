@@ -110,6 +110,19 @@ def test_target_set_exact_values():
     assert match_multisets(pm_root2.values(), [r, -r, r, -r], 1e-12)
 
 
+def test_target_set_refusals_and_empty_case():
+    # n = 2 admits no angle (j = 1 is n/2, j = 2 is n), so the size that
+    # would give an empty target set is refused for either parity, as is n = 1
+    for text, n in (("++", 2), ("+-", 2), ("+", 1)):
+        with pytest.raises(ValueError, match="n must be at least 3"):
+            verify_embedding(parse_sign_vector(text), n)
+    # n = 3 is the first size with an allowed angle, so no target set is empty
+    res = verify_embedding(parse_sign_vector("++"), 3)
+    assert [e.j for e in res.excluded] == [3]
+    assert len(res.targets) == 2 * 2
+    assert res.verified
+
+
 def test_verify_embedding_size_cap():
     # the cap of 4096 applies to the effective size, after parity doubling:
     # "+-" runs as "+-+-", so n = 1025 gives nm = 4100

@@ -242,19 +242,21 @@ def _cmd_spectrum(args) -> int:
     if args.union_max_m is not None and (args.mode == "finite" or args.k is not None):
         raise ValueError("--union-max-m needs --mode periodic and no --k")
     if args.mode == "finite":
+        if args.samples is not None:
+            raise ValueError("--samples needs --mode periodic")
         if args.k is None:
             raise ValueError("finite mode needs --k")
         cloud = finite_eigenvalues(parse_sign_vector(args.k), tol)
         params["k"] = args.k
     else:
-        params["samples"] = args.samples
+        samples = params["samples"] = 257 if args.samples is None else args.samples
         if args.union_max_m is not None:
-            cloud = periodic_union(args.union_max_m, args.samples, tol)
+            cloud = periodic_union(args.union_max_m, samples, tol)
             params["union_max_m"] = args.union_max_m
         else:
             if args.k is None:
                 raise ValueError("periodic mode needs --k or --union-max-m")
-            cloud = periodic_spectrum(parse_sign_vector(args.k), args.samples, tol)
+            cloud = periodic_spectrum(parse_sign_vector(args.k), samples, tol)
             params["k"] = args.k
     _emit_cloud(cloud, args, params, started)
     return EXIT_OK
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="finite or periodic spectrum point cloud")
     p.add_argument("--mode", choices=("finite", "periodic"), required=True)
     p.add_argument("--k", default=None, help="sign pattern")
-    p.add_argument("--samples", type=int, default=257, help="angle samples (periodic)")
+    p.add_argument("--samples", type=int, default=None, help="periodic angle samples (default 257)")
     p.add_argument(
         "--union-max-m",
         type=int,

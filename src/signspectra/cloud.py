@@ -42,9 +42,10 @@ class SpectrumCloud:
         """Build from complex values, all carrying one tag.
 
         With a sequence of tags, ``values`` is 2-D and row i carries tag[i];
-        equal tags share one table entry.
+        equal tags share one table entry.  A complex ndarray is not copied:
+        the cloud views it read-only, so the caller must not write it after.
         """
-        vals = np.array(values, dtype=complex)
+        vals = np.asarray(values, dtype=complex)
         if isinstance(tag, str):
             return cls(vals.ravel(), np.zeros(vals.size, dtype=np.int32), (tag,))
         if vals.ndim != 2 or len(vals) != len(tag):

@@ -264,23 +264,19 @@ def _aberth_batch(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     active = np.arange(b)
     zz = z
     idx = np.arange(d)
-    worst = np.inf
     for _ in range(max_iter):
         pv = _horner_batch(monic, zz)
         sc = _horner_batch(absc, np.abs(zz))
         row_ok = (np.abs(pv) <= tol * sc).all(axis=1)
-        dv = _horner_batch(deriv, zz)
-        bad_dv = dv == 0
-        if bad_dv.any():
-            dv = np.where(bad_dv, 1.0, dv)
-        w = pv / dv
         diff = zz[:, :, None] - zz[:, None, :]
         diff[:, idx, idx] = np.inf
+        # p' = 0 makes w, and so denom, not finite: one mask covers it
         with np.errstate(divide="ignore", invalid="ignore"):
+            w = pv / _horner_batch(deriv, zz)
             s = np.reciprocal(diff, out=diff).sum(axis=2)
-        denom = 1.0 - w * s
-        bad = bad_dv | (denom == 0) | ~np.isfinite(denom)
-        step = np.where(bad, 0.0, w / np.where(bad, 1.0, denom))
+            denom = 1.0 - w * s
+            bad = (denom == 0) | ~np.isfinite(denom)
+            step = np.where(bad, 0.0, w / denom)
         if bad.any():
             # collision or critical point: nudge deterministically, with an
             # index-dependent size so coincident iterates separate; a row
@@ -294,11 +290,14 @@ def _aberth_batch(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
                 return z
             keep = ~row_ok
             active, monic, absc, deriv = active[keep], monic[keep], absc[keep], deriv[keep]
-            zz, pv, sc = zz[keep], pv[keep], sc[keep]
+            zz = zz[keep]
+    worst, row = np.inf, 0
+    if max_iter > 0:
+        # the report reads the last pass's residuals of the rows it left active
+        pv, sc = pv[~row_ok], sc[~row_ok]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = (np.abs(pv) / np.where(sc > 0, sc, 1.0)).max(axis=1)
-        worst = float(rel.max())
-    row = int(active[np.argmax(rel)]) if max_iter > 0 else 0
+        worst, row = float(rel.max()), int(active[np.argmax(rel)])
     raise ConvergenceError(
         f"root iteration did not converge within {max_iter} iterations "
         f"(worst residual {worst:.3e}, tol {tol:.1e})",

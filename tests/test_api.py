@@ -67,15 +67,42 @@ def test_witness_degenerate_error_is_gone():
 NOT_YET_CALLED = {"block_circulant_charpoly"}
 
 
-def test_every_public_name_is_used_inside_the_package():
-    # a public name that only tests call belongs in tests/oracles.py; a
-    # name's own def, class or assignment does not count as a use
+def _package_modules() -> list[ast.Module]:
+    paths = sorted(Path(signspectra.__file__).parent.glob("*.py"))
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _loaded_names() -> set[str]:
+    # a name's own def, class or assignment does not count as a use
     used = set()
-    for path in Path(signspectra.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for module in _package_modules():
+        for node in ast.walk(module):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    unused = set(signspectra.__all__) - used
+    return used
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # a public name that only tests call belongs in tests/oracles.py
+    unused = set(signspectra.__all__) - _loaded_names()
     assert unused == NOT_YET_CALLED
+
+
+def test_every_private_module_name_is_used_inside_the_package():
+    # a module-level _helper or _CONSTANT that nothing in the package reads
+    # is dead code, whatever the tests do with it
+    private = set()
+    for module in _package_modules():
+        for node in module.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private.update(n for n in names if n.startswith("_") and not n.startswith("__"))
+    assert private, "the scan found no private names"
+    assert private - _loaded_names() == set()

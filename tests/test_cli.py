@@ -378,6 +378,8 @@ def test_disk_step_not_finite_is_refused(capsys, step):
                      "--union-max-m", id="union-finite-with-k"),
         pytest.param(["spectrum", "--mode", "finite", "--union-max-m", "2"],
                      "--union-max-m", id="union-finite"),
+        pytest.param(["spectrum", "--mode", "finite", "--k=+", "--samples", "5"],
+                     "--samples", id="samples-finite"),
         pytest.param(["--cap", "3", "density", "--max-n", "4", "--max-m", "1", "--samples",
                       "3", "--disk-step", "1"], "max_n capped at 3", id="density-above-cap"),
     ],
@@ -409,6 +411,13 @@ def test_write_read_cloud_csv_is_lossless(tmp_path):
     write_cloud_csv(cloud, str(path))
     back = read_cloud_csv(str(path))
     assert np.array_equal(back.values(), cloud.values())
+
+
+def test_periodic_samples_default_to_257(capsysbinary):
+    assert main(["spectrum", "--mode", "periodic", "--k=+-+", "--format", "json"]) == 0
+    out = capsysbinary.readouterr().out
+    assert json.loads(out)["params"]["samples"] == 257
+    assert hashlib.sha256(out).hexdigest()[:16] == "81fbc0cca8c036d0"
 
 
 # sha256 of outputs, last pinned when the root finder began solving even

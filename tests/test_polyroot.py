@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -213,6 +215,66 @@ def test_nonconvergence_names_the_group_and_the_row():
         roots_many(np.array([[2.0, -3, 1], [-1.0, 1, 1]]), tol=1e-30)
     assert exc.value.row == 1
     assert "degree-2 group of 2 rows, input row 1:" in str(exc.value)
+
+
+def _compacting_batch():
+    # six degree-8 rows: x^8 - c, whose roots lie on the start circle,
+    # perturbed by 1e-14, 1e-8, 1e-2 and 1e-2 (they converge on passes 1, 2,
+    # 3 and 3), then two rows with coefficients over six decades (passes 13
+    # and 16), so the capped runs below leave the iteration after compacting
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    rows = noise * np.array([1e-14, 1e-8, 1e-2, 1e-2, 1, 1])[:, None]
+    rows[:4, 0] -= np.exp(8j * polyroot._ANGLE_OFFSET)
+    rows[4:] *= 10.0 ** rng.integers(-3, 4, size=(2, 9))
+    rows[:, -1] = 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "max_iter,row,worst",
+    [(1, 4, 0.9994636677611206), (3, 4, 0.9984267674174125), (8, 5, 0.9430326798237835)],
+)
+def test_failure_report_after_rows_have_left_the_iteration(max_iter, row, worst):
+    # the report names the worst of the rows still iterating on the last pass
+    with pytest.raises(ConvergenceError) as exc:
+        roots_many(_compacting_batch(), max_iter=max_iter)
+    assert exc.value.row == row
+    assert exc.value.worst_residual == worst
+    assert str(exc.value) == (
+        f"degree-8 group of 6 rows, input row {row}: root iteration did not converge "
+        f"within {max_iter} iterations (worst residual {worst:.3e}, tol 1.0e-10)"
+    )
+    assert roots_many(_compacting_batch()).shape == (6, 8)
+
+
+_BAD_STEP_ROOTS = [1.5, -2.0, 0.5 + 1j, 0.5 - 1j, -0.25 + 2j, 3j]
+
+
+@pytest.mark.parametrize("case,digest", [("critical", "e78a17d752e1c643"),
+                                         ("coincide", "e42dfda12d869c74")])
+def test_bad_step_is_nudged(monkeypatch, case, digest):
+    # on the first pass p'(z_0) is made exactly 0 ("critical"), or z_1 is
+    # moved onto z_0 ("coincide"); either makes the Aberth correction not
+    # finite, so the iterate is nudged instead, and the roots still come out
+    row = from_roots(_BAD_STEP_ROOTS).as_array()[None]
+    plain = roots_many(row)
+    horner, calls = polyroot._horner_batch, []
+
+    def first_pass_bad(c, z):
+        calls.append(None)  # each pass evaluates p, its scale, then p'
+        if case == "coincide" and len(calls) == 1:
+            z[0, 1] = z[0, 0]
+        value = horner(c, z)
+        if case == "critical" and len(calls) == 3:
+            value[0, 0] = 0
+        return value
+
+    monkeypatch.setattr(polyroot, "_horner_batch", first_pass_bad)
+    found = roots_many(row)
+    assert match_multisets(found[0], _BAD_STEP_ROOTS, 1e-12)
+    assert not np.array_equal(found, plain)
+    assert hashlib.sha256(found.tobytes()).hexdigest()[:16] == digest
 
 
 def _all_charpolys(max_n):

@@ -454,3 +454,12 @@ def test_cloud_plumbing():
     offsets = np.array([0.4, -0.4, 0.4j, -0.4j, 0.4 - 0.4j, 1, 0.2 + 1j, 0.1 + 5j]) * cell
     snapped = SpectrumCloud.from_values(offsets, "s").snapped(cell)
     assert np.array_equal(snapped.values(), np.array([-0.4, 0.1 + 5j, 0.2 + 1j, 1]) * cell)
+
+
+def test_from_values_views_a_fresh_complex_array():
+    fresh = np.arange(6, dtype=complex).reshape(2, 3)
+    for tag in ("a", ["a", "b"]):
+        values = SpectrumCloud.from_values(fresh, tag).values()
+        assert np.shares_memory(values, fresh)
+        assert not values.flags.writeable
+    assert fresh.flags.writeable

@@ -308,14 +308,12 @@ def _embed_obj(result, params: dict) -> dict:
         "verified": result.verified,
         "warnings": [],
         "witnesses": None
-        if result.witnesses is None
+        if result.witness_vectors is None
         else [
-            {
-                "first_component": w.first_component,
-                "residual": w.residual,
-                "target_index": w.target_index,
-            }
-            for w in result.witnesses
+            {"first_component": first, "residual": residual, "target_index": i}
+            for i, (first, residual) in enumerate(
+                zip(np.abs(result.witness_vectors[0]).tolist(), result.witness_residuals)
+            )
         ],
         "worst_residual": result.worst_residual,
     }

@@ -28,6 +28,9 @@ __all__ = [
 
 PERIOD_CAP = 10
 
+# lattice points of disk_grid before clipping; step 0.001 needs 4.0 M (245 MiB)
+DISK_GRID_CAP = 1 << 22
+
 
 # entries or distances per numpy pass; bounds the scan's scratch memory
 _BLOCK = 1 << 16
@@ -177,11 +180,16 @@ def disk_grid(step: float) -> SpectrumCloud:
 
     Lattice points just outside the disk (within one diagonal cell) are
     projected onto the circle, so the boundary is represented at every
-    resolution.  Deterministic for regression baselines.
+    resolution.  Deterministic for regression baselines.  A step whose
+    lattice exceeds DISK_GRID_CAP points is refused before anything is built.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"disk grid step must be positive and finite, got {step}")
-    reach = math.ceil((1.0 + step) / step)
+    ratio = (1.0 + step) / step
+    count = (2 * math.ceil(ratio) + 1) ** 2 if ratio < math.inf else math.inf
+    if count > DISK_GRID_CAP:
+        raise CapExceededError(f"disk grid step {step}: {count} points above cap {DISK_GRID_CAP}")
+    reach = math.ceil(ratio)
     axis = np.arange(-reach, reach + 1) * step
     re, im = np.repeat(axis, axis.size), np.tile(axis, axis.size)
     r = np.hypot(re, im)
@@ -245,16 +253,18 @@ def density_report(
     invariant under z -> i z, as enumerate_sigma builds it; a quarter turn of
     both points keeps |x - y| bitwise, so each i-orbit of the query cloud
     (which needs no symmetry) is scanned once.  A max_n above ``cap``, the
-    enumeration cap, is refused before any solve.
+    enumeration cap, or a disk step that disk_grid refuses (the grid is
+    built first) is refused before any solve.
     """
     if max_n > cap:
         raise CapExceededError(f"max_n capped at {cap}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
+    disk = disk_grid(disk_step).values()
     # the union's points, then the disk grid's, folded to one point per i-orbit
     union = periodic_union(max_m, samples, tol).values()
     pi_size = union.size
-    points = np.concatenate([union, disk_grid(disk_step).values()])
+    points = np.concatenate([union, disk])
     folded, inverse = np.unique(_fold_by_i(points), return_inverse=True)
     query = SpectrumCloud.from_values(folded, "query")
     best = np.full(folded.size, np.inf)

@@ -39,7 +39,6 @@ from .signmodel import SignVector, ensure_even_parity
 from .symbol import preimages, symbol_poly, two_cos_pi
 
 __all__ = [
-    "Witness",
     "ExcludedTarget",
     "EmbeddingResult",
     "block_circulant_charpoly",
@@ -85,15 +84,6 @@ def truncate(k: SignVector, n: int) -> SignVector:
 
 
 @dataclass(frozen=True)
-class Witness:
-    target_index: int
-    value: complex
-    vector: np.ndarray
-    first_component: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class ExcludedTarget:
     j: int
     values: tuple[complex, ...]
@@ -109,7 +99,8 @@ class EmbeddingResult:
     residuals: tuple[float, ...]
     verified: bool
     worst_residual: float
-    witnesses: tuple[Witness, ...] | None
+    witness_vectors: np.ndarray | None
+    witness_residuals: tuple[float, ...] | None
     excluded: tuple[ExcludedTarget, ...]
 
 
@@ -178,12 +169,13 @@ def verify_embedding(
     Residuals at the excluded angles are reported for inspection but never
     asserted.
 
-    With want_witness, target i also gets the unit vector x = (0, y) of the
-    nm x nm block circulant M, the combination of the Bloch waves at +-xi_j
-    that vanishes at site 0, with its first component |x_0| = 0 and its
-    residual ||M x - lam x|| by M's banded action.  The vectors are
-    read-only views of one array.  A ConvergenceError of the solve names
-    the pattern, n and the angle.
+    With want_witness, column i of ``witness_vectors``, a read-only
+    (nm, targets) array, is target i's unit vector x = (0, y) of the
+    nm x nm block circulant M: the combination of the Bloch waves at +-xi_j
+    that vanishes at site 0, so row 0 is exactly zero.
+    ``witness_residuals[i]`` is its residual ||M x - lam x|| by M's banded
+    action.  Without it both fields are None.  A ConvergenceError of the
+    solve names the pattern, n and the angle.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -223,7 +215,7 @@ def verify_embedding(
         )
     )
 
-    witnesses = None
+    witness_vectors = witness_residuals = None
     if x is not None:
         # (M x)_t = x_{t+1} + s_{t-1} x_{t-1} cyclically: with one +1 and one
         # sign per row of M this is the dense product bit for bit
@@ -234,16 +226,7 @@ def verify_embedding(
             np.linalg.norm(np.roll(xb, -1, 0) + sub * np.roll(xb, 1, 0) - xb * vb, axis=0)
             for xb, vb in blocks
         ])
-        witnesses = tuple(
-            Witness(
-                target_index=i,
-                value=complex(values[i]),
-                vector=x[:, i],
-                first_component=float(abs(x[0, i])),
-                residual=float(defect[i]),
-            )
-            for i in range(count)
-        )
+        witness_vectors, witness_residuals = x[:, :count], tuple(defect.tolist())
 
     return EmbeddingResult(
         l=l,
@@ -253,6 +236,7 @@ def verify_embedding(
         residuals=residuals,
         verified=verified,
         worst_residual=worst,
-        witnesses=witnesses,
+        witness_vectors=witness_vectors,
+        witness_residuals=witness_residuals,
         excluded=excluded,
     )

@@ -63,7 +63,11 @@ def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud
     """All n+1 eigenvalues, tagged with the matrix size parameter."""
     if len(k) > COEFF_SIZE_CAP:
         raise CapExceededError(f"n = {len(k)} above cap {COEFF_SIZE_CAP}: inexact in float64")
-    vals = roots_many(charpoly_finite(k)[None], tol)[0]
+    try:
+        vals = roots_many(charpoly_finite(k)[None], tol)[0]
+    except ConvergenceError as exc:
+        msg = f"finite spectrum, n = {len(k)}, pattern {k.to_text()}: {exc}"
+        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 
 

@@ -48,7 +48,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from signspectra.cloud import SpectrumCloud
-from signspectra.embed import Witness
 from signspectra.errors import CapExceededError, ParseError
 from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
 from signspectra.signmodel import SignVector, ensure_even_parity
@@ -447,7 +446,13 @@ def _inverse_iterate(mat: np.ndarray, shift: complex, rng, steps: int = 4):
     return v
 
 
-def _witness_for(mat, lam, index, rng) -> Witness:
+@dataclass(frozen=True)
+class DenseWitness:
+    vector: np.ndarray
+    residual: float
+
+
+def _witness_for(mat, lam, index, rng) -> DenseWitness:
     """Witness at target lam of mat by inverse iteration from both sides.
 
     Two shifts lam +- eps span the two-dimensional eigenspace; their
@@ -471,14 +476,7 @@ def _witness_for(mat, lam, index, rng) -> Witness:
     if norm < 1e-12:
         raise RuntimeError(f"vanishing combination at target {index}")
     x = x / norm
-    residual = float(np.linalg.norm(mat @ x - lam * x))
-    return Witness(
-        target_index=index,
-        value=complex(lam),
-        vector=x,
-        first_component=float(abs(x[0])),
-        residual=residual,
-    )
+    return DenseWitness(vector=x, residual=float(np.linalg.norm(mat @ x - lam * x)))
 
 
 # ---------------------------------------------------------- CSV and SVG text

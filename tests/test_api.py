@@ -36,7 +36,6 @@ PIPELINE = {
     # embedding
     "EmbeddingResult",
     "ExcludedTarget",
-    "Witness",
     "block_circulant_charpoly",
     "truncate",
     "verify_embedding",
@@ -106,3 +105,23 @@ def test_every_private_module_name_is_used_inside_the_package():
             private.update(n for n in names if n.startswith("_") and not n.startswith("__"))
     assert private, "the scan found no private names"
     assert private - _loaded_names() == set()
+
+
+def test_every_public_field_is_read_inside_the_package():
+    # an annotated field of a public class that no code in the package reads
+    # as an attribute is data the package builds for the tests alone
+    read = set()
+    fields = set()
+    for module in _package_modules():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        for cls in module.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                fields.update(
+                    f"{cls.name}.{node.target.id}"
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                )
+    assert fields, "the scan found no public fields"
+    assert {f for f in fields if f.split(".")[1] not in read} == set()

@@ -382,6 +382,11 @@ def test_disk_step_not_finite_is_refused(capsys, step):
                      "--samples", id="samples-finite"),
         pytest.param(["--cap", "3", "density", "--max-n", "4", "--max-m", "1", "--samples",
                       "3", "--disk-step", "1"], "max_n capped at 3", id="density-above-cap"),
+        pytest.param(["density", "--max-n", "3", "--max-m", "1", "--samples", "17",
+                      "--disk-step", "1e-9"], "disk grid step 1e-09", id="disk-step-1e-9"),
+        pytest.param(["spectrum", "--mode", "finite"], "finite mode needs --k", id="finite-no-k"),
+        pytest.param(["spectrum", "--mode", "periodic"], "periodic mode needs --k or --union-max-m",
+                     id="periodic-no-k"),
     ],
 )
 def test_refused_input_writes_no_stdout(capsys, argv, err):

@@ -142,6 +142,11 @@ def test_disk_grid_contract():
     assert set(g.tags()) == {"disk"}
     with pytest.raises(ValueError):
         disk_grid(0.0)
+    # a 2^-10 step needs 2051^2 > 2^22 lattice points; a subnormal step
+    # overflows (1 + step) / step to inf
+    for step in (2.0**-10, 1e-9, 5e-324):
+        with pytest.raises(CapExceededError, match=f"disk grid step {step}: "):
+            disk_grid(step)
     # the scalar lattice loop is the bitwise reference for the array version
     for step in (0.25, 0.1, 0.07):
         reach = math.ceil((1.0 + step) / step)
@@ -248,11 +253,18 @@ def test_each_folded_query_carries_the_distance_of_its_whole_orbit(monkeypatch):
             assert got and all(d == want for d in got), (n, x, y)
 
 
-def test_density_report_input_checks():
+def test_density_report_input_checks(monkeypatch):
+    # every refusal comes before the union is solved
+    def unreachable(*args):
+        raise AssertionError("periodic_union called for refused input")
+
+    monkeypatch.setattr(density, "periodic_union", unreachable)
     with pytest.raises(ValueError):
         density_report(1, 1, 33, 0.3)
     with pytest.raises(CapExceededError):
         density_report(17, 1, 33, 0.3)
+    with pytest.raises(CapExceededError, match="points above cap 4194304"):
+        density_report(3, 1, 17, 1e-9)
 
 
 def test_density_report_json_shape():

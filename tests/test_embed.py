@@ -69,6 +69,8 @@ def test_block_circulant_charpoly_against_dense_oracle():
                 want = int_charpoly_oracle(a).scaled((-1) ** (n * m))
                 got = block_circulant_charpoly(k, n)
                 assert got.coeffs == want.coeffs, (k.to_text(), n)
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        block_circulant_charpoly(parse_sign_vector("+"), 1)
 
 
 @pytest.mark.parametrize("text,n", [("+", 4), ("-", 3), ("+-", 3), ("--", 4)])
@@ -179,13 +181,15 @@ def test_verify_embedding_doubles_odd_parity():
 
 def test_verify_embedding_witnesses():
     res = verify_embedding(parse_sign_vector("+"), 4, want_witness=True)
-    assert res.witnesses is not None
-    assert [w.target_index for w in res.witnesses] == [0, 1]
-    for w in res.witnesses:
-        assert w.vector.shape == (4,)
-        assert w.first_component <= 1e-10
-        assert w.residual <= 1e-6
-        assert abs(np.linalg.norm(w.vector) - 1) <= 1e-9
+    assert res.witness_vectors is not None
+    assert res.witness_vectors.shape == (4, 2)
+    assert len(res.witness_residuals) == 2
+    assert not res.witness_vectors.flags.writeable
+    assert (np.abs(res.witness_vectors[0]) <= 1e-10).all()
+    assert max(res.witness_residuals) <= 1e-6
+    assert (np.abs(np.linalg.norm(res.witness_vectors, axis=0) - 1) <= 1e-9).all()
+    plain = verify_embedding(parse_sign_vector("+"), 4)
+    assert plain.witness_vectors is None and plain.witness_residuals is None
 
 
 def test_targets_lie_in_periodic_cloud():
@@ -216,12 +220,13 @@ def test_witnesses_over_the_sweep_space():
     for k, n in SWEEP_SPACE:
         res = verify_embedding(k, n, want_witness=True)
         assert res.verified, (k.to_text(), n)
-        assert len(res.witnesses) == len(res.targets)
-        for w in res.witnesses:
-            assert w.first_component == 0.0
-            assert w.vector[0] == 0
-            assert abs(np.linalg.norm(w.vector) - 1) <= 1e-12
-            assert w.residual <= 1e-12, (k.to_text(), n, w.target_index)
+        x = res.witness_vectors
+        assert x.shape == (n * res.m, len(res.targets)) == (n * res.m, len(res.witness_residuals))
+        assert (np.abs(x[0]) == 0.0).all()
+        assert (x[0] == 0).all()
+        assert (np.abs(np.linalg.norm(x, axis=0) - 1) <= 1e-12).all()
+        for i, residual in enumerate(res.witness_residuals):
+            assert residual <= 1e-12, (k.to_text(), n, i)
 
 
 def test_witness_spans_the_inverse_iteration_line():
@@ -231,18 +236,18 @@ def test_witness_spans_the_inverse_iteration_line():
     for k, n in pairs:
         res = verify_embedding(k, n, want_witness=True)
         mat = build_block_circulant(ensure_even_parity(k), n)
-        for i, w in enumerate(res.witnesses):
-            old = _witness_for(mat, w.value, i, np.random.default_rng(1000 + i))
-            assert abs(np.vdot(old.vector, w.vector)) >= 1 - 1e-12, (k.to_text(), n, i)
+        for i, value in enumerate(res.targets.values()):
+            old = _witness_for(mat, value, i, np.random.default_rng(1000 + i))
+            x = res.witness_vectors[:, i]
+            assert abs(np.vdot(old.vector, x)) >= 1 - 1e-12, (k.to_text(), n, i)
 
 
 def test_witness_tail_is_an_eigenvector_of_the_dense_truncation():
     for k, n in random.Random(7).sample(SWEEP_SPACE, 60):
         res = verify_embedding(k, n, want_witness=True)
         trunc = dense_matrix(TridiagSignMatrix(res.l, ones(len(res.l))))
-        for w in res.witnesses:
-            y = w.vector[1:]
-            assert np.linalg.norm(trunc @ y - w.value * y) <= 1e-12, (k.to_text(), n)
+        for y, value in zip(res.witness_vectors[1:].T, res.targets.values()):
+            assert np.linalg.norm(trunc @ y - value * y) <= 1e-12, (k.to_text(), n)
 
 
 def test_residuals_do_not_depend_on_the_witness_flag():
@@ -264,9 +269,9 @@ def test_residuals_stay_finite_at_large_sizes(text, n):
     assert res.worst_residual <= 1e-12
     excluded = [r for e in res.excluded for r in e.residuals]
     assert np.isfinite(excluded).all()
-    for w in res.witnesses or ():
-        assert w.residual <= 1e-12
-        assert w.first_component == 0.0
+    if res.witness_vectors is not None:
+        assert max(res.witness_residuals) <= 1e-12
+        assert (np.abs(res.witness_vectors[0]) == 0.0).all()
 
 
 @pytest.mark.parametrize("shift", [1e-4, 1e-2, 0.1])
@@ -313,11 +318,11 @@ def test_banded_witness_defect_equals_the_dense_product():
     extra = [(parse_sign_vector(t), n) for t, n in (("+", 200), ("+-+", 100), ("+--+-", 30))]
     for k, n in SWEEP_SPACE + extra:
         res = verify_embedding(k, n, want_witness=True)
-        x = np.stack([w.vector for w in res.witnesses], axis=1)
+        x = res.witness_vectors
         values = res.targets.values()
         mat = build_block_circulant(ensure_even_parity(k), n)
         want = np.linalg.norm(mat @ x - x * values, axis=0)
-        got = np.array([w.residual for w in res.witnesses])
+        got = np.array(res.witness_residuals)
         assert got.tobytes() == want.tobytes(), (k.to_text(), n)
     assert (parse_sign_vector("+"), 3) in SWEEP_SPACE and (parse_sign_vector("+"), 4) in SWEEP_SPACE
 

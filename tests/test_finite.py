@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from signspectra import finite, polyroot
+from signspectra import cli_io, finite, polyroot
 from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import (
     COEFF_SIZE_CAP,
@@ -258,3 +258,19 @@ def test_enumerate_error_names_stage_size_and_pattern(monkeypatch):
     # the named pattern fails on its own too
     with pytest.raises(ConvergenceError):
         polyroot.roots_many(charpoly_finite(parse_sign_vector(word))[None], max_iter=1)
+
+
+def test_finite_error_names_stage_size_and_pattern(monkeypatch, capsys):
+    monkeypatch.setattr(finite, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
+    k = parse_sign_vector("+-+-++-+--+")
+    with pytest.raises(ConvergenceError) as raw:
+        polyroot.roots_many(charpoly_finite(k)[None], max_iter=1)
+    with pytest.raises(ConvergenceError) as exc:
+        finite_eigenvalues(k)
+    # the row and the residual pass through; the message names the rest
+    assert str(exc.value) == f"finite spectrum, n = 11, pattern +-+-++-+--+: {raw.value}"
+    assert exc.value.row == raw.value.row and exc.value.worst_residual == raw.value.worst_residual
+    assert cli_io.main(["spectrum", "--mode", "finite", "--k=+-+-++-+--+"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {exc.value}\n"

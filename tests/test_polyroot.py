@@ -49,6 +49,8 @@ def test_polynomial_trimming_and_degree():
         ComplexPolynomial(())
     q = IntPolynomial((0, 0, 0))
     assert q.degree == 0 and q.coeffs == (0,)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        IntPolynomial(())
 
 
 def test_int_polynomial_exact_arithmetic():
@@ -59,6 +61,11 @@ def test_int_polynomial_exact_arithmetic():
     assert (a * b).coeffs == (-1, -2, 3, 6)
     big = IntPolynomial((1 << 100, 1))
     assert (big * big).coeffs[0] == 1 << 200
+    # gcd(x^2 - 1, 2x + 2) = x + 1 whichever operand comes first
+    square, line = IntPolynomial((-1, 0, 1)), IntPolynomial((2, 2))
+    assert line.gcd(square) == square.gcd(line) == IntPolynomial((1, 1))
+    # a constant, zero included, has no squarefree factor of positive degree
+    assert IntPolynomial((5,)).squarefree() == [] == IntPolynomial((0,)).squarefree()
 
 
 def test_roots_known_quadratic():
@@ -305,6 +312,7 @@ def test_int_polynomial_division_gcd_and_squarefree_against_sympy():
         dp = d.derivative()
         g = d.gcd(dp)
         assert g.coeffs == _positive(ours(sympy.gcd(sym(d), sym(dp)))), d
+        assert dp.gcd(d) == g, d
         q, r = divmod(d, g)
         assert r.is_zero() and (q * g).coeffs == d.coeffs
         # charpolys have leading coefficient +-1, so any of them divides over Z

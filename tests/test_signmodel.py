@@ -62,6 +62,8 @@ def test_sign_vector_constructors_and_views():
     assert reflected(k).signs == (-1, -1, 1)
     assert k.doubled().signs == (1, -1, -1, 1, -1, -1)
     assert k.repeated(3).to_text() == "+--+--+--"
+    with pytest.raises(ValueError, match="times must be positive"):
+        k.repeated(0)
     with pytest.raises(ValueError):
         SignVector(2, 0b100)
     with pytest.raises(ValueError):

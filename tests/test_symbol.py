@@ -418,6 +418,8 @@ def test_cloud_plumbing():
     assert len(snapped) == 2
     with pytest.raises(ValueError):
         snapped.snapped(0.0)
+    with pytest.raises(ValueError, match="1 codes for 2 values"):
+        SpectrumCloud([1.0, 2.0], [0], ("a",))
 
     # codes index a sorted tag table, so "fin:n=10" sorts before "fin:n=2"
     a = SpectrumCloud.from_values(np.array([1.0, 0.0]), "fin:n=2")

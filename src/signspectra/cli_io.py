@@ -265,6 +265,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_enumerate(args) -> int:
     started = time.monotonic()
     tol = DEFAULT_TOL if args.tol is None else args.tol
+    if args.n < 1:
+        raise ValueError("n must be at least 1")
     sizes = range(1, args.n + 1) if args.accumulate else [args.n]
     parts = [enumerate_sigma(n, tol, cap=args.cap) for n in sizes]
     cloud = SpectrumCloud().merged(*parts)

@@ -2,7 +2,10 @@
 
 The metric is the directed Hausdorff distance d(X -> Y) = max over x of the
 distance from x to Y.  directed_hausdorff assumes no symmetry, so it stays
-valid in mutation tests; density_report relies on sigma_n = i sigma_n.
+valid in mutation tests; density_report relies on sigma_n = i sigma_n.  It
+reports only the maximum of each distance series, so it first scans a probe
+of each series against every sigma_n for a floor under the final maximum,
+then sweeps the sizes over the query points that can still set a maximum.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ DISK_GRID_CAP = 1 << 22
 # entries or distances per numpy pass; bounds the scan's scratch memory
 _BLOCK = 1 << 16
 
+# density_report probes every _PROBE_STRIDE-th member of each series for its floor
+_PROBE_STRIDE = 64
+
 
 def _blocks(counts: np.ndarray) -> list[slice]:
     """Runs of consecutive entries whose counts add up to about _BLOCK."""
@@ -46,7 +52,7 @@ def _blocks(counts: np.ndarray) -> list[slice]:
 def _lower_nearest(xs: np.ndarray, ys: np.ndarray, best: np.ndarray) -> None:
     """Lower best[i] to min over y of |xs[i] - y| wherever that is smaller.
 
-    ys must be distinct.  They are sorted into square cells, column by
+    The ys are sorted into square cells, column by
     column, so the cells of one column between two rows hold one contiguous
     slice of ys, found in a table keyed by cell.  A point nearer to x than
     best[i] lies in the square of half-side best[i] around x, so each query
@@ -58,6 +64,7 @@ def _lower_nearest(xs: np.ndarray, ys: np.ndarray, best: np.ndarray) -> None:
     computed distance below best[i].  The minimum therefore runs over a
     candidate set that contains the nearest neighbor, with the |x - y| a
     brute-force scan would use, and agrees with brute force to the last bit.
+    Duplicates in ys cost time only.
     """
     re, im = ys.real, ys.imag
     cell = max(math.hypot(float(np.ptp(re)), float(np.ptp(im))) / math.sqrt(ys.size), 1e-6)
@@ -121,6 +128,17 @@ def _fold_by_i(z: np.ndarray) -> np.ndarray:
     return np.stack([np.where(turn, y, x), np.where(turn, -x, y)], axis=-1).view(complex)[:, 0]
 
 
+def _quadrant(z: np.ndarray) -> np.ndarray:
+    """The points of z in {re > 0, im >= 0}, and its zeros: one per i-orbit of an invariant z."""
+    return z[((z.real > 0) & (z.imag >= 0)) | (z == 0)]
+
+
+def _unfolded(z: np.ndarray) -> SpectrumCloud:
+    """The cloud of z, i z, -z and -i z, by exact swaps and negations of parts."""
+    turn = np.stack([-z.imag, z.real], axis=-1).view(complex)[:, 0]
+    return SpectrumCloud.from_values(np.concatenate([z, turn, -z, -turn]), "sigma")
+
+
 def directed_hausdorff(
     x_cloud: SpectrumCloud, y_cloud: SpectrumCloud, best: np.ndarray | None = None
 ) -> float:
@@ -130,12 +148,13 @@ def directed_hausdorff(
     lowered in place to the distance to Y wherever that is smaller, and the
     result is its maximum.  Feeding Y in parts with one carried array
     therefore gives the distance to the union of the parts seen so far,
-    scanning each part once.  Without it every point starts at infinity.
-    Exact duplicates in Y (and in X when nothing is carried) are dropped
-    first, which changes no minimum and no maximum.
+    scanning each part once.  Without it every point starts at infinity and
+    exact duplicates in X are dropped first.  Duplicates in Y change no
+    minimum and no maximum; they cost time, not exactness, so a caller that
+    scans one Y more than once dedups it once itself.
     """
     xs = x_cloud.values()
-    ys = np.unique(y_cloud.values())
+    ys = y_cloud.values()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("directed_hausdorff needs nonempty clouds")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
@@ -249,12 +268,26 @@ def density_report(
     n by construction: the minimum over a superset can only shrink.  A
     minimum over sigma up to n is the smaller of the one up to n - 1 and the
     one over sigma_n, so each query point carries its nearest distance and
-    every step scans only the new sigma_n.  That sigma_n must be exactly
-    invariant under z -> i z, as enumerate_sigma builds it; a quarter turn of
-    both points keeps |x - y| bitwise, so each i-orbit of the query cloud
-    (which needs no symmetry) is scanned once.  A max_n above ``cap``, the
-    enumeration cap, or a disk step that disk_grid refuses (the grid is
-    built first) is refused before any solve.
+    every step scans only sigma_n (sigma_1 joins sigma_2).  That sigma_n
+    must be exactly invariant under z -> i z, as enumerate_sigma builds it;
+    a quarter turn of both points keeps |x - y| bitwise, so each i-orbit of
+    the query cloud (which needs no symmetry) is scanned once, and sigma_n
+    is held as the distinct points of its quadrant re > 0, im >= 0 (and 0),
+    deduplicated once as it is enumerated and turned back into all of
+    sigma_n's values for each scan.
+
+    Only each series' maximum is reported.  A probe, every _PROBE_STRIDE-th
+    member of each series, is scanned against every sigma_n first; the
+    largest final distance of a series' probed members is a floor at most
+    its final maximum, and a point of both series takes the smaller floor.
+    The sweep over n then scans the live points only, and drops a point once
+    its carried distance falls below its floor: it can only fall further,
+    while every later maximum is at least the final one, so the maximum over
+    the live members is the maximum over all of them, as the same float.
+
+    A max_n above ``cap``, the enumeration cap, a disk step that disk_grid
+    refuses (the grid is built first) or a sample count that
+    periodic_spectrum refuses is refused before any solve.
     """
     if max_n > cap:
         raise CapExceededError(f"max_n capped at {cap}")
@@ -264,24 +297,36 @@ def density_report(
     # the union's points, then the disk grid's, folded to one point per i-orbit
     union = periodic_union(max_m, samples, tol).values()
     pi_size = union.size
-    points = np.concatenate([union, disk])
-    folded, inverse = np.unique(_fold_by_i(points), return_inverse=True)
-    query = SpectrumCloud.from_values(folded, "query")
-    best = np.full(folded.size, np.inf)
-    # sigma_1 has no distance of its own; it joins the first scan
-    fresh = enumerate_sigma(1, tol)
+    points, inverse = np.unique(_fold_by_i(np.concatenate([union, disk])), return_inverse=True)
+    # member[0] marks the folded points of the union, member[1] the disk grid's
+    member = np.zeros((2, points.size), dtype=bool)
+    member[0, inverse[:pi_size]] = True
+    member[1, inverse[pi_size:]] = True
+    probed = np.unique(np.concatenate([np.flatnonzero(m)[::_PROBE_STRIDE] for m in member]))
+    probe = SpectrumCloud.from_values(points[probed], "probe")
+    final = np.full(probed.size, np.inf)
+    sizes = range(2, max_n + 1)
+    parts = []
     size = 0
     sigma_sizes: dict[int, int] = {}
-    pi_distances: dict[int, float] = {}
-    disk_distances: dict[int, float] = {}
-    for n in range(2, max_n + 1):
+    fresh = enumerate_sigma(1, tol)
+    for n in sizes:
         fresh = fresh.merged(enumerate_sigma(n, tol, cap=cap))
         size += len(fresh)
         sigma_sizes[n] = size
-        directed_hausdorff(query, fresh, best)
-        pi_distances[n] = float(best[inverse[:pi_size]].max())
-        disk_distances[n] = float(best[inverse[pi_size:]].max())
+        parts.append(np.unique(_quadrant(fresh.values())))
         fresh = SpectrumCloud()
+        directed_hausdorff(probe, _unfolded(parts[-1]), final)
+    floors = [final[m[probed]].max() for m in member]
+    floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)
+    best = np.full(points.size, np.inf)
+    pi_distances: dict[int, float] = {}
+    disk_distances: dict[int, float] = {}
+    for n, part in zip(sizes, parts):
+        directed_hausdorff(SpectrumCloud.from_values(points, "query"), _unfolded(part), best)
+        pi_distances[n], disk_distances[n] = (float(best[m].max()) for m in member)
+        live = best >= floor
+        points, best, member, floor = points[live], best[live], member[:, live], floor[live]
     return DensityReport(
         max_n=max_n,
         max_m=max_m,

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .cloud import SpectrumCloud
-from .errors import ConvergenceError
+from .errors import CapExceededError, ConvergenceError
 from .finite import charpoly_finite
 from .polyroot import DEFAULT_TOL, roots_many
 from .signmodel import SignVector, ensure_even_parity
@@ -39,6 +39,9 @@ __all__ = [
     "periodic_spectrum",
     "two_cos_pi",
 ]
+
+# angle samples per periodic spectrum; the targets are a Python list
+SAMPLES_CAP = 1 << 16
 
 
 def two_cos_pi(numer: int, denom: int) -> float:
@@ -110,10 +113,13 @@ def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumClou
     even parity, whose clouds are concatenated in stack order.  Angles are
     uniform, phi_s = pi s/(samples-1), and the targets 2 cos phi_s are
     Chebyshev-distributed in [-2, 2], which resolves the arc endpoints well.
-    Each point is tagged with its angle.
+    Each point is tagged with its angle.  A count above SAMPLES_CAP is
+    refused before anything is built.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if samples > SAMPLES_CAP:
+        raise CapExceededError(f"{samples} angle samples above cap {SAMPLES_CAP}")
     k = np.asarray(ensure_even_parity(k).signs if isinstance(k, SignVector) else k)
     if (np.prod(k, axis=-1) != 1).any():
         raise ValueError("a stack of patterns needs even parity")

@@ -12,6 +12,10 @@ routine it checks, which is what the agreement tests rely on:
   the corner expansion behind ``symbol_poly``;
 - ``periodic_union_by_pattern`` (one ``periodic_spectrum`` call per pattern
   with a new symbol polynomial) checks the stacked ``periodic_union``;
+- ``density_report_full_scan`` (the carried scan of every folded query
+  point at every size, with no probe and nothing dropped) checks the floors
+  and the live set of ``density_report``; it shares the scan itself, which
+  the density tests check against brute force;
 - ``_read_corner_det`` (a continuant read entrywise from the assembled
   matrix) checks ``block_circulant_charpoly`` through
   ``circulant_factorization_check``;
@@ -48,7 +52,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from signspectra.cloud import SpectrumCloud
+from signspectra.density import (
+    DensityReport,
+    _fold_by_i,
+    directed_hausdorff,
+    disk_grid,
+    periodic_union,
+)
 from signspectra.errors import CapExceededError, ParseError
+from signspectra.finite import enumerate_sigma
 from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
 from signspectra.signmodel import SignVector, ensure_even_parity
 from signspectra.symbol import periodic_spectrum, symbol_poly
@@ -285,6 +297,36 @@ def periodic_union_by_pattern(max_m: int, samples: int) -> SpectrumCloud:
                 seen.add(p)
                 parts.append(periodic_spectrum(k, samples))
     return SpectrumCloud().merged(*parts)
+
+
+def density_report_full_scan(
+    max_n: int, max_m: int, samples: int, disk_step: float
+) -> DensityReport:
+    """density_report's distances from one carried scan of every query point.
+
+    The union's points and the disk grid's are folded to one point per
+    i-orbit, and each size's sigma_n (sigma_1 joins sigma_2) lowers the
+    distance of every folded point; each series' maximum is read after
+    every size.
+    """
+    union = periodic_union(max_m, samples).values()
+    disk = disk_grid(disk_step).values()
+    folded, inverse = np.unique(_fold_by_i(np.concatenate([union, disk])), return_inverse=True)
+    query = SpectrumCloud.from_values(folded, "query")
+    best = np.full(folded.size, np.inf)
+    fresh = enumerate_sigma(1)
+    size = 0
+    sigma_sizes, pi_distances, disk_distances = {}, {}, {}
+    for n in range(2, max_n + 1):
+        fresh = fresh.merged(enumerate_sigma(n))
+        size += len(fresh)
+        sigma_sizes[n] = size
+        directed_hausdorff(query, SpectrumCloud.from_values(np.unique(fresh.values()), "sigma"), best)
+        pi_distances[n] = float(best[inverse[: union.size]].max())
+        disk_distances[n] = float(best[inverse[union.size :]].max())
+        fresh = SpectrumCloud()
+    return DensityReport(max_n, max_m, samples, disk_step, union.size, sigma_sizes,
+                         pi_distances, disk_distances)
 
 
 def symbol_char_values(k, phis, lams) -> np.ndarray:

@@ -20,6 +20,7 @@ from signspectra.cloud import SpectrumCloud
 from signspectra.errors import ParseError
 from signspectra.finite import finite_eigenvalues
 from signspectra.signmodel import parse_sign_vector
+from signspectra.symbol import SAMPLES_CAP
 
 from oracles import csv_text_by_point, json_text_by_point, read_cloud_csv, svg_circles_by_point
 
@@ -387,6 +388,22 @@ def test_disk_step_not_finite_is_refused(capsys, step):
         pytest.param(["spectrum", "--mode", "finite"], "finite mode needs --k", id="finite-no-k"),
         pytest.param(["spectrum", "--mode", "periodic"], "periodic mode needs --k or --union-max-m",
                      id="periodic-no-k"),
+        # a header-only CSV came out before
+        pytest.param(["enumerate", "--n", "0", "--accumulate"], "n must be at least 1",
+                     id="enumerate-n0-accumulate"),
+        pytest.param(["enumerate", "--n", "-3", "--accumulate"], "n must be at least 1",
+                     id="enumerate-n-3-accumulate"),
+        # the cap plus one allocates nothing; a large count died on memory
+        pytest.param(["spectrum", "--mode", "periodic", "--k=+", "--samples",
+                      str(SAMPLES_CAP + 1)],
+                     f"{SAMPLES_CAP + 1} angle samples above cap {SAMPLES_CAP}",
+                     id="samples-above-cap"),
+        pytest.param(["spectrum", "--mode", "periodic", "--union-max-m", "2", "--samples",
+                      str(SAMPLES_CAP + 1)], "angle samples above cap",
+                     id="union-samples-above-cap"),
+        pytest.param(["density", "--max-n", "3", "--max-m", "1", "--samples",
+                      str(SAMPLES_CAP + 1), "--disk-step", "0.5"], "angle samples above cap",
+                     id="density-samples-above-cap"),
     ],
 )
 def test_refused_input_writes_no_stdout(capsys, argv, err):
@@ -394,6 +411,15 @@ def test_refused_input_writes_no_stdout(capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert err in captured.err
+
+
+def test_refused_enumerate_writes_no_file(capsys, tmp_path):
+    # --accumulate with n below 1 wrote a header-only CSV and its manifest
+    for n in ("0", "-3"):
+        out = tmp_path / f"sigma{n}.csv"
+        assert main(["enumerate", "--n", n, "--accumulate", "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_enumerate_cap_flag(capsys):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from signspectra import cli_io, density
+from signspectra import cli_io, density, finite, symbol
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import (
     DensityReport,
@@ -21,7 +21,7 @@ from signspectra.density import (
 from signspectra.errors import CapExceededError
 from signspectra.finite import enumerate_sigma
 
-from oracles import periodic_union_by_pattern
+from oracles import density_report_full_scan, periodic_union_by_pattern
 
 
 def _cloud(values):
@@ -49,7 +49,7 @@ def test_hausdorff_is_directed():
 def test_hausdorff_matches_brute_force_bitwise():
     # the bucket scan must pick the same nearest neighbors as a full scan,
     # so the results are equal as floats, not merely close; the rounded
-    # clouds are full of exact duplicates, which the scan drops first
+    # clouds are full of exact duplicates, which only X drops first
     for seed in range(20):
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
@@ -77,6 +77,22 @@ def test_hausdorff_carried_distances_cover_the_union_of_parts():
         directed_hausdorff(_cloud(xs), _cloud(ys), np.zeros(3))
     with pytest.raises(ValueError):
         directed_hausdorff(_cloud([np.nan]), _cloud(ys))
+
+
+def test_hausdorff_exact_duplicates_in_y_change_no_distance():
+    # Y is not deduplicated: each value repeated up to three times, in
+    # shuffled order, must give the brute-force distances, carried or not
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-2, 2, 50) + 1j * rng.uniform(-2, 2, 50)
+        base = rng.uniform(-2, 2, 120) + 1j * rng.uniform(-2, 2, 120)
+        ys = rng.permutation(np.concatenate([base, base[:60], base[:30], [base[0]] * 50]))
+        want = np.abs(xs[:, None] - ys[None, :]).min(axis=1)
+        assert np.unique(ys).size == base.size < ys.size
+        assert directed_hausdorff(_cloud(xs), _cloud(ys)) == want.max()
+        best = np.full(xs.size, np.inf)
+        assert directed_hausdorff(_cloud(xs), _cloud(ys), best) == want.max()
+        assert np.array_equal(best, want)
 
 
 def test_hausdorff_exact_duplicates_in_bounded_memory():
@@ -208,6 +224,23 @@ def test_fold_by_i_is_an_exact_quarter_turn_into_the_first_quadrant():
     ).all()
 
 
+def test_quadrant_and_its_quarter_turns_give_back_sigma():
+    # the report holds each sigma_n as its distinct quadrant points; their
+    # exact quarter turns must be sigma_n's values again, 0 and -0 alike
+    for n in range(1, 11):
+        v = enumerate_sigma(n).values()
+        q = np.unique(density._quadrant(v))
+        assert ((q.real > 0) & (q.imag >= 0) | (q == 0)).all()
+        assert 4 * q.size <= np.unique(v).size + 3
+        turned = density._unfolded(q).values()
+        assert np.array_equal(np.unique(turned), np.unique(v)), n
+    z = np.array([1 + 2j, -0.0 + 3j])
+    x, y = z.real, z.imag
+    turns = density._unfolded(z).values().reshape(4, -1)
+    for got, (a, b) in zip(turns, [(x, y), (-y, x), (-x, -y), (y, -x)]):
+        assert (_same_bits(got.real, a) & _same_bits(got.imag, b)).all()
+
+
 def test_density_report_equals_a_scan_of_the_unfolded_queries():
     # c09's parameters: a carried scan of every query point, with no fold,
     # must give the report's distances as the same floats
@@ -227,30 +260,64 @@ def _parts(cloud):
     return list(zip(cloud.values().real.tolist(), cloud.values().imag.tolist()))
 
 
-def test_each_folded_query_carries_the_distance_of_its_whole_orbit(monkeypatch):
-    # the maxima can survive a wrong fold, so compare point by point: after
-    # each size, the distance the report carries for a folded query point
-    # must be, bit for bit, the unfolded scan's distance of every point of
-    # its orbit under z -> i z, found here from (re, im) quarter turns
-    scan, carried = density.directed_hausdorff, []
+def _record_scans(monkeypatch):
+    # every scan density_report makes: the query cloud's tag, its points as
+    # (re, im) pairs and their carried distances after the call
+    scan, calls = density.directed_hausdorff, []
 
     def record(x_cloud, y_cloud, best=None):
         result = scan(x_cloud, y_cloud, best)
-        carried.append(dict(zip(_parts(x_cloud), best.tolist())))
+        calls.append((x_cloud.tags()[0], dict(zip(_parts(x_cloud), best.tolist()))))
         return result
 
     monkeypatch.setattr(density, "directed_hausdorff", record)
-    density_report(8, 4, 257, 0.1)
+    return calls
+
+
+def _turns(x, y):
+    return ((x, y), (-y, x), (-x, -y), (y, -x))
+
+
+def test_each_folded_query_carries_the_distance_of_its_whole_orbit(monkeypatch):
+    # the maxima can survive a wrong fold or a wrong drop, so compare point
+    # by point: in every sweep call, the distance the report carries for a
+    # live folded point must be, bit for bit, the unfolded scan's distance of
+    # every point of its orbit under z -> i z, found here from (re, im)
+    # quarter turns; a dropped point's last carried distance must be at
+    # least its true distance and below its series' final maximum
+    calls = _record_scans(monkeypatch)
+    rep = density_report(8, 4, 257, 0.1)
     monkeypatch.undo()
-    points = periodic_union(4, 257).merged(disk_grid(0.1))
+    assert [tag for tag, _ in calls] == ["probe"] * 7 + ["query"] * 7
+    sweep = [carried for tag, carried in calls if tag == "query"]
+    union = periodic_union(4, 257)
+    points = union.merged(disk_grid(0.1))
+    in_pi = np.arange(len(points)) < len(union)
     best = np.full(len(points), np.inf)
     fresh = enumerate_sigma(1)
-    for n, folded in zip(range(2, 9), carried, strict=True):
+    history = []
+    for n, live in zip(range(2, 9), sweep, strict=True):
         directed_hausdorff(points, fresh.merged(enumerate_sigma(n)), best)
         fresh = SpectrumCloud()
+        history.append(best.copy())
         for (x, y), want in zip(_parts(points), best.tolist()):
-            got = [folded[q] for q in ((x, y), (-y, x), (-x, -y), (y, -x)) if q in folded]
-            assert got and all(d == want for d in got), (n, x, y)
+            got = [live[q] for q in _turns(x, y) if q in live]
+            assert all(d == want for d in got), (n, x, y)
+    # every orbit starts live, and once dropped a point stays out
+    folded = [next(q for q in _turns(x, y) if q in sweep[0]) for x, y in _parts(points)]
+    assert len(sweep[0]) == len(set(folded))
+    final_max = {True: best[in_pi].max(), False: best[~in_pi].max()}
+    assert final_max == {True: rep.pi_distances[8], False: rep.disk_distances[8]}
+    dropped = 0
+    for i, (before, after) in enumerate(zip(sweep, sweep[1:])):
+        assert set(after) <= set(before)
+        for j, q in enumerate(folded):
+            if q in before and q not in after:
+                dropped += 1
+                last = before[q]
+                assert last == history[i][j] and last >= best[j], (i, q)
+                assert last < final_max[bool(in_pi[j])], (i, q)
+    assert dropped > len(sweep[0]) // 2
 
 
 def test_density_report_input_checks(monkeypatch):
@@ -265,6 +332,34 @@ def test_density_report_input_checks(monkeypatch):
         density_report(17, 1, 33, 0.3)
     with pytest.raises(CapExceededError, match="points above cap 4194304"):
         density_report(3, 1, 17, 1e-9)
+
+
+def test_density_report_refuses_the_sample_cap_before_any_solve(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("roots_many called for refused input")
+
+    monkeypatch.setattr(finite, "roots_many", unreachable)
+    monkeypatch.setattr(symbol, "roots_many", unreachable)
+    with pytest.raises(CapExceededError, match=f"above cap {symbol.SAMPLES_CAP}"):
+        density_report(3, 1, symbol.SAMPLES_CAP + 1, 0.5)
+
+
+@pytest.mark.parametrize("case", [(7, 3, 33, 0.2), (10, 4, 65, 0.1), (12, 6, 257, 0.05)])
+def test_pruned_report_equals_the_full_scan(monkeypatch, case):
+    # the floors only decide which points are scanned: with the default
+    # probe, a probe of every point and a probe of one point per series the
+    # report must equal the carried scan of every query point at every size
+    want = repr(density_report_full_scan(*case))
+    calls = _record_scans(monkeypatch)
+    assert repr(density_report(*case)) == want
+    for stride in (1, 10**9):
+        monkeypatch.setattr(density, "_PROBE_STRIDE", stride)
+        calls.clear()
+        assert repr(density_report(*case)) == want, stride
+        probe = {len(carried) for tag, carried in calls if tag == "probe"}
+        queries = len(next(carried for tag, carried in calls if tag == "query"))
+        # one probe size over all calls: every point, or one point per series
+        assert len(probe) == 1 and probe <= ({queries} if stride == 1 else {1, 2})
 
 
 def test_density_report_json_shape():

@@ -12,10 +12,11 @@ import pytest
 
 from signspectra import polyroot, symbol
 from signspectra.cloud import SpectrumCloud
-from signspectra.errors import ConvergenceError
+from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.polyroot import IntPolynomial
 from signspectra.signmodel import SignVector, parse_sign_vector
 from signspectra.symbol import (
+    SAMPLES_CAP,
     periodic_spectrum,
     preimages,
     symbol_poly,
@@ -323,6 +324,24 @@ def test_periodic_spectrum_is_the_merge_of_one_cloud_per_angle(samples):
     assert cloud.values().tobytes() == want.values().tobytes()
     assert cloud.tags() == want.tags()
     assert cloud.table() == want.table()
+
+
+def test_periodic_spectrum_sample_cap(monkeypatch):
+    # the cap is checked before the target list or any row is built; at the
+    # cap the solve is reached, here replaced by a sentinel
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(symbol, "preimages", reached)
+    with pytest.raises(Reached):
+        periodic_spectrum(parse_sign_vector("+"), SAMPLES_CAP)
+    monkeypatch.setattr(symbol, "two_cos_pi", reached)
+    msg = f"{SAMPLES_CAP + 1} angle samples above cap {SAMPLES_CAP}"
+    with pytest.raises(CapExceededError, match=msg):
+        periodic_spectrum(parse_sign_vector("+"), SAMPLES_CAP + 1)
 
 
 def test_periodic_spectrum_imaginary_segment():

@@ -47,16 +47,44 @@ def test_trace_boundaries_see_the_union_and_the_density_scan(monkeypatch):
 
     tracer = _tracer(monkeypatch)
     with tracer.installed():
-        density.density_report(5, 2, 9, 0.5)
-    # one Hausdorff scan per size 2..5, the union and the disk in one query
-    # of one point per orbit under z -> i z, found here from (re, im) pairs
-    assert tracer.counts["density.hausdorff_calls"] == 5 - 1
-    q = np.concatenate([density.periodic_union(2, 9).values(), density.disk_grid(0.5).values()])
-    orbits = {min((x, y), (-y, x), (-x, -y), (y, -x)) for x, y in zip(q.real, q.imag)}
-    assert len(orbits) < q.size
-    assert tracer.counts["density.hausdorff_query_points"] == 4 * len(orbits)
-    assert tracer.counts["polyroot.calls"] == 3 + 5
-    assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 3
+        density.density_report(6, 3, 33, 0.25)
+    # the union and the disk in one query of one point per orbit under
+    # z -> i z, found here from (re, im) pairs as the turn in the quadrant
+    # re > 0, im >= 0 (0 stays 0), in the fold's sorted order
+    union = density.periodic_union(3, 33).values()
+    q = np.concatenate([union, density.disk_grid(0.25).values()])
+    orbits = {}  # folded point -> its series, True for the union
+    for i, (x, y) in enumerate(zip(q.real, q.imag)):
+        turns = [(a, b) for a, b in ((x, y), (-y, x), (-x, -y), (y, -x)) if a > 0 and b >= 0]
+        orbits.setdefault(turns[0] if turns else (0.0, 0.0), set()).add(i < union.size)
+    folded = sorted(orbits)
+    assert len(folded) < q.size
+    # a probe of every _PROBE_STRIDE-th point of each series is scanned
+    # against each size; its largest distance per series is that series' floor
+    probed = set()
+    for series in (True, False):
+        probed.update([p for p in folded if series in orbits[p]][:: density._PROBE_STRIDE])
+    merged = finite.enumerate_sigma(1).values()
+    dist = {}
+    for n in range(2, 7):
+        merged = np.concatenate([merged, finite.enumerate_sigma(n).values()])
+        dist[n] = {p: float(np.abs(complex(*p) - merged).min()) for p in folded}
+    floor = {
+        series: max(dist[6][p] for p in probed if series in orbits[p]) for series in (True, False)
+    }
+    # the sweep at n scans the points whose distance at n - 1 is not below
+    # their floor, the smaller one for a point of both series
+    live = [
+        sum(n == 2 or dist[n - 1][p] >= min(floor[s] for s in orbits[p]) for p in folded)
+        for n in range(2, 7)
+    ]
+    assert live[0] == len(folded) > live[-1]
+    # one probe scan and one sweep scan per size 2..6
+    assert tracer.counts["density.hausdorff_calls"] == 2 * 5
+    assert tracer.counts["density.hausdorff_query_points"] == 5 * len(probed) + sum(live)
+    # effective periods 1, 2, 3, 4 and 6, then sizes 1..6
+    assert tracer.counts["polyroot.calls"] == 5 + 6
+    assert tracer.counts["symbol.symbol_poly_calls"] == 2 * 5
 
 
 def test_trace_boundaries_see_the_embed_command(monkeypatch, tmp_path):

@@ -321,7 +321,8 @@ def density_report_full_scan(
         fresh = fresh.merged(enumerate_sigma(n))
         size += len(fresh)
         sigma_sizes[n] = size
-        directed_hausdorff(query, SpectrumCloud.from_values(np.unique(fresh.values()), "sigma"), best)
+        part = SpectrumCloud.from_values(np.unique(fresh.values()), "sigma")
+        directed_hausdorff(query, part, best)
         pi_distances[n] = float(best[inverse[: union.size]].max())
         disk_distances[n] = float(best[inverse[union.size :]].max())
         fresh = SpectrumCloud()

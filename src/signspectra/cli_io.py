@@ -21,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -287,38 +288,64 @@ def _cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _embed_obj(result, params: dict) -> dict:
+def _json_items(items, pad: str) -> str:
+    """A list of encoded items, or a dict of them with its keys sorted, laid
+    out as json.dumps(indent=2) does at indent `pad`."""
+    brackets = "[]"
+    if isinstance(items, dict):
+        items, brackets = [f"{json.dumps(k)}: {v}" for k, v in sorted(items.items())], "{}"
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json_numbers(values) -> list:
+    """json's text of each number: repr, or NaN, Infinity and -Infinity."""
+    if all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return [json.dumps(x) for x in values]
+
+
+def _json_rows(columns: dict, pad: str) -> str:
+    """The array of objects whose member k in row i is the encoded columns[k][i]."""
+    keys = sorted(columns)
+    row = _json_items(dict.fromkeys(keys, "%s"), pad + "  ")
+    return _json_items([row % values for values in zip(*(columns[k] for k in keys))], pad)
+
+
+def _embed_text(result, params: dict) -> str:
+    """The embed result's JSON, byte for byte what ``json.dumps(sort_keys=True,
+    indent=2)`` plus a newline prints for it, written directly: json's indent
+    encoder is pure Python."""
     v = result.targets.values()
-    return {
-        "excluded": [
-            {
-                "j": e.j,
-                "residuals": list(e.residuals),
-                "values": [{"im": v.imag, "re": v.real} for v in e.values],
-            }
-            for e in result.excluded
-        ],
-        "l": result.l.to_text(),
-        "m_effective": result.m,
-        "n": result.n,
-        "params": params,
-        "residuals": list(result.residuals),
-        "targets": [
-            {"im": im, "re": re, "tag": t}
-            for re, im, t in zip(v.real.tolist(), v.imag.tolist(), result.targets.tags())
-        ],
-        "verified": result.verified,
-        "warnings": [],
-        "witnesses": None
-        if result.witness_vectors is None
-        else [
-            {"first_component": first, "residual": residual, "target_index": i}
-            for i, (first, residual) in enumerate(
-                zip(np.abs(result.witness_vectors[0]).tolist(), result.witness_residuals)
-            )
-        ],
-        "worst_residual": result.worst_residual,
-    }
+    tags = [json.dumps(t) for t in result.targets.table()]
+    excluded = [_json_items({
+        "j": str(e.j),
+        "residuals": _json_items(_json_numbers(e.residuals), "      "),
+        "values": _json_rows({"im": _json_numbers([z.imag for z in e.values]),
+                              "re": _json_numbers([z.real for z in e.values])}, "      "),
+    }, "    ") for e in result.excluded]
+    witnesses = "null" if result.witness_vectors is None else _json_rows({
+        "first_component": _json_numbers(np.abs(result.witness_vectors[0]).tolist()),
+        "residual": _json_numbers(result.witness_residuals),
+        "target_index": _json_numbers(range(len(result.witness_residuals))),
+    }, "  ")
+    return _json_items({
+        "excluded": _json_items(excluded, "  "),
+        "l": json.dumps(result.l.to_text()),
+        "m_effective": str(result.m),
+        "n": str(result.n),
+        "params": _json_items({k: json.dumps(x) for k, x in params.items()}, "  "),
+        "residuals": _json_items(_json_numbers(result.residuals), "  "),
+        "targets": _json_rows({"im": _json_numbers(v.imag.tolist()),
+                               "re": _json_numbers(v.real.tolist()),
+                               "tag": [tags[c] for c in result.targets.codes().tolist()]}, "  "),
+        "verified": json.dumps(result.verified),
+        "warnings": "[]",
+        "witnesses": witnesses,
+        "worst_residual": json.dumps(result.worst_residual),
+    }, "") + "\n"
 
 
 def _cmd_embed(args) -> int:
@@ -333,7 +360,7 @@ def _cmd_embed(args) -> int:
         "tol": tol,
         "witness": bool(args.witness),
     }
-    _emit(args.out, [_json_text(_embed_obj(result, params)).encode()], "embed", params, started)
+    _emit(args.out, [_embed_text(result, params).encode()], "embed", params, started)
     return EXIT_OK if result.verified else EXIT_UNVERIFIED
 
 

@@ -49,38 +49,50 @@ def _blocks(counts: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _lower_nearest(xs: np.ndarray, ys: np.ndarray, best: np.ndarray) -> None:
+class _CellGrid:
+    """Points sorted into square cells, column by column, so the cells of one
+    column between two rows hold one contiguous slice of them, found in a
+    table keyed by cell.  Built once per Y, it serves every scan of Y, and
+    ``values()`` gives the points back, so it stands in for Y's cloud."""
+
+    def __init__(self, ys: np.ndarray):
+        re, im = ys.real, ys.imag
+        cell = max(math.hypot(float(np.ptp(re)), float(np.ptp(im))) / math.sqrt(ys.size), 1e-6)
+        self.cell = cell
+        gx = np.floor(re / cell)
+        gy = np.floor(im / cell)
+        self.x0, self.y0 = x0, y0 = gx.min(), gy.min()
+        self.w, self.h = w, h = int(gx.max() - x0) + 1, int(gy.max() - y0) + 1
+        key = ((gx - x0) * h + (gy - y0)).astype(np.int64)
+        order = np.argsort(key, kind="stable")
+        self.ys = ys[order]
+        # rows a..b of column c hold ys[bounds[c * h + a]:bounds[c * h + b + 1]]
+        self.bounds = np.searchsorted(key[order], np.arange(w * h + 1))
+        # Y's share of the scale of a scan's slack
+        self.scale = max(cell, float(np.abs(re).max()), float(np.abs(im).max()))
+
+    def values(self) -> np.ndarray:
+        return self.ys
+
+
+def _lower_nearest(xs: np.ndarray, grid: _CellGrid, best: np.ndarray) -> None:
     """Lower best[i] to min over y of |xs[i] - y| wherever that is smaller.
 
-    The ys are sorted into square cells, column by
-    column, so the cells of one column between two rows hold one contiguous
-    slice of ys, found in a table keyed by cell.  A point nearer to x than
-    best[i] lies in the square of half-side best[i] around x, so each query
-    reads only the columns of that square.  The square is capped at a reach
-    that starts at one cell: a query that finds nothing within its reach
-    doubles the reach and reads again, until a match lies within the reach
-    or the square covers every cell.  The square is widened by a slack far
-    above the rounding of the cell arithmetic, so it holds every point at a
-    computed distance below best[i].  The minimum therefore runs over a
-    candidate set that contains the nearest neighbor, with the |x - y| a
-    brute-force scan would use, and agrees with brute force to the last bit.
-    Duplicates in ys cost time only.
+    A point nearer to x than best[i] lies in the square of half-side best[i]
+    around x, so each query reads only the grid columns of that square.  The
+    square is capped at a reach that starts at one cell: a query that finds
+    nothing within its reach doubles the reach and reads again, until a match
+    lies within the reach or the square covers every cell.  The square is
+    widened by a slack far above the rounding of the cell arithmetic, so it
+    holds every point at a computed distance below best[i].  The minimum
+    therefore runs over a candidate set that contains the nearest neighbor,
+    with the |x - y| a brute-force scan would use, and agrees with brute
+    force to the last bit.  Duplicates in ys cost time only.
     """
-    re, im = ys.real, ys.imag
-    cell = max(math.hypot(float(np.ptp(re)), float(np.ptp(im))) / math.sqrt(ys.size), 1e-6)
-    gx = np.floor(re / cell)
-    gy = np.floor(im / cell)
-    x0, y0 = gx.min(), gy.min()
-    w, h = int(gx.max() - x0) + 1, int(gy.max() - y0) + 1
-    key = ((gx - x0) * h + (gy - y0)).astype(np.int64)
-    order = np.argsort(key, kind="stable")
-    ys = ys[order]
-    # rows a..b of column c hold ys[bounds[c * h + a]:bounds[c * h + b + 1]]
-    bounds = np.searchsorted(key[order], np.arange(w * h + 1))
-    u = xs.real / cell - x0
-    v = xs.imag / cell - y0
-    scale = max(cell, float(np.abs(re).max()), float(np.abs(im).max()),
-                float(np.abs(xs.real).max()), float(np.abs(xs.imag).max()))
+    ys, bounds, cell, w, h = grid.ys, grid.bounds, grid.cell, grid.w, grid.h
+    u = xs.real / cell - grid.x0
+    v = xs.imag / cell - grid.y0
+    scale = max(grid.scale, float(np.abs(xs.real).max()), float(np.abs(xs.imag).max()))
     slack = 1e-12 * scale
     live = np.flatnonzero(best > 0)
     reach = cell
@@ -140,7 +152,7 @@ def _unfolded(z: np.ndarray) -> SpectrumCloud:
 
 
 def directed_hausdorff(
-    x_cloud: SpectrumCloud, y_cloud: SpectrumCloud, best: np.ndarray | None = None
+    x_cloud: SpectrumCloud, y_cloud: SpectrumCloud | _CellGrid, best: np.ndarray | None = None
 ) -> float:
     """max_{x in X} min_{y in Y} |x - y|, bucketized but exact.
 
@@ -151,7 +163,8 @@ def directed_hausdorff(
     scanning each part once.  Without it every point starts at infinity and
     exact duplicates in X are dropped first.  Duplicates in Y change no
     minimum and no maximum; they cost time, not exactness, so a caller that
-    scans one Y more than once dedups it once itself.
+    scans one Y more than once dedups it once itself, and passes Y as the
+    _CellGrid of its values, built once.
     """
     xs = x_cloud.values()
     ys = y_cloud.values()
@@ -164,7 +177,7 @@ def directed_hausdorff(
         best = np.full(xs.size, np.inf)
     elif best.shape != xs.shape:
         raise ValueError(f"{best.size} carried distances for {xs.size} query points")
-    _lower_nearest(xs, ys, best)
+    _lower_nearest(xs, y_cloud if isinstance(y_cloud, _CellGrid) else _CellGrid(ys), best)
     return float(best.max())
 
 
@@ -306,7 +319,7 @@ def density_report(
     probe = SpectrumCloud.from_values(points[probed], "probe")
     final = np.full(probed.size, np.inf)
     sizes = range(2, max_n + 1)
-    parts = []
+    grids = []
     size = 0
     sigma_sizes: dict[int, int] = {}
     fresh = enumerate_sigma(1, tol)
@@ -314,16 +327,16 @@ def density_report(
         fresh = fresh.merged(enumerate_sigma(n, tol, cap=cap))
         size += len(fresh)
         sigma_sizes[n] = size
-        parts.append(np.unique(_quadrant(fresh.values())))
+        grids.append(_CellGrid(_unfolded(np.unique(_quadrant(fresh.values()))).values()))
         fresh = SpectrumCloud()
-        directed_hausdorff(probe, _unfolded(parts[-1]), final)
+        directed_hausdorff(probe, grids[-1], final)
     floors = [final[m[probed]].max() for m in member]
     floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)
     best = np.full(points.size, np.inf)
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
-    for n, part in zip(sizes, parts):
-        directed_hausdorff(SpectrumCloud.from_values(points, "query"), _unfolded(part), best)
+    for n, grid in zip(sizes, grids):
+        directed_hausdorff(SpectrumCloud.from_values(points, "query"), grid, best)
         pi_distances[n], disk_distances[n] = (float(best[m].max()) for m in member)
         live = best >= floor
         points, best, member, floor = points[live], best[live], member[:, live], floor[live]

@@ -132,7 +132,8 @@ def _recurrence(signs, lams: np.ndarray, out: np.ndarray | None = None) -> np.nd
         total += term
         if out is not None:
             out[t - 1] = cur
-        prev, cur = cur, lams * cur - s * prev
+        # subtract prev or add it, without multiplying it by the sign
+        prev, cur = cur, (np.subtract if s > 0 else np.add)(lams * cur, prev)
         term = (cur.conj() * cur).real
         big = term > 2.0 ** (2 * _RESCALE_BITS)
         if big.any():
@@ -183,15 +184,19 @@ def verify_embedding(
     m = len(keff)
     if n * m > EMBED_SIZE_CAP:
         raise CapExceededError(f"embedding size nm = {n * m} above cap {EMBED_SIZE_CAP}")
-    # one solve for the allowed angles (the targets) and the excluded ones
+    # the allowed angles (the targets), then the excluded ones
     allowed = [j for j in range(1, n) if 2 * j != n]
     js = allowed + ([n // 2] if n % 2 == 0 else []) + [n]
     l = truncate(keff, n)
+    # j and n - j have bit-identical targets, and a row's roots do not depend
+    # on its batch: row min(j, n - j) - 1 of one solve serves j (-1 serves n)
+    distinct = [*range(1, n // 2 + 1), n]
     try:
-        solved = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+        once = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in distinct])
     except ConvergenceError as exc:
-        where = f"period {m}, pattern {keff.to_text()}, n = {n}, angle j = {js[exc.row]}"
+        where = f"period {m}, pattern {keff.to_text()}, n = {n}, angle j = {distinct[exc.row]}"
         raise ConvergenceError(f"embed, {where}: {exc}", exc.worst_residual, exc.row) from None
+    solved = once[[min(j, n - j) - 1 for j in js]]
     tags = [f"target:j={j}" for j in allowed]
     targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
     values = targets.values()
@@ -205,11 +210,7 @@ def verify_embedding(
     verified = all(r <= tol for r in residuals)
 
     excluded = tuple(
-        ExcludedTarget(
-            j=j,
-            values=tuple(complex(v) for v in vals),
-            residuals=tuple(res.tolist()),
-        )
+        ExcludedTarget(j, tuple(vals.tolist()), tuple(res.tolist()))
         for j, vals, res in zip(
             js[len(allowed):], solved[len(allowed):], unit_residuals[count:].reshape(-1, m)
         )

@@ -216,10 +216,10 @@ class IntPolynomial:
 
 
 def _horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # c: (B, D+1), z: (B, d); vectorized over both axes
-    acc = np.repeat(c[:, -1][:, None], z.shape[1], axis=1)
-    for i in range(c.shape[1] - 2, -1, -1):
-        acc = acc * z + c[:, i][:, None]
+    # c: (B, D+1), z: (B, d), D >= 1; vectorized over both axes
+    acc = c[:, -1, None] * z + c[:, -2, None]
+    for i in range(c.shape[1] - 3, -1, -1):
+        acc = acc * z + c[:, i, None]
     return acc
 
 

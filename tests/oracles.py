@@ -32,7 +32,9 @@ routine it checks, which is what the agreement tests rely on:
 the SVG circles one point at a time with f-strings, and
 ``json_text_by_point`` encodes one dict per point with ``json.dumps``,
 which checks the bytewise table assembly of the CLI's CSV, SVG and JSON
-cloud blocks.
+cloud blocks.  ``embed_json_text`` builds the embed result's dicts and
+encodes them with ``json.dumps``, which checks the CLI's direct embed
+JSON writer.
 ``roots`` solves one polynomial through ``roots_many``, ``reflected``
 reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
 conveniences for the tests.
@@ -552,6 +554,43 @@ def json_text_by_point(cloud: SpectrumCloud, params: dict) -> str:
         "params": params,
         "points": _points_json(cloud),
         "warnings": [],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def embed_json_text(result, params: dict) -> str:
+    """The embed result's JSON: one dict per target, excluded angle and
+    witness, encoded by ``json.dumps(sort_keys=True, indent=2)``."""
+    v = result.targets.values()
+    obj = {
+        "excluded": [
+            {
+                "j": e.j,
+                "residuals": list(e.residuals),
+                "values": [{"im": z.imag, "re": z.real} for z in e.values],
+            }
+            for e in result.excluded
+        ],
+        "l": result.l.to_text(),
+        "m_effective": result.m,
+        "n": result.n,
+        "params": params,
+        "residuals": list(result.residuals),
+        "targets": [
+            {"im": im, "re": re, "tag": t}
+            for re, im, t in zip(v.real.tolist(), v.imag.tolist(), result.targets.tags())
+        ],
+        "verified": result.verified,
+        "warnings": [],
+        "witnesses": None
+        if result.witness_vectors is None
+        else [
+            {"first_component": first, "residual": residual, "target_index": i}
+            for i, (first, residual) in enumerate(
+                zip(np.abs(result.witness_vectors[0]).tolist(), result.witness_residuals)
+            )
+        ],
+        "worst_residual": result.worst_residual,
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

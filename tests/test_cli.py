@@ -3,6 +3,7 @@ and the exit-code contract."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,12 +18,20 @@ from hypothesis import strategies as st
 from signspectra import cli_io
 from signspectra.cli_io import main, write_cloud_csv
 from signspectra.cloud import SpectrumCloud
+from signspectra.embed import verify_embedding
 from signspectra.errors import ParseError
 from signspectra.finite import finite_eigenvalues
 from signspectra.signmodel import parse_sign_vector
 from signspectra.symbol import SAMPLES_CAP
 
-from oracles import csv_text_by_point, json_text_by_point, read_cloud_csv, svg_circles_by_point
+from oracles import (
+    all_sign_vectors,
+    csv_text_by_point,
+    embed_json_text,
+    json_text_by_point,
+    read_cloud_csv,
+    svg_circles_by_point,
+)
 
 
 def _text(blocks) -> str:
@@ -274,6 +283,38 @@ def test_embed_json_contract(capsys):
         assert w["residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("text,n", [("+", 4), ("+-", 7), ("-++", 8), ("+--+-", 5), ("-", 3)])
+@pytest.mark.parametrize("witness", [False, True])
+def test_embed_text_is_the_json_encoding(text, n, witness):
+    # odd and even n, odd and even parity, with and without witnesses
+    result = verify_embedding(parse_sign_vector(text), n, want_witness=witness)
+    params = {"command": "embed", "k": text, "n": n, "tol": 1e-8, "witness": witness}
+    assert cli_io._embed_text(result, params) == embed_json_text(result, params)
+
+
+def test_embed_text_spells_non_finite_values_as_json_does():
+    # no solve gives them today; if one does, the bytes must still be json's
+    nan, inf = float("nan"), float("inf")
+    result = verify_embedding(parse_sign_vector("+-"), 5, want_witness=True)
+    first, *rest = result.excluded
+    x = result.witness_vectors.copy()
+    x[0, :3] = [nan, inf, -inf]
+    odd = dataclasses.replace(
+        result,
+        targets=SpectrumCloud.from_values(np.array([complex(nan, -inf), inf, 0.5]), "target:j=1"),
+        residuals=(nan, inf, -inf, *result.residuals[3:]),
+        worst_residual=inf,
+        witness_vectors=x,
+        witness_residuals=(-inf, nan, *result.witness_residuals[2:]),
+        excluded=(dataclasses.replace(first, values=(complex(inf, nan), *first.values[1:]),
+                                      residuals=(nan, *first.residuals[1:])), *rest),
+    )
+    params = {"command": "embed", "k": "+-", "n": 5, "tol": nan, "witness": True}
+    text = cli_io._embed_text(odd, params)
+    assert text == embed_json_text(odd, params)
+    assert {"NaN", "Infinity", "-Infinity"} <= set(text.replace(",", "").split())
+
+
 def test_density_command(tmp_path, capsys):
     args = [
         "density",
@@ -521,3 +562,23 @@ def test_standing_stdout_digests(capsys):
         out = capsys.readouterr().out
         got.append(hashlib.sha256(out.encode("utf-8")).hexdigest()[:16])
     assert got == [digest for _, digest in STANDING_STDOUT_SHA256]
+
+
+# sha256 over the exit code and stdout of 744 embed runs: every pattern of
+# period <= 5 at n in {3, 4, 5, 7, 8, 10}, with and without --witness;
+# pinned while embed still solved both angles of each mirrored pair and
+# encoded its JSON with json.dumps(indent=2), so any change of embed's
+# bytes or exit codes shows here
+EMBED_SWEEP_SHA256 = "db9bb395ca9097d293c202319bdb1138eb91c8b130297185cc39bf70bd3933a9"
+
+
+@pytest.mark.slow
+def test_embed_stdout_digest_over_every_short_pattern(capsysbinary):
+    sha = hashlib.sha256()
+    for m in range(1, 6):
+        for k in all_sign_vectors(m):
+            for n in (3, 4, 5, 7, 8, 10):
+                for witness in ([], ["--witness"]):
+                    code = main(["embed", f"--k={k.to_text()}", "--n", str(n), *witness])
+                    sha.update(b"%d\n" % code + capsysbinary.readouterr().out)
+    assert sha.hexdigest() == EMBED_SWEEP_SHA256

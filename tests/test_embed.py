@@ -216,6 +216,26 @@ def test_target_set_is_the_merge_of_one_cloud_per_angle():
         assert got.table() == want.table()
 
 
+def test_mirrored_angles_give_bit_identical_targets():
+    # verify_embedding solves one angle of each pair j, n - j on this premise
+    for n in range(2, 513):
+        for j in range(1, n):
+            assert two_cos_pi(2 * j, n).hex() == two_cos_pi(2 * (n - j), n).hex(), (n, j)
+
+
+def test_mirrored_target_rows_are_bitwise_equal():
+    # the rows at j and n - j are equal bit for bit, and equal to the rows of
+    # one solve of every allowed angle, where each row's batch differs
+    for k, n in SWEEP_SPACE:
+        keff = ensure_even_parity(k)
+        js = [j for j in range(1, n) if 2 * j != n]
+        full = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
+        got = verify_embedding(k, n).targets.values().reshape(len(js), -1)
+        assert got.tobytes() == full.tobytes(), (k.to_text(), n)
+        for i, j in enumerate(js):
+            assert got[i].tobytes() == got[js.index(n - j)].tobytes(), (k.to_text(), n, j)
+
+
 def test_witnesses_over_the_sweep_space():
     for k, n in SWEEP_SPACE:
         res = verify_embedding(k, n, want_witness=True)
@@ -354,7 +374,8 @@ def test_embed_error_names_period_pattern_n_and_angle(monkeypatch):
     monkeypatch.setattr(symbol, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
     k, n = parse_sign_vector("+-+"), 5
     keff = ensure_even_parity(k)
-    js = [1, 2, 3, 4, 5]
+    # the solve takes one angle of each mirrored pair j, n - j, then j = n
+    js = [1, 2, 5]
     with pytest.raises(ConvergenceError) as raw:
         preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in js])
     with pytest.raises(ConvergenceError) as exc:

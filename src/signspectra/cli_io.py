@@ -31,7 +31,7 @@ from . import __version__
 from .cloud import SpectrumCloud
 from .density import density_report, periodic_union
 from .embed import EMBED_TOL, verify_embedding
-from .errors import CapExceededError, ConvergenceError, ParseError
+from .errors import ConvergenceError
 from .finite import ENUMERATION_CAP, enumerate_sigma, finite_eigenvalues
 from .polyroot import DEFAULT_TOL
 from .signmodel import gauge_normalize_finite, gauge_normalize_periodic, parse_sign_vector
@@ -183,7 +183,7 @@ def _svg_blocks(cloud: SpectrumCloud, params: dict | None = None):
 _CLOUD_BLOCKS = {"csv": _csv_blocks, "svg": _svg_blocks, "json": _json_blocks}
 
 
-def write_manifest(out_path: str, blocks, command: str, params: dict, started: float) -> str:
+def write_manifest(out_path: str, blocks, params: dict, started: float) -> str:
     """Write `blocks` to `out_path`, hashing the bytes as they are written,
     then the manifest `<out_path>.manifest.json`; return the manifest's path."""
     sha = hashlib.sha256()
@@ -192,7 +192,7 @@ def write_manifest(out_path: str, blocks, command: str, params: dict, started: f
             sha.update(block)
             fh.write(block)
     manifest = {
-        "command": command,
+        "command": params["command"],
         "outputs": [{"path": out_path, "sha256": sha.hexdigest()}],
         "params": params,
         "version": __version__,
@@ -204,18 +204,18 @@ def write_manifest(out_path: str, blocks, command: str, params: dict, started: f
     return manifest_path
 
 
-def _emit(out, blocks, command: str, params: dict, started: float) -> None:
+def _emit(out, blocks, params: dict, started: float) -> None:
     """Write `blocks` to stdout, or to `out` with its manifest."""
     if out is None:
         sys.stdout.flush()
         sys.stdout.buffer.writelines(blocks)
         return
-    write_manifest(out, blocks, command, params, started)
+    write_manifest(out, blocks, params, started)
 
 
 def _emit_cloud(cloud: SpectrumCloud, args, params: dict, started: float) -> None:
     blocks = _CLOUD_BLOCKS[args.format](cloud.sorted(), params)
-    _emit(args.out, blocks, params["command"], params, started)
+    _emit(args.out, blocks, params, started)
 
 
 def _cmd_normalize(args) -> int:
@@ -321,11 +321,12 @@ def _embed_text(result, params: dict) -> str:
     v = result.targets.values()
     tags = [json.dumps(t) for t in result.targets.table()]
     excluded = [_json_items({
-        "j": str(e.j),
-        "residuals": _json_items(_json_numbers(e.residuals), "      "),
-        "values": _json_rows({"im": _json_numbers([z.imag for z in e.values]),
-                              "re": _json_numbers([z.real for z in e.values])}, "      "),
-    }, "    ") for e in result.excluded]
+        "j": str(j),
+        "residuals": _json_items(_json_numbers(res.tolist()), "      "),
+        "values": _json_rows({"im": _json_numbers(vals.imag.tolist()),
+                              "re": _json_numbers(vals.real.tolist())}, "      "),
+    }, "    ") for j, vals, res in zip(
+        result.excluded_angles, result.excluded_values, result.excluded_residuals)]
     witnesses = "null" if result.witness_vectors is None else _json_rows({
         "first_component": _json_numbers(np.abs(result.witness_vectors[0]).tolist()),
         "residual": _json_numbers(result.witness_residuals),
@@ -360,7 +361,7 @@ def _cmd_embed(args) -> int:
         "tol": tol,
         "witness": bool(args.witness),
     }
-    _emit(args.out, [_embed_text(result, params).encode()], "embed", params, started)
+    _emit(args.out, [_embed_text(result, params).encode()], params, started)
     return EXIT_OK if result.verified else EXIT_UNVERIFIED
 
 
@@ -373,7 +374,7 @@ def _cmd_density(args) -> int:
     obj = {"command": "density", **report.to_json_dict()}
     # tol and command go into the manifest's params only: the report's bytes stay
     params = {**obj["params"], "command": "density", "tol": tol}
-    _emit(args.out, [_json_text(obj).encode()], "density", params, started)
+    _emit(args.out, [_json_text(obj).encode()], params, started)
     return EXIT_OK if report.monotone() else EXIT_UNVERIFIED
 
 
@@ -455,7 +456,7 @@ def main(argv=None) -> int:
         if args.tol is not None and not 0 < args.tol < 1:
             raise ValueError(f"--tol must lie in the open interval (0, 1), got {args.tol}")
         return args.func(args)
-    except (ParseError, CapExceededError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -145,10 +145,10 @@ def _quadrant(z: np.ndarray) -> np.ndarray:
     return z[((z.real > 0) & (z.imag >= 0)) | (z == 0)]
 
 
-def _unfolded(z: np.ndarray) -> SpectrumCloud:
-    """The cloud of z, i z, -z and -i z, by exact swaps and negations of parts."""
+def _unfolded(z: np.ndarray) -> np.ndarray:
+    """The values z, i z, -z and -i z, by exact swaps and negations of parts."""
     turn = np.stack([-z.imag, z.real], axis=-1).view(complex)[:, 0]
-    return SpectrumCloud.from_values(np.concatenate([z, turn, -z, -turn]), "sigma")
+    return np.concatenate([z, turn, -z, -turn])
 
 
 def directed_hausdorff(
@@ -320,15 +320,14 @@ def density_report(
     final = np.full(probed.size, np.inf)
     sizes = range(2, max_n + 1)
     grids = []
-    size = 0
     sigma_sizes: dict[int, int] = {}
-    fresh = enumerate_sigma(1, tol)
     for n in sizes:
-        fresh = fresh.merged(enumerate_sigma(n, tol, cap=cap))
-        size += len(fresh)
-        sigma_sizes[n] = size
-        grids.append(_CellGrid(_unfolded(np.unique(_quadrant(fresh.values()))).values()))
-        fresh = SpectrumCloud()
+        fresh = enumerate_sigma(n, tol, cap=cap).values()
+        if n == 2:  # sigma_1 joins sigma_2
+            fresh = np.concatenate([enumerate_sigma(1, tol).values(), fresh])
+        sigma_sizes[n] = sigma_sizes.get(n - 1, 0) + fresh.size
+        grids.append(_CellGrid(_unfolded(np.unique(_quadrant(fresh)))))
+        del fresh  # not held while the next sigma_n is enumerated
         directed_hausdorff(probe, grids[-1], final)
     floors = [final[m[probed]].max() for m in member]
     floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)

@@ -39,7 +39,6 @@ from .signmodel import SignVector, ensure_even_parity
 from .symbol import preimages, symbol_poly, two_cos_pi
 
 __all__ = [
-    "ExcludedTarget",
     "EmbeddingResult",
     "block_circulant_charpoly",
     "truncate",
@@ -84,13 +83,6 @@ def truncate(k: SignVector, n: int) -> SignVector:
 
 
 @dataclass(frozen=True)
-class ExcludedTarget:
-    j: int
-    values: tuple[complex, ...]
-    residuals: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EmbeddingResult:
     l: SignVector
     n: int
@@ -101,7 +93,9 @@ class EmbeddingResult:
     worst_residual: float
     witness_vectors: np.ndarray | None
     witness_residuals: tuple[float, ...] | None
-    excluded: tuple[ExcludedTarget, ...]
+    excluded_angles: tuple[int, ...]
+    excluded_values: np.ndarray
+    excluded_residuals: np.ndarray
 
 
 # rescaling by a power of two is exact; 2^256 keeps every squared
@@ -168,7 +162,8 @@ def verify_embedding(
     ||L y - lam y|| for the unit vector y that the recurrence builds on the
     truncation L; a target is verified when that residual is at most tol.
     Residuals at the excluded angles are reported for inspection but never
-    asserted.
+    asserted: row e of the read-only (E, m) arrays ``excluded_values`` and
+    ``excluded_residuals`` belongs to angle ``excluded_angles[e]``.
 
     With want_witness, column i of ``witness_vectors``, a read-only
     (nm, targets) array, is target i's unit vector x = (0, y) of the
@@ -195,7 +190,7 @@ def verify_embedding(
         once = preimages(symbol_poly(keff), [two_cos_pi(2 * j, n) for j in distinct])
     except ConvergenceError as exc:
         where = f"period {m}, pattern {keff.to_text()}, n = {n}, angle j = {distinct[exc.row]}"
-        raise ConvergenceError(f"embed, {where}: {exc}", exc.worst_residual, exc.row) from None
+        raise exc.at(f"embed, {where}") from None
     solved = once[[min(j, n - j) - 1 for j in js]]
     tags = [f"target:j={j}" for j in allowed]
     targets = SpectrumCloud.from_values(solved[: len(allowed)], tags)
@@ -208,13 +203,9 @@ def verify_embedding(
     residuals = tuple(unit_residuals[:count].tolist())
     worst = max(residuals)
     verified = all(r <= tol for r in residuals)
-
-    excluded = tuple(
-        ExcludedTarget(j, tuple(vals.tolist()), tuple(res.tolist()))
-        for j, vals, res in zip(
-            js[len(allowed):], solved[len(allowed):], unit_residuals[count:].reshape(-1, m)
-        )
-    )
+    # the result views the excluded angles' rows of both arrays, read-only
+    solved.flags.writeable = False
+    unit_residuals.flags.writeable = False
 
     witness_vectors = witness_residuals = None
     if x is not None:
@@ -239,5 +230,7 @@ def verify_embedding(
         worst_residual=worst,
         witness_vectors=witness_vectors,
         witness_residuals=witness_residuals,
-        excluded=excluded,
+        excluded_angles=tuple(js[len(allowed):]),
+        excluded_values=solved[len(allowed):],
+        excluded_residuals=unit_residuals[count:].reshape(-1, m),
     )

@@ -32,3 +32,8 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.worst_residual = worst_residual
         self.row = row
+
+    def at(self, where: str, row: int | None = None) -> "ConvergenceError":
+        """This error as a caller reports it: ``where`` first, ``row`` in the caller's input."""
+        row = self.row if row is None else row
+        return ConvergenceError(f"{where}: {self}", self.worst_residual, row)

@@ -66,8 +66,7 @@ def finite_eigenvalues(k: SignVector, tol: float = DEFAULT_TOL) -> SpectrumCloud
     try:
         vals = roots_many(charpoly_finite(k)[None], tol)[0]
     except ConvergenceError as exc:
-        msg = f"finite spectrum, n = {len(k)}, pattern {k.to_text()}: {exc}"
-        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
+        raise exc.at(f"finite spectrum, n = {len(k)}, pattern {k.to_text()}") from None
     return SpectrumCloud.from_values(vals, f"fin:n={len(k)}")
 
 
@@ -116,8 +115,7 @@ def enumerate_sigma(
         solved = roots_many(charpoly_finite(signs), tol)
     except ConvergenceError as exc:
         word = SignVector(n, int(bits[exc.row])).to_text()
-        msg = f"enumerate n = {n}, pattern {word}: {exc}"
-        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
+        raise exc.at(f"enumerate n = {n}, pattern {word}") from None
     cloud = np.empty((2, 1 << (n - 1), n + 1), dtype=complex)
     np.take(solved, np.repeat(np.arange(len(bits)), mult), axis=0, out=cloud[0])
     cloud[1].real = -cloud[0].imag

@@ -393,11 +393,7 @@ def roots_many(
             group = f"degree-{deg} group"
             if half:
                 group += f" (solved in x^2, input degree {c.shape[1] - 1})"
-            raise ConvergenceError(
-                f"{group} of {len(idxs)} rows, input row {i}: {exc}",
-                worst_residual=exc.worst_residual,
-                row=i,
-            ) from None
+            raise exc.at(f"{group} of {len(idxs)} rows, input row {i}", i) from None
         _place(out, idxs, half, found)
         real = stack.real
         integral = (
@@ -425,8 +421,7 @@ def roots_many(
             solved = iter(roots_many(padded, tol, max_iter))
         except ConvergenceError as exc:
             i = owners[exc.row]
-            msg = f"squarefree factor of input row {i}: {exc}"
-            raise ConvergenceError(msg, exc.worst_residual, i) from None
+            raise exc.at(f"squarefree factor of input row {i}", i) from None
         for i, parts in splits.items():
             core = np.concatenate([np.repeat(next(solved)[-f.degree :], m) for f, m in parts])
             _place(out, [i], halved[i], core[None])

@@ -56,14 +56,8 @@ class SignVector:
     def to_text(self) -> str:
         return "".join("-" if (self.bits >> i) & 1 else "+" for i in range(self.n))
 
-    def minus_count(self) -> int:
-        return self.bits.bit_count()
-
     def product(self) -> int:
         return -1 if self.bits.bit_count() & 1 else 1
-
-    def doubled(self) -> "SignVector":
-        return SignVector(2 * self.n, self.bits | (self.bits << self.n))
 
     def repeated(self, times: int) -> "SignVector":
         if times < 1:
@@ -116,7 +110,7 @@ def gauge_normalize_periodic(k: SignVector, l: SignVector) -> SignVector:
     gauged pattern is the finite one repeated twice.
     """
     ktilde = gauge_normalize_finite(k, l)
-    return ktilde.doubled() if l.product() == -1 else ktilde
+    return ktilde.repeated(2) if l.product() == -1 else ktilde
 
 
 def ensure_even_parity(k: SignVector) -> SignVector:
@@ -126,6 +120,6 @@ def ensure_even_parity(k: SignVector) -> SignVector:
     sign product +1, which is what turns the symbol determinant into a real
     2 cos(phi) target.
     """
-    if k.minus_count() & 1:
-        return k.doubled()
+    if k.product() == -1:
+        return k.repeated(2)
     return k

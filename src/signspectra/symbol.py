@@ -129,8 +129,7 @@ def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumClou
     except ConvergenceError as exc:
         r, s = divmod(exc.row, samples)
         word = "".join("-" if x < 0 else "+" for x in np.atleast_2d(k)[r])
-        msg = f"periodic spectrum, period {k.shape[-1]}, pattern {word}, angle {s}: {exc}"
-        raise ConvergenceError(msg, exc.worst_residual, exc.row) from None
+        raise exc.at(f"periodic spectrum, period {len(word)}, pattern {word}, angle {s}") from None
     phis = np.pi * np.arange(samples) / (samples - 1)
     tags = [f"per:m={k.shape[-1]}:phi={phi:.3f}" for phi in phis]
     return SpectrumCloud.from_values(solved, tags * (len(solved) // samples))

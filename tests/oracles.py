@@ -565,11 +565,13 @@ def embed_json_text(result, params: dict) -> str:
     obj = {
         "excluded": [
             {
-                "j": e.j,
-                "residuals": list(e.residuals),
-                "values": [{"im": z.imag, "re": z.real} for z in e.values],
+                "j": j,
+                "residuals": res.tolist(),
+                "values": [{"im": z.imag, "re": z.real} for z in values.tolist()],
             }
-            for e in result.excluded
+            for j, values, res in zip(
+                result.excluded_angles, result.excluded_values, result.excluded_residuals
+            )
         ],
         "l": result.l.to_text(),
         "m_effective": result.m,

@@ -98,7 +98,7 @@ def test_c02_even_parity_cosine_form():
     worst = 0.0
     for m in range(1, 11):
         for k in all_sign_vectors(m):
-            if k.minus_count() % 2:
+            if k.product() == -1:
                 continue
             worst = max(worst, _corner_residuals(k, rng, 50, even_form=True))
     assert worst <= 1e-9, f"worst normalized residual {worst:.3e}"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import signspectra
 import signspectra.errors
+from signspectra import ConvergenceError, parse_sign_vector, verify_embedding
 
 PIPELINE = {
     "__version__",
@@ -35,7 +36,6 @@ PIPELINE = {
     "two_cos_pi",
     # embedding
     "EmbeddingResult",
-    "ExcludedTarget",
     "block_circulant_charpoly",
     "truncate",
     "verify_embedding",
@@ -59,6 +59,52 @@ def test_witness_degenerate_error_is_gone():
     # recurrence witnesses have x_1 = 1 and cannot collapse
     assert "WitnessDegenerateError" not in signspectra.__all__
     assert not hasattr(signspectra.errors, "WitnessDegenerateError")
+
+
+def test_excluded_target_is_gone():
+    # the excluded angles are arrays of the result, as the witnesses are
+    assert "ExcludedTarget" not in signspectra.__all__
+    assert not hasattr(signspectra.embed, "ExcludedTarget")
+
+
+def test_excluded_arrays_are_read_only():
+    # "+-" runs as "+-+-", and n = 6 excludes j = 3 and j = 6
+    res = verify_embedding(parse_sign_vector("+-"), 6)
+    assert res.excluded_angles == (3, 6)
+    for rows in (res.excluded_values, res.excluded_residuals):
+        assert rows.shape == (2, 4)
+        assert not rows.flags.writeable
+
+
+def test_convergence_error_at_names_the_caller():
+    exc = ConvergenceError("root iteration did not converge", worst_residual=2.5e-3, row=4)
+    same = exc.at("stage, pattern +-")
+    assert str(same) == "stage, pattern +-: root iteration did not converge"
+    assert (same.worst_residual, same.row) == (2.5e-3, 4)
+    for row in (9, 0):
+        moved = exc.at("outer", row)
+        assert str(moved) == "outer: root iteration did not converge"
+        assert (moved.worst_residual, moved.row) == (2.5e-3, row)
+    assert (str(exc), exc.worst_residual, exc.row) == ("root iteration did not converge", 2.5e-3, 4)
+
+
+def test_convergence_error_is_built_in_two_places():
+    # the root iteration raises it; every stage above reports it through at()
+    sites = []
+    for path in sorted(Path(signspectra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # ast.walk is breadth-first, so a nested function overwrites
+                owner.update(dict.fromkeys(ast.walk(func), func.name))
+        sites += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ConvergenceError"
+        ]
+    assert sorted(sites) == [("errors.py", "at"), ("polyroot.py", "_aberth_batch")]
 
 
 # exported but not yet called inside the package; the exact inclusion

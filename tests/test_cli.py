@@ -296,9 +296,12 @@ def test_embed_text_spells_non_finite_values_as_json_does():
     # no solve gives them today; if one does, the bytes must still be json's
     nan, inf = float("nan"), float("inf")
     result = verify_embedding(parse_sign_vector("+-"), 5, want_witness=True)
-    first, *rest = result.excluded
     x = result.witness_vectors.copy()
     x[0, :3] = [nan, inf, -inf]
+    excluded_values = result.excluded_values.copy()
+    excluded_values[0, 0] = complex(inf, nan)
+    excluded_residuals = result.excluded_residuals.copy()
+    excluded_residuals[0, 0] = nan
     odd = dataclasses.replace(
         result,
         targets=SpectrumCloud.from_values(np.array([complex(nan, -inf), inf, 0.5]), "target:j=1"),
@@ -306,8 +309,8 @@ def test_embed_text_spells_non_finite_values_as_json_does():
         worst_residual=inf,
         witness_vectors=x,
         witness_residuals=(-inf, nan, *result.witness_residuals[2:]),
-        excluded=(dataclasses.replace(first, values=(complex(inf, nan), *first.values[1:]),
-                                      residuals=(nan, *first.residuals[1:])), *rest),
+        excluded_values=excluded_values,
+        excluded_residuals=excluded_residuals,
     )
     params = {"command": "embed", "k": "+-", "n": 5, "tol": nan, "witness": True}
     text = cli_io._embed_text(odd, params)

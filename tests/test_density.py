@@ -232,11 +232,11 @@ def test_quadrant_and_its_quarter_turns_give_back_sigma():
         q = np.unique(density._quadrant(v))
         assert ((q.real > 0) & (q.imag >= 0) | (q == 0)).all()
         assert 4 * q.size <= np.unique(v).size + 3
-        turned = density._unfolded(q).values()
+        turned = density._unfolded(q)
         assert np.array_equal(np.unique(turned), np.unique(v)), n
     z = np.array([1 + 2j, -0.0 + 3j])
     x, y = z.real, z.imag
-    turns = density._unfolded(z).values().reshape(4, -1)
+    turns = density._unfolded(z).reshape(4, -1)
     for got, (a, b) in zip(turns, [(x, y), (-y, x), (-x, -y), (y, -x)]):
         assert (_same_bits(got.real, a) & _same_bits(got.imag, b)).all()
 

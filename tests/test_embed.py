@@ -120,7 +120,7 @@ def test_target_set_refusals_and_empty_case():
             verify_embedding(parse_sign_vector(text), n)
     # n = 3 is the first size with an allowed angle, so no target set is empty
     res = verify_embedding(parse_sign_vector("++"), 3)
-    assert [e.j for e in res.excluded] == [3]
+    assert res.excluded_angles == (3,)
     assert len(res.targets) == 2 * 2
     assert res.verified
 
@@ -166,10 +166,10 @@ def test_verify_embedding_small_case():
     assert res.m == 1 and res.n == 4
     assert res.l.to_text() == "++"
     assert res.worst_residual <= 1e-12
-    assert [e.j for e in res.excluded] == [2, 4]
+    assert res.excluded_angles == (2, 4)
     # excluded angles land on the segment endpoints +-2
-    assert match_multisets(res.excluded[0].values, [-2], 1e-10)
-    assert match_multisets(res.excluded[1].values, [2], 1e-10)
+    assert match_multisets(res.excluded_values[0], [-2], 1e-10)
+    assert match_multisets(res.excluded_values[1], [2], 1e-10)
 
 
 def test_verify_embedding_doubles_odd_parity():
@@ -277,7 +277,7 @@ def test_residuals_do_not_depend_on_the_witness_flag():
         full = verify_embedding(k, n, want_witness=True)
         assert plain.residuals == full.residuals
         assert plain.worst_residual == full.worst_residual
-        assert [e.residuals for e in plain.excluded] == [e.residuals for e in full.excluded]
+        assert np.array_equal(plain.excluded_residuals, full.excluded_residuals)
 
 
 @pytest.mark.parametrize("text,n", [("+-+", 200), ("-", 400), ("+--+-", 100)])
@@ -287,8 +287,7 @@ def test_residuals_stay_finite_at_large_sizes(text, n):
     res = verify_embedding(parse_sign_vector(text), n, want_witness=(text == "+-+"))
     assert res.verified
     assert res.worst_residual <= 1e-12
-    excluded = [r for e in res.excluded for r in e.residuals]
-    assert np.isfinite(excluded).all()
+    assert np.isfinite(res.excluded_residuals).all()
     if res.witness_vectors is not None:
         assert max(res.witness_residuals) <= 1e-12
         assert (np.abs(res.witness_vectors[0]) == 0.0).all()

@@ -33,7 +33,6 @@ def test_parse_round_trip():
     assert k.to_text() == "+-+"
     assert len(k) == 3
     assert k.signs[1] == -1
-    assert k.minus_count() == 1
     assert k.product() == -1
 
 
@@ -60,7 +59,7 @@ def test_sign_vector_constructors_and_views():
     assert k == parse_sign_vector("+--")
     assert list(k) == [1, -1, -1]
     assert reflected(k).signs == (-1, -1, 1)
-    assert k.doubled().signs == (1, -1, -1, 1, -1, -1)
+    assert k.repeated(2).signs == (1, -1, -1, 1, -1, -1)
     assert k.repeated(3).to_text() == "+--+--+--"
     with pytest.raises(ValueError, match="times must be positive"):
         k.repeated(0)
@@ -221,5 +220,5 @@ def test_ensure_even_parity_exhaustive():
     for m in range(1, 9):
         for k in all_sign_vectors(m):
             out = ensure_even_parity(k)
-            assert out.minus_count() % 2 == 0
+            assert out.product() == 1
             assert len(out) in (m, 2 * m)

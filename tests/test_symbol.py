@@ -216,7 +216,7 @@ def test_even_parity_cosine_form_sampled():
     rng = np.random.default_rng(271828)
     for m in range(1, 6):
         for k in all_sign_vectors(m):
-            if k.minus_count() % 2:
+            if k.product() == -1:
                 continue
             p = IntPolynomial(tuple(symbol_poly(k)))
             sign = (-1.0) ** m
@@ -382,7 +382,7 @@ def test_periodic_spectrum_rejects_short_sampling():
 def test_periodic_spectrum_of_a_stack_is_the_merge_of_its_patterns():
     # a stack of even-parity patterns gives their clouds concatenated in
     # stack order, bit for bit, with one shared tag per angle
-    words = [k for k in all_sign_vectors(6) if k.minus_count() % 2 == 0][::3]
+    words = [k for k in all_sign_vectors(6) if k.product() == 1][::3]
     stack = np.array([k.signs for k in words])
     for samples in (2, 17):
         got = periodic_spectrum(stack, samples)

@@ -74,19 +74,16 @@ def _constant(text: str):
 _SIGN = np.array([[0], [ord("-")]], dtype=np.uint8)
 
 
-def _number_fields(fmt: str, *columns: np.ndarray) -> list:
-    """Sign and magnitude fields of each column, for `_row_blocks`.
-
-    Each distinct magnitude over all columns is formatted once.  The sign
-    is a field of its own: '-' where the sign bit is set, except on nan,
-    which Python prints as 'nan' whatever its sign; so -0.0 prints '-0'.
-    """
-    mags, inverse = np.unique(np.abs(np.concatenate(columns)), return_inverse=True)
+def _number_fields(fmt: str, cloud: SpectrumCloud, *columns) -> list:
+    """Sign and magnitude fields of each (x, part) column for `_row_blocks`: |x| is |re|
+    (part 0) or |im| (part 1) of `cloud`, each magnitude formatted once.  The sign is '-'
+    where the sign bit is set, except on nan (printed 'nan' either way): -0.0 prints '-0'."""
+    mags, index = cloud.magnitudes()
     table = _lines_table((f"{fmt}\n" * mags.size) % tuple(mags.tolist()))
     fields = []
-    for x, index in zip(columns, np.split(inverse, len(columns))):
+    for x, part in columns:
         neg = np.signbit(x) & ~np.isnan(x)
-        fields += [(_SIGN, neg.view(np.uint8)), (table, index)]
+        fields += [(_SIGN, neg.view(np.uint8)), (table, index[part])]
     return fields
 
 
@@ -113,7 +110,7 @@ def _row_blocks(fields: list, size: int):
 def _csv_blocks(cloud: SpectrumCloud, params: dict | None = None):
     v = cloud.values()
     tails = _lines_table("".join(f",{t}\n" for t in cloud.table()))
-    re_sign, re, im_sign, im = _number_fields("%.17g", v.real, v.imag)
+    re_sign, re, im_sign, im = _number_fields("%.17g", cloud, (v.real, 0), (v.imag, 1))
     fields = [re_sign, re, _constant(","), im_sign, im, (tails, cloud.codes()), _constant("\n")]
     yield b"re,im,tag\n"
     yield from _row_blocks(fields, v.size)
@@ -149,7 +146,7 @@ def _json_blocks(cloud: SpectrumCloud, params: dict):
     obj = {"params": params, "points": [], "warnings": []}
     head, points, tail = _json_text(obj).partition('\n  "points": [')
     tags = _lines_table("".join(json.dumps(t) + "\n" for t in cloud.table()))
-    im_sign, im, re_sign, re = _number_fields("%r", v.imag, v.real)
+    im_sign, im, re_sign, re = _number_fields("%r", cloud, (v.imag, 1), (v.real, 0))
     fields = [
         (_COMMA, (np.arange(v.size) > 0).view(np.uint8)),
         _constant('\n    {\n      "im": '), im_sign, im,
@@ -164,7 +161,7 @@ def _json_blocks(cloud: SpectrumCloud, params: dict):
 
 def _svg_blocks(cloud: SpectrumCloud, params: dict | None = None):
     v = cloud.values()
-    x_sign, x, y_sign, y = _number_fields("%.6g", v.real, -v.imag)
+    x_sign, x, y_sign, y = _number_fields("%.6g", cloud, (v.real, 0), (-v.imag, 1))
     fields = [
         _constant('<circle cx="'), x_sign, x, _constant('" cy="'), y_sign, y,
         _constant('" r="0.005" fill="black" fill-opacity="0.6"/>\n'),

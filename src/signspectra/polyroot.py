@@ -19,6 +19,9 @@ Residual convention: a root r of p is accepted when
 which is the backward-stable yardstick for Horner evaluation.  A row whose
 roots all pass takes one more Aberth step (without the collision nudge)
 before it is returned, which brings simple roots to the rounding floor.
+Each pass works in place in arrays allocated once per call, keeping every
+operand order: numpy's fused complex multiply is not commutative bit for
+bit, so w * s is np.multiply(w, s, out=s), never s *= w.
 
 Repeated roots: Aberth delivers a j-fold root only to about tol^(1/j).  So
 every row with exact integer coefficients is screened with inclusion disks
@@ -215,11 +218,12 @@ class IntPolynomial:
         return IntPolynomial(tuple(s * c for c in self.coeffs))
 
 
-def _horner_batch(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # c: (B, D+1), z: (B, d), D >= 1; vectorized over both axes
-    acc = c[:, -1, None] * z + c[:, -2, None]
+def _horner_batch(c: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # c: (B, D+1), z: (B, d), D >= 1; vectorized over both axes, accumulated in out
+    acc = np.add(np.multiply(c[:, -1, None], z, out=out), c[:, -2, None], out=out)
     for i in range(c.shape[1] - 3, -1, -1):
-        acc = acc * z + c[:, i, None]
+        acc *= z
+        acc += c[:, i, None]
     return acc
 
 
@@ -259,42 +263,45 @@ def _aberth_batch(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(d) / d + _ANGLE_OFFSET
     z = _cauchy_radius(absc)[:, None] * np.exp(1j * angles)[None, :]
 
-    # a row that converges takes its polishing step and leaves the working
-    # arrays; each row's iterates are the ones it would get alone
+    # a row that converges takes its polishing step and leaves the work arrays,
+    # whose first n rows are the active ones; its iterates are those it gets alone
     active = np.arange(b)
-    zz = z
-    idx = np.arange(d)
+    work = np.repeat(z[None], 4, axis=0)  # iterates; p; p', then w; sums, then the step
+    moduli, pairs = np.empty((2, b, d)), np.empty((b, d, d), dtype=complex)  # |z|, scale; z_i - z_j
+    (zz, pv, w, s), (az, sc), diff = work, moduli, pairs
     for _ in range(max_iter):
-        pv = _horner_batch(monic, zz)
-        sc = _horner_batch(absc, np.abs(zz))
+        pv = _horner_batch(monic, zz, pv)
+        sc = _horner_batch(absc, np.abs(zz, out=az), sc)
         row_ok = (np.abs(pv) <= tol * sc).all(axis=1)
-        diff = zz[:, :, None] - zz[:, None, :]
-        diff[:, idx, idx] = np.inf
+        np.subtract(zz[:, :, None], zz[:, None, :], out=diff)
+        diff.reshape(len(diff), -1)[:, :: d + 1] = np.inf
         # p' = 0 makes w, and so denom, not finite: one mask covers it
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = pv / _horner_batch(deriv, zz)
-            s = np.reciprocal(diff, out=diff).sum(axis=2)
-            denom = 1.0 - w * s
+            w = np.divide(pv, _horner_batch(deriv, zz, w), out=w)
+            s = np.reciprocal(diff, out=diff).sum(axis=2, out=s)
+            denom = np.subtract(1.0, np.multiply(w, s, out=s), out=s)
             bad = (denom == 0) | ~np.isfinite(denom)
-            step = np.where(bad, 0.0, w / denom)
+            step = np.divide(w, denom, out=denom)
         if bad.any():
             # collision or critical point: nudge deterministically, with an
             # index-dependent size so coincident iterates separate; a row
             # taking its last (polishing) step is never nudged
-            nudge = (1e-3 + 1e-3j) * (1.0 + np.abs(zz)) * (1.0 + idx)[None, :]
-            step = np.where(bad & ~row_ok[:, None], nudge, step)
-        zz = zz - step
+            nudge = (1e-3 + 1e-3j) * (1.0 + az) * np.arange(1.0, d + 1)[None, :]
+            np.copyto(step, np.where(row_ok[:, None], 0.0, nudge), where=bad)
+        zz -= step
         if row_ok.any():
             z[active[row_ok]] = zz[row_ok]
             if row_ok.all():
                 return z
             keep = ~row_ok
             active, monic, absc, deriv = active[keep], monic[keep], absc[keep], deriv[keep]
-            zz = zz[keep]
+            n = active.size
+            work[0, :n] = zz[keep]
+            (zz, pv, w, s), (az, sc), diff = work[:, :n], moduli[:, :n], pairs[:n]
     worst, row = np.inf, 0
     if max_iter > 0:
         # the report reads the last pass's residuals of the rows it left active
-        pv, sc = pv[~row_ok], sc[~row_ok]
+        pv, sc = work[1, : row_ok.size][~row_ok], moduli[1, : row_ok.size][~row_ok]
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = (np.abs(pv) / np.where(sc > 0, sc, 1.0)).max(axis=1)
         worst, row = float(rel.max()), int(active[np.argmax(rel)])

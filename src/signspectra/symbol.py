@@ -132,4 +132,4 @@ def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumClou
         raise exc.at(f"periodic spectrum, period {len(word)}, pattern {word}, angle {s}") from None
     phis = np.pi * np.arange(samples) / (samples - 1)
     tags = [f"per:m={k.shape[-1]}:phi={phi:.3f}" for phi in phis]
-    return SpectrumCloud.from_values(solved, tags * (len(solved) // samples))
+    return SpectrumCloud.from_values(solved.reshape(-1, samples, solved.shape[1]), tags)

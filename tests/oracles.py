@@ -27,6 +27,12 @@ routine it checks, which is what the agreement tests rely on:
   witness vectors of ``verify_embedding``, and ``build_block_circulant``
   checks its banded witness defect by a dense product.
 
+``aberth_reference`` is the Aberth kernel as it was before its work arrays
+were allocated once per call, and checks ``polyroot._aberth_batch`` bit for
+bit.  ``lexsorted`` (np.lexsort by re, im and tag code) checks the ranked
+sort of ``SpectrumCloud.sorted``, and ``number_fields_reference`` (the
+CLI's number tables from a second np.unique over the sorted values) checks
+the tables the emitters build from the cloud's own ranking.
 ``read_cloud_csv`` parses the CSV that ``write_cloud_csv`` emits, and
 ``csv_text_by_point`` and ``svg_circles_by_point`` format the CSV text and
 the SVG circles one point at a time with f-strings, and
@@ -53,6 +59,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from signspectra import cli_io
 from signspectra.cloud import SpectrumCloud
 from signspectra.density import (
     DensityReport,
@@ -61,7 +68,7 @@ from signspectra.density import (
     disk_grid,
     periodic_union,
 )
-from signspectra.errors import CapExceededError, ParseError
+from signspectra.errors import CapExceededError, ConvergenceError, ParseError
 from signspectra.finite import enumerate_sigma
 from signspectra.polyroot import DEFAULT_MAX_ITER, DEFAULT_TOL, IntPolynomial, _trim, roots_many
 from signspectra.signmodel import SignVector, ensure_even_parity
@@ -522,6 +529,134 @@ def _witness_for(mat, lam, index, rng) -> DenseWitness:
         raise RuntimeError(f"vanishing combination at target {index}")
     x = x / norm
     return DenseWitness(vector=x, residual=float(np.linalg.norm(mat @ x - lam * x)))
+
+
+# ----------------------------------------------------- reference root kernel
+
+
+def _horner_reference(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # c: (B, D+1), z: (B, d), D >= 1; vectorized over both axes
+    acc = c[:, -1, None] * z + c[:, -2, None]
+    for i in range(c.shape[1] - 3, -1, -1):
+        acc = acc * z + c[:, i, None]
+    return acc
+
+
+def _cauchy_radius_reference(absc: np.ndarray) -> np.ndarray:
+    """Per row, the positive root r of r^d = sum_{i<d} |c_i| r^i.
+
+    absc: (B, d+1) moduli of monic rows with a nonzero constant term.
+    Newton on f(r) = sum_{i<d} |c_i| r^(i-d) - 1, which is convex and
+    decreasing, from the lower bound r_0 = max_i |c_i|^(1/(d-i)): there
+    f >= 0, so each step rises toward the root without passing it.  The
+    terms are formed as (|c_i|^(1/(d-i)) / r)^(d-i) <= 1, which cannot
+    overflow at any degree.
+    """
+    d = absc.shape[1] - 1
+    e = np.arange(d, 0, -1, dtype=float)
+    base = absc[:, :-1] ** (1.0 / e)
+    r = base.max(axis=1)
+    for _ in range(6):
+        t = (base / r[:, None]) ** e
+        r = r * (1.0 + (t.sum(axis=1) - 1.0) / (t * e).sum(axis=1))
+    return r
+
+
+def aberth_reference(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Aberth-Ehrlich on a stack of same-degree polynomials, as a reference.
+
+    A verbatim copy of ``polyroot._aberth_batch`` (and its Horner and
+    Cauchy-radius helpers) before the solver's work arrays were allocated
+    once per call: every pass builds fresh arrays.  The shipped kernel must
+    give the same roots and the same failure, bit for bit.
+
+    coeffs: (B, d+1) complex, ascending, leading column nonzero, nonzero
+    constant column, d >= 2.  Returns the roots, (B, d).  On failure the
+    ConvergenceError carries the batch position of the worst row in ``row``.
+    """
+    b, dp1 = coeffs.shape
+    d = dp1 - 1
+    monic = coeffs / coeffs[:, -1:]
+    deriv = monic[:, 1:] * np.arange(1, dp1)
+    absc = np.abs(monic)
+
+    angles = 2.0 * np.pi * np.arange(d) / d + 0.6180339887498949
+    z = _cauchy_radius_reference(absc)[:, None] * np.exp(1j * angles)[None, :]
+
+    # a row that converges takes its polishing step and leaves the working
+    # arrays; each row's iterates are the ones it would get alone
+    active = np.arange(b)
+    zz = z
+    idx = np.arange(d)
+    for _ in range(max_iter):
+        pv = _horner_reference(monic, zz)
+        sc = _horner_reference(absc, np.abs(zz))
+        row_ok = (np.abs(pv) <= tol * sc).all(axis=1)
+        diff = zz[:, :, None] - zz[:, None, :]
+        diff[:, idx, idx] = np.inf
+        # p' = 0 makes w, and so denom, not finite: one mask covers it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = pv / _horner_reference(deriv, zz)
+            s = np.reciprocal(diff, out=diff).sum(axis=2)
+            denom = 1.0 - w * s
+            bad = (denom == 0) | ~np.isfinite(denom)
+            step = np.where(bad, 0.0, w / denom)
+        if bad.any():
+            # collision or critical point: nudge deterministically, with an
+            # index-dependent size so coincident iterates separate; a row
+            # taking its last (polishing) step is never nudged
+            nudge = (1e-3 + 1e-3j) * (1.0 + np.abs(zz)) * (1.0 + idx)[None, :]
+            step = np.where(bad & ~row_ok[:, None], nudge, step)
+        zz = zz - step
+        if row_ok.any():
+            z[active[row_ok]] = zz[row_ok]
+            if row_ok.all():
+                return z
+            keep = ~row_ok
+            active, monic, absc, deriv = active[keep], monic[keep], absc[keep], deriv[keep]
+            zz = zz[keep]
+    worst, row = np.inf, 0
+    if max_iter > 0:
+        # the report reads the last pass's residuals of the rows it left active
+        pv, sc = pv[~row_ok], sc[~row_ok]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = (np.abs(pv) / np.where(sc > 0, sc, 1.0)).max(axis=1)
+        worst, row = float(rel.max()), int(active[np.argmax(rel)])
+    raise ConvergenceError(
+        f"root iteration did not converge within {max_iter} iterations "
+        f"(worst residual {worst:.3e}, tol {tol:.1e})",
+        worst_residual=worst,
+        row=row,
+    )
+
+
+# ---------------------------------------------------------- reference ranking
+
+
+def lexsorted(cloud: SpectrumCloud) -> SpectrumCloud:
+    """The cloud in np.lexsort order by (re, im, code), ties in cloud order."""
+    v = cloud.values()
+    order = np.lexsort((cloud.codes(), v.imag, v.real))
+    return SpectrumCloud(v[order], cloud.codes()[order], cloud.table())
+
+
+def number_fields_reference(fmt: str, *columns: np.ndarray) -> list:
+    """Sign and magnitude fields of each column, for `_row_blocks`.
+
+    The CLI's number tables as they were built before the cloud's own
+    ranking served them, from a second np.unique over the sorted values.
+
+    Each distinct magnitude over all columns is formatted once.  The sign
+    is a field of its own: '-' where the sign bit is set, except on nan,
+    which Python prints as 'nan' whatever its sign; so -0.0 prints '-0'.
+    """
+    mags, inverse = np.unique(np.abs(np.concatenate(columns)), return_inverse=True)
+    table = cli_io._lines_table((f"{fmt}\n" * mags.size) % tuple(mags.tolist()))
+    fields = []
+    for x, index in zip(columns, np.split(inverse, len(columns))):
+        neg = np.signbit(x) & ~np.isnan(x)
+        fields += [(cli_io._SIGN, neg.view(np.uint8)), (table, index)]
+    return fields
 
 
 # ---------------------------------------------------------- CSV and SVG text

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from signspectra import polyroot
 from signspectra.errors import CapExceededError, ConvergenceError
 from signspectra.finite import charpoly_finite
@@ -18,6 +19,7 @@ from signspectra.symbol import symbol_poly
 
 from oracles import (
     ComplexPolynomial,
+    aberth_reference,
     evaluate,
     from_roots,
     int_charpoly_oracle,
@@ -268,11 +270,11 @@ def test_bad_step_is_nudged(monkeypatch, case, digest):
     plain = roots_many(row)
     horner, calls = polyroot._horner_batch, []
 
-    def first_pass_bad(c, z):
+    def first_pass_bad(c, z, out=None):
         calls.append(None)  # each pass evaluates p, its scale, then p'
         if case == "coincide" and len(calls) == 1:
             z[0, 1] = z[0, 0]
-        value = horner(c, z)
+        value = horner(c, z, out)
         if case == "critical" and len(calls) == 3:
             value[0, 0] = 0
         return value
@@ -282,6 +284,71 @@ def test_bad_step_is_nudged(monkeypatch, case, digest):
     assert match_multisets(found[0], _BAD_STEP_ROOTS, 1e-12)
     assert not np.array_equal(found, plain)
     assert hashlib.sha256(found.tobytes()).hexdigest()[:16] == digest
+
+
+def _kernel_outcome(kernel, coeffs, max_iter):
+    try:
+        return kernel(coeffs.copy(), polyroot.DEFAULT_TOL, max_iter).tobytes()
+    except ConvergenceError as exc:
+        return str(exc), exc.row, exc.worst_residual
+
+
+def _kernel_batches(step: int = 1):
+    # seeded batches of degree 2..24 (every step-th) and 1..300 rows: complex
+    # rows, rows whose coefficient moduli spread over eight decades, and
+    # integer rows with a repeated root
+    rng = np.random.default_rng(28)
+    for d in range(2, 25, step):
+        b = int(rng.integers(1, 301))
+        shape = (b, d + 1)
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        yield rows
+        yield rows * 10.0 ** rng.uniform(-4, 4, shape)
+        r = rng.choice([-3, -2, -1, 1, 2, 3], size=(b, d))
+        r[:, 1] = r[:, 0]
+        yield np.array([np.poly(x)[::-1] for x in r], dtype=complex)
+
+
+def _first_pass_fault(horner, fault, takes_out):
+    # as in test_bad_step_is_nudged: on the first pass z_1 is moved onto z_0
+    # ("coincide") or p'(z_0) is made exactly 0 ("critical") in row 0, so
+    # the Aberth correction is not finite and the nudge path runs
+    calls = []
+
+    def faulty(c, z, out=None):
+        calls.append(None)  # each pass evaluates p, its scale, then p'
+        if fault == "coincide" and len(calls) == 1:
+            z[0, 1] = z[0, 0]
+        value = horner(c, z, out) if takes_out else horner(c, z)
+        if fault == "critical" and len(calls) == 3:
+            value[0, 0] = 0
+        return value
+
+    return faulty, calls
+
+
+@pytest.mark.parametrize("fault", [None, "coincide", "critical"])
+def test_aberth_kernel_is_bitwise_the_reference(monkeypatch, fault):
+    # the work arrays are allocated once and the step runs in place, with
+    # every operand order kept: numpy's fused complex multiply is not
+    # commutative bit for bit, so w * s and s * w can differ in the last bit
+    failures = 0
+    batches = list(_kernel_batches(1 if fault is None else 4))
+    for coeffs in batches:
+        for max_iter in (1, 3, polyroot.DEFAULT_MAX_ITER):
+            outcomes = []
+            for module, name, kernel in ((polyroot, "_horner_batch", polyroot._aberth_batch),
+                                         (oracles, "_horner_reference", aberth_reference)):
+                horner = getattr(module, name)
+                faulty, calls = _first_pass_fault(horner, fault, module is polyroot)
+                with monkeypatch.context() as mp:
+                    mp.setattr(module, name, faulty)
+                    outcomes.append(_kernel_outcome(kernel, coeffs, max_iter))
+                assert len(calls) >= 3
+            assert outcomes[0] == outcomes[1]
+            failures += isinstance(outcomes[0], tuple)
+    # every batch fails at 1 and 3 passes
+    assert failures >= 2 * len(batches)
 
 
 def _all_charpolys(max_n):

@@ -82,10 +82,13 @@ class SpectrumCloud:
         clouds = (self, *others)
         table = sorted(set().union(*(c._table for c in clouds)))
         index = {t: i for i, t in enumerate(table)}
-        codes = [np.array([index[t] for t in c._table], dtype=np.int32)[c._codes]
-                 for c in clouds]
-        values = np.concatenate([c._values for c in clouds])
-        return SpectrumCloud(values, np.concatenate(codes), table)
+        codes = [
+            np.array([index[t] for t in c._table], dtype=np.int32)[c._codes]
+            for c in clouds
+        ]
+        return SpectrumCloud(
+            np.concatenate([c._values for c in clouds]), np.concatenate(codes), table
+        )
 
     def _take(self, idx: np.ndarray) -> "SpectrumCloud":
         return SpectrumCloud(self._values[idx], self._codes[idx], self._table)
@@ -99,13 +102,10 @@ class SpectrumCloud:
         return mags, index.reshape(-1, 2).T
 
     def sorted(self) -> "SpectrumCloud":
-        """Deterministic ordering by (re, im, tag); ties keep input order.
-
-        The order of np.lexsort((codes, imag, real)), from two np.sort passes
-        over int64 keys whose low part is the row, by (im, code) and then re.  A
-        part's signed rank +-(1 + index of its modulus) orders as the part does,
-        -0 equal to +0 and nan last.  The result carries its magnitudes.
-        """
+        """Deterministic ordering by (re, im, tag); ties keep input order, as in
+        np.lexsort: two np.sort passes, by (im, code) then re, over int64 keys of signed
+        ranks +-(1 + index of the modulus), -0 equal to +0 and nan last, with the row in
+        the low part.  The result carries its magnitudes."""
         mags, index = self.magnitudes()
         n, k, c = self._values.size, mags.size, max(len(self._table), 1)
         _check_key_span(k, c, n)
@@ -128,9 +128,8 @@ class SpectrumCloud:
         if cell <= 0:
             raise ValueError("cell must be positive")
         s = self.sorted()
-        v = s._values
-        keys = np.stack([np.rint(v.real / cell), np.rint(v.imag / cell)], axis=1)
-        _, first = np.unique(keys.astype(np.int64), axis=0, return_index=True)
+        keys = np.rint(s._values.view(float).reshape(-1, 2) / cell).astype(np.int64)
+        _, first = np.unique(keys, axis=0, return_index=True)
         return s._take(np.sort(first))
 
     def __repr__(self) -> str:

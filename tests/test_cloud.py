@@ -76,8 +76,7 @@ def _reference_fields(fmt, cloud, *columns):
 def _reference_blocks(monkeypatch, kind: str, cloud: SpectrumCloud) -> bytes:
     # the emitter over the lexsorted cloud, its tables from a second np.unique
     with monkeypatch.context() as mp:
-        mp.setattr(cli_io, "_number_fields",
-                   _reference_fields)
+        mp.setattr(cli_io, "_number_fields", _reference_fields)
         return b"".join(cli_io._CLOUD_BLOCKS[kind](lexsorted(cloud), {"k": "+"}))
 
 
@@ -106,8 +105,7 @@ def test_write_cloud_csv_keeps_cloud_order(tmp_path, monkeypatch):
         path = tmp_path / "c.csv"
         cli_io.write_cloud_csv(cloud, str(path))
         with monkeypatch.context() as mp:
-            mp.setattr(cli_io, "_number_fields",
-                       _reference_fields)
+            mp.setattr(cli_io, "_number_fields", _reference_fields)
             want = b"".join(cli_io._csv_blocks(cloud))
         assert path.read_bytes() == want
 

@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["SpectrumCloud"]
 
+# the cell side of snapped(), the dedup behind the CLI's --dedup
+SNAP_CELL = 1e-6
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = a.view()
@@ -71,10 +74,6 @@ class SpectrumCloud:
         """The distinct tags, sorted."""
         return self._table
 
-    def tags(self) -> list[str]:
-        """The tag of each point, in cloud order."""
-        return np.array(self._table, dtype=object)[self._codes].tolist()
-
     def __len__(self) -> int:
         return self._values.size
 
@@ -118,17 +117,15 @@ class SpectrumCloud:
         out._ranks = mags, np.take(index, order, axis=1)
         return out
 
-    def snapped(self, cell: float = 1e-6) -> "SpectrumCloud":
-        """Grid-snap dedup for plotting: one point per occupied cell.
+    def snapped(self) -> "SpectrumCloud":
+        """Grid-snap dedup for plotting: one point per occupied cell of side SNAP_CELL.
 
-        Cells are indexed by round-half-even of re/cell and im/cell.  The
-        representative of a cell is its first member in sorted order, so the
-        result is deterministic and sorted.
+        Cells are indexed by round-half-even of re/SNAP_CELL and im/SNAP_CELL.
+        The representative of a cell is its first member in sorted order, so
+        the result is deterministic and sorted.
         """
-        if cell <= 0:
-            raise ValueError("cell must be positive")
         s = self.sorted()
-        keys = np.rint(s._values.view(float).reshape(-1, 2) / cell).astype(np.int64)
+        keys = np.rint(s._values.view(float).reshape(-1, 2) / SNAP_CELL).astype(np.int64)
         _, first = np.unique(keys, axis=0, return_index=True)
         return s._take(np.sort(first))
 

@@ -34,6 +34,9 @@ PERIOD_CAP = 10
 # lattice points of disk_grid before clipping; step 0.001 needs 4.0 M (245 MiB)
 DISK_GRID_CAP = 1 << 22
 
+# DensityReport.monotone lets a distance series rise by this much from one n to the next
+MONOTONE_SLACK = 1e-12
+
 
 # entries or distances per numpy pass; bounds the scan's scratch memory
 _BLOCK = 1 << 16
@@ -52,8 +55,7 @@ def _blocks(counts: np.ndarray) -> list[slice]:
 class _CellGrid:
     """Points sorted into square cells, column by column, so the cells of one
     column between two rows hold one contiguous slice of them, found in a
-    table keyed by cell.  Built once per Y, it serves every scan of Y, and
-    ``values()`` gives the points back, so it stands in for Y's cloud."""
+    table keyed by cell.  Built once per Y, it serves every scan of Y."""
 
     def __init__(self, ys: np.ndarray):
         re, im = ys.real, ys.imag
@@ -70,9 +72,6 @@ class _CellGrid:
         self.bounds = np.searchsorted(key[order], np.arange(w * h + 1))
         # Y's share of the scale of a scan's slack
         self.scale = max(cell, float(np.abs(re).max()), float(np.abs(im).max()))
-
-    def values(self) -> np.ndarray:
-        return self.ys
 
 
 def _lower_nearest(xs: np.ndarray, grid: _CellGrid, best: np.ndarray) -> None:
@@ -152,24 +151,24 @@ def _unfolded(z: np.ndarray) -> np.ndarray:
 
 
 def directed_hausdorff(
-    x_cloud: SpectrumCloud, y_cloud: SpectrumCloud | _CellGrid, best: np.ndarray | None = None
+    xs: np.ndarray, ys: np.ndarray | _CellGrid, best: np.ndarray | None = None
 ) -> float:
     """max_{x in X} min_{y in Y} |x - y|, bucketized but exact.
 
-    ``best`` carries one distance per point of X, in cloud order; it is
-    lowered in place to the distance to Y wherever that is smaller, and the
-    result is its maximum.  Feeding Y in parts with one carried array
+    X and Y are 1-D complex point arrays.  ``best`` carries one distance per
+    point of X, in array order; it is lowered in place to the distance to Y
+    wherever that is smaller, and the result is its maximum.  Feeding Y in parts with one carried array
     therefore gives the distance to the union of the parts seen so far,
     scanning each part once.  Without it every point starts at infinity and
     exact duplicates in X are dropped first.  Duplicates in Y change no
     minimum and no maximum; they cost time, not exactness, so a caller that
     scans one Y more than once dedups it once itself, and passes Y as the
-    _CellGrid of its values, built once.
+    _CellGrid of its points, built once.
     """
-    xs = x_cloud.values()
-    ys = y_cloud.values()
+    grid = ys if isinstance(ys, _CellGrid) else None
+    ys = ys if grid is None else grid.ys
     if xs.size == 0 or ys.size == 0:
-        raise ValueError("directed_hausdorff needs nonempty clouds")
+        raise ValueError("directed_hausdorff needs nonempty point sets")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("directed_hausdorff needs finite values")
     if best is None:
@@ -177,7 +176,7 @@ def directed_hausdorff(
         best = np.full(xs.size, np.inf)
     elif best.shape != xs.shape:
         raise ValueError(f"{best.size} carried distances for {xs.size} query points")
-    _lower_nearest(xs, y_cloud if isinstance(y_cloud, _CellGrid) else _CellGrid(ys), best)
+    _lower_nearest(xs, grid or _CellGrid(ys), best)
     return float(best.max())
 
 
@@ -207,8 +206,8 @@ def periodic_union(max_m: int, samples: int, tol: float = DEFAULT_TOL) -> Spectr
     return SpectrumCloud().merged(*parts)
 
 
-def disk_grid(step: float) -> SpectrumCloud:
-    """Square lattice clipped to the closed unit disk, plus snapped boundary.
+def disk_grid(step: float) -> np.ndarray:
+    """Complex points: a square lattice clipped to the closed unit disk, plus snapped boundary.
 
     Lattice points just outside the disk (within one diagonal cell) are
     projected onto the circle, so the boundary is represented at every
@@ -227,7 +226,7 @@ def disk_grid(step: float) -> SpectrumCloud:
     r = np.hypot(re, im)
     keep = r <= 1.0 + step * math.sqrt(2.0)
     scale = np.maximum(r[keep], 1.0)
-    return SpectrumCloud.from_values(re[keep] / scale + 1j * (im[keep] / scale), "disk")
+    return re[keep] / scale + 1j * (im[keep] / scale)
 
 
 @dataclass(frozen=True)
@@ -241,11 +240,11 @@ class DensityReport:
     pi_distances: dict[int, float]
     disk_distances: dict[int, float]
 
-    def monotone(self, slack: float = 1e-12) -> bool:
+    def monotone(self) -> bool:
         for series in (self.pi_distances, self.disk_distances):
             vals = [series[n] for n in sorted(series)]
             for a, b in zip(vals, vals[1:]):
-                if b > a + slack:
+                if b > a + MONOTONE_SLACK:
                     return False
         return True
 
@@ -306,7 +305,7 @@ def density_report(
         raise CapExceededError(f"max_n capped at {cap}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    disk = disk_grid(disk_step).values()
+    disk = disk_grid(disk_step)
     # the union's points, then the disk grid's, folded to one point per i-orbit
     union = periodic_union(max_m, samples, tol).values()
     pi_size = union.size
@@ -316,7 +315,6 @@ def density_report(
     member[0, inverse[:pi_size]] = True
     member[1, inverse[pi_size:]] = True
     probed = np.unique(np.concatenate([np.flatnonzero(m)[::_PROBE_STRIDE] for m in member]))
-    probe = SpectrumCloud.from_values(points[probed], "probe")
     final = np.full(probed.size, np.inf)
     sizes = range(2, max_n + 1)
     grids = []
@@ -328,14 +326,14 @@ def density_report(
         sigma_sizes[n] = sigma_sizes.get(n - 1, 0) + fresh.size
         grids.append(_CellGrid(_unfolded(np.unique(_quadrant(fresh)))))
         del fresh  # not held while the next sigma_n is enumerated
-        directed_hausdorff(probe, grids[-1], final)
+        directed_hausdorff(points[probed], grids[-1], final)
     floors = [final[m[probed]].max() for m in member]
     floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)
     best = np.full(points.size, np.inf)
     pi_distances: dict[int, float] = {}
     disk_distances: dict[int, float] = {}
     for n, grid in zip(sizes, grids):
-        directed_hausdorff(SpectrumCloud.from_values(points, "query"), grid, best)
+        directed_hausdorff(points, grid, best)
         pi_distances[n], disk_distances[n] = (float(best[m].max()) for m in member)
         live = best >= floor
         points, best, member, floor = points[live], best[live], member[:, live], floor[live]

@@ -72,6 +72,11 @@ _RADIUS_STEPS = 6
 # integral rows are those whose coefficients float64 holds exactly
 _EXACT_INT = 2.0**53
 
+# bytes of the (rows, d, d) complex pairwise array of one Aberth solve; a
+# degree group is solved and screened in chunks of rows that fit, twice the
+# largest group a shipped command builds (sigma_16: 16.1 MiB)
+_PAIRS_BYTES = 32 << 20
+
 
 def _trim(coeffs: tuple) -> tuple:
     i = len(coeffs)
@@ -361,7 +366,9 @@ def roots_many(
     its nonzero roots are the square roots of the mu roots, then their
     negations.  A row of integers below 2^53 in modulus whose computed roots
     are not provably simple is split into squarefree factors, so a repeated
-    root comes back repeated.
+    root comes back repeated.  A group is solved in chunks of rows whose
+    pairwise array fits _PAIRS_BYTES; a row's roots do not depend on its
+    batch, so the chunking changes no bit.
     """
     c = np.asarray(coeff_rows, dtype=complex)
     if c.ndim != 2:
@@ -393,28 +400,31 @@ def roots_many(
         if deg == 1:
             _place(out, idxs, half, (-stack[:, 0] / stack[:, 1])[:, None])
             continue
-        try:
-            found = _aberth_batch(stack, tol, max_iter)
-        except ConvergenceError as exc:
-            i = int(idxs[exc.row])
-            group = f"degree-{deg} group"
-            if half:
-                group += f" (solved in x^2, input degree {c.shape[1] - 1})"
-            raise exc.at(f"{group} of {len(idxs)} rows, input row {i}", i) from None
-        _place(out, idxs, half, found)
-        real = stack.real
-        integral = (
-            (stack.imag == 0).all(axis=1)
-            & (real == real.round()).all(axis=1)
-            & (np.abs(real) < _EXACT_INT).all(axis=1)
-        )
-        suspect = np.flatnonzero(integral)
-        if suspect.size:
-            suspect = suspect[_overlapping_disks(stack[suspect], found[suspect])]
-        for row_pos in suspect.tolist():
-            parts = IntPolynomial(tuple(int(x) for x in real[row_pos])).squarefree()
-            if any(m > 1 for _, m in parts):
-                splits[int(idxs[row_pos])] = parts
+        chunk = max(_PAIRS_BYTES // (16 * deg * deg), 1)
+        for lo in range(0, len(idxs), chunk):
+            rows, batch = idxs[lo : lo + chunk], stack[lo : lo + chunk]
+            try:
+                found = _aberth_batch(batch, tol, max_iter)
+            except ConvergenceError as exc:
+                i = int(rows[exc.row])
+                group = f"degree-{deg} group"
+                if half:
+                    group += f" (solved in x^2, input degree {c.shape[1] - 1})"
+                raise exc.at(f"{group} of {len(idxs)} rows, input row {i}", i) from None
+            _place(out, rows, half, found)
+            real = batch.real
+            integral = (
+                (batch.imag == 0).all(axis=1)
+                & (real == real.round()).all(axis=1)
+                & (np.abs(real) < _EXACT_INT).all(axis=1)
+            )
+            suspect = np.flatnonzero(integral)
+            if suspect.size:
+                suspect = suspect[_overlapping_disks(batch[suspect], found[suspect])]
+            for row_pos in suspect.tolist():
+                parts = IntPolynomial(tuple(int(x) for x in real[row_pos])).squarefree()
+                if any(m > 1 for _, m in parts):
+                    splits[int(rows[row_pos])] = parts
 
     if splits:
         # one solve for the squarefree factors of every split row, left-padded

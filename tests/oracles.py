@@ -42,8 +42,8 @@ cloud blocks.  ``embed_json_text`` builds the embed result's dicts and
 encodes them with ``json.dumps``, which checks the CLI's direct embed
 JSON writer.
 ``roots`` solves one polynomial through ``roots_many``, ``reflected``
-reverses a sign pattern and ``ones`` is the all +1 pattern; all three are
-conveniences for the tests.
+reverses a sign pattern, ``ones`` is the all +1 pattern and ``tags`` lists
+a cloud's tag per point; all four are conveniences for the tests.
 
 The dense matrices live here too: ``symbol_array`` assembles the symbol
 a(phi) and ``build_block_circulant`` the nm x nm block circulant M, which
@@ -319,9 +319,8 @@ def density_report_full_scan(
     every size.
     """
     union = periodic_union(max_m, samples).values()
-    disk = disk_grid(disk_step).values()
+    disk = disk_grid(disk_step)
     folded, inverse = np.unique(_fold_by_i(np.concatenate([union, disk])), return_inverse=True)
-    query = SpectrumCloud.from_values(folded, "query")
     best = np.full(folded.size, np.inf)
     fresh = enumerate_sigma(1)
     size = 0
@@ -330,8 +329,7 @@ def density_report_full_scan(
         fresh = fresh.merged(enumerate_sigma(n))
         size += len(fresh)
         sigma_sizes[n] = size
-        part = SpectrumCloud.from_values(np.unique(fresh.values()), "sigma")
-        directed_hausdorff(query, part, best)
+        directed_hausdorff(folded, np.unique(fresh.values()), best)
         pi_distances[n] = float(best[inverse[: union.size]].max())
         disk_distances[n] = float(best[inverse[union.size :]].max())
         fresh = SpectrumCloud()
@@ -633,6 +631,11 @@ def aberth_reference(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarra
 # ---------------------------------------------------------- reference ranking
 
 
+def tags(cloud: SpectrumCloud) -> list[str]:
+    """The tag of each point, in cloud order."""
+    return np.array(cloud.table(), dtype=object)[cloud.codes()].tolist()
+
+
 def lexsorted(cloud: SpectrumCloud) -> SpectrumCloud:
     """The cloud in np.lexsort order by (re, im, code), ties in cloud order."""
     v = cloud.values()
@@ -666,7 +669,7 @@ def csv_text_by_point(cloud: SpectrumCloud) -> str:
     v = cloud.values()
     return "re,im,tag\n" + "".join(
         f"{re:.17g},{im:.17g},{tag}\n"
-        for re, im, tag in zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+        for re, im, tag in zip(v.real.tolist(), v.imag.tolist(), tags(cloud))
     )
 
 
@@ -680,7 +683,7 @@ def svg_circles_by_point(cloud: SpectrumCloud) -> str:
 
 def _points_json(cloud: SpectrumCloud) -> list[dict]:
     v = cloud.values()
-    rows = zip(v.real.tolist(), v.imag.tolist(), cloud.tags())
+    rows = zip(v.real.tolist(), v.imag.tolist(), tags(cloud))
     return [{"im": im, "re": re, "tag": t} for re, im, t in rows]
 
 
@@ -715,7 +718,7 @@ def embed_json_text(result, params: dict) -> str:
         "residuals": list(result.residuals),
         "targets": [
             {"im": im, "re": re, "tag": t}
-            for re, im, t in zip(v.real.tolist(), v.imag.tolist(), result.targets.tags())
+            for re, im, t in zip(v.real.tolist(), v.imag.tolist(), tags(result.targets))
         ],
         "verified": result.verified,
         "warnings": [],

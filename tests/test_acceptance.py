@@ -249,7 +249,7 @@ def test_c06_finite_inside_periodic_union():
     started = time.monotonic()
     sigma = SpectrumCloud().merged(*[enumerate_sigma(n) for n in range(1, 7)])
     pi = periodic_union(7, 4097)
-    dist = directed_hausdorff(sigma, pi)
+    dist = directed_hausdorff(sigma.values(), pi.values())
     elapsed = time.monotonic() - started
     assert elapsed < 600.0, f"took {elapsed:.1f} s"
     assert dist <= 1e-6, f"directed distance {dist:.6e} at periods <= 7"
@@ -281,9 +281,7 @@ def test_c08_oracle_equivalence():
         xs = scale * (rng.uniform(-2, 2, nx) + 1j * rng.uniform(-2, 2, nx))
         ys = scale * (rng.uniform(-2, 2, ny) + 1j * rng.uniform(-2, 2, ny))
         brute = np.abs(xs[:, None] - ys[None, :]).min(axis=1).max()
-        got = directed_hausdorff(
-            SpectrumCloud.from_values(xs, "x"), SpectrumCloud.from_values(ys, "y")
-        )
+        got = directed_hausdorff(xs, ys)
         assert got == brute, seed
 
 

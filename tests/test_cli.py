@@ -31,6 +31,7 @@ from oracles import (
     json_text_by_point,
     read_cloud_csv,
     svg_circles_by_point,
+    tags,
 )
 
 
@@ -74,7 +75,7 @@ def test_spectrum_csv_round_trip(tmp_path, capsys):
     cloud = read_cloud_csv(str(out))
     want = finite_eigenvalues(parse_sign_vector("+")).sorted()
     assert np.array_equal(cloud.values(), want.values())
-    assert cloud.tags() == want.tags()
+    assert tags(cloud) == tags(want)
 
 
 @pytest.mark.parametrize("block", [1, 3, 4096])
@@ -131,6 +132,15 @@ def test_csv_and_svg_text_match_formatting_each_point(points, tags, block):
         svg = _text(cli_io._svg_blocks(cloud))
     circles = svg.split("/>\n", 1)[1]
     assert circles == svg_circles_by_point(cloud) + "</svg>\n"
+
+
+def test_empty_json_collections_and_reprs():
+    # an empty list or dict prints as json.dumps(indent=2) prints it, and
+    # each repr names its content
+    for empty in ([], {}):
+        assert cli_io._json_items(empty, "    ") == json.dumps(empty, indent=2)
+    assert repr(parse_sign_vector("+-+")) == "SignVector('+-+')"
+    assert repr(SpectrumCloud.from_values([1.0, 2j, 0], "t")) == "SpectrumCloud(3 points)"
 
 
 # JSON clouds hold solved roots only, so every float is finite

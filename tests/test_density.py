@@ -24,24 +24,24 @@ from signspectra.finite import enumerate_sigma
 from oracles import density_report_full_scan, periodic_union_by_pattern
 
 
-def _cloud(values):
-    return SpectrumCloud.from_values(np.asarray(values, dtype=complex), "t")
+def _points(values):
+    return np.asarray(values, dtype=complex)
 
 
 def test_hausdorff_small_exact_cases():
-    assert directed_hausdorff(_cloud([0]), _cloud([3, 4j])) == 3.0
-    x = _cloud([0.25 + 1j, -2, 0.5j])
+    assert directed_hausdorff(_points([0]), _points([3, 4j])) == 3.0
+    x = _points([0.25 + 1j, -2, 0.5j])
     assert directed_hausdorff(x, x) == 0.0
-    assert directed_hausdorff(_cloud([1 + 1j]), _cloud([1 - 1j])) == 2.0
+    assert directed_hausdorff(_points([1 + 1j]), _points([1 - 1j])) == 2.0
     with pytest.raises(ValueError):
-        directed_hausdorff(_cloud([]), x)
+        directed_hausdorff(_points([]), x)
     with pytest.raises(ValueError):
-        directed_hausdorff(x, _cloud([]))
+        directed_hausdorff(x, _points([]))
 
 
 def test_hausdorff_is_directed():
-    sigma1 = enumerate_sigma(1)
-    two = _cloud([2])
+    sigma1 = enumerate_sigma(1).values()
+    two = _points([2])
     assert directed_hausdorff(two, sigma1) == 1.0
     assert directed_hausdorff(sigma1, two) == 3.0
 
@@ -56,7 +56,7 @@ def test_hausdorff_matches_brute_force_bitwise():
         ys = rng.uniform(-2, 2, 200) + 1j * rng.uniform(-2, 2, 200)
         for x, y in ((xs, ys), (np.round(xs), np.round(ys))):
             brute = np.abs(x[:, None] - y[None, :]).min(axis=1).max()
-            assert directed_hausdorff(_cloud(x), _cloud(y)) == brute
+            assert directed_hausdorff(_points(x), _points(y)) == brute
 
 
 def test_hausdorff_carried_distances_cover_the_union_of_parts():
@@ -70,13 +70,13 @@ def test_hausdorff_carried_distances_cover_the_union_of_parts():
         seen = np.empty(0, dtype=complex)
         for part in np.split(ys, [5, 80]):
             seen = np.concatenate([seen, part])
-            got = directed_hausdorff(_cloud(xs), _cloud(part), best)
+            got = directed_hausdorff(_points(xs), _points(part), best)
             want = np.abs(xs[:, None] - seen[None, :]).min(axis=1)
             assert np.array_equal(best, want) and got == want.max()
     with pytest.raises(ValueError):
-        directed_hausdorff(_cloud(xs), _cloud(ys), np.zeros(3))
+        directed_hausdorff(_points(xs), _points(ys), np.zeros(3))
     with pytest.raises(ValueError):
-        directed_hausdorff(_cloud([np.nan]), _cloud(ys))
+        directed_hausdorff(_points([np.nan]), _points(ys))
 
 
 def test_hausdorff_exact_duplicates_in_y_change_no_distance():
@@ -89,9 +89,9 @@ def test_hausdorff_exact_duplicates_in_y_change_no_distance():
         ys = rng.permutation(np.concatenate([base, base[:60], base[:30], [base[0]] * 50]))
         want = np.abs(xs[:, None] - ys[None, :]).min(axis=1)
         assert np.unique(ys).size == base.size < ys.size
-        assert directed_hausdorff(_cloud(xs), _cloud(ys)) == want.max()
+        assert directed_hausdorff(_points(xs), _points(ys)) == want.max()
         best = np.full(xs.size, np.inf)
-        assert directed_hausdorff(_cloud(xs), _cloud(ys), best) == want.max()
+        assert directed_hausdorff(_points(xs), _points(ys), best) == want.max()
         assert np.array_equal(best, want)
 
 
@@ -99,8 +99,8 @@ def test_hausdorff_exact_duplicates_in_bounded_memory():
     # every odd-size matrix has the eigenvalue 0, so accumulated clouds hold
     # thousands of exact zeros; they must not become a |X| x |Y| distance block
     zeros = np.zeros(3000, dtype=complex)
-    x = _cloud(zeros)
-    y = _cloud(np.concatenate([zeros, [1, 1j]]))
+    x = _points(zeros)
+    y = _points(np.concatenate([zeros, [1, 1j]]))
     tracemalloc.start()
     try:
         assert directed_hausdorff(x, y) == 0.0
@@ -149,13 +149,11 @@ def test_periodic_union_period_cap():
 
 
 def test_disk_grid_contract():
-    g = disk_grid(0.25)
-    v = g.values()
-    assert np.array_equal(v, disk_grid(0.25).values())
+    v = disk_grid(0.25)
+    assert np.array_equal(v, disk_grid(0.25))
     assert np.abs(v).max() <= 1 + 1e-12
     assert (v == 0).any()
     assert np.isclose(np.abs(v), 1.0, atol=1e-12).any()
-    assert set(g.tags()) == {"disk"}
     with pytest.raises(ValueError):
         disk_grid(0.0)
     # a 2^-10 step needs 2051^2 > 2^22 lattice points; a subnormal step
@@ -174,7 +172,7 @@ def test_disk_grid_contract():
                     want.append(z)
                 elif abs(z) <= 1.0 + step * math.sqrt(2.0):
                     want.append(z / abs(z))
-        got = disk_grid(step).values()
+        got = disk_grid(step)
         assert got.tobytes() == np.array(want, dtype=complex).tobytes(), step
 
 
@@ -192,7 +190,7 @@ def test_density_report_matches_brute_force_over_merged_sigma():
     # nearest distance; each entry must equal a full scan of sigma_{<=n}
     rep = density_report(7, 3, 33, 0.2)
     pi = periodic_union(3, 33).values()
-    disk = disk_grid(0.2).values()
+    disk = disk_grid(0.2)
     merged = enumerate_sigma(1).values()
     for n in range(2, 8):
         merged = np.concatenate([merged, enumerate_sigma(n).values()])
@@ -246,28 +244,29 @@ def test_density_report_equals_a_scan_of_the_unfolded_queries():
     # must give the report's distances as the same floats
     rep = density_report(8, 4, 257, 0.1)
     union = periodic_union(4, 257)
-    query = union.merged(disk_grid(0.1))
+    query = np.concatenate([union.values(), disk_grid(0.1)])
     best = np.full(len(query), np.inf)
     fresh = enumerate_sigma(1)
     for n in range(2, 9):
-        directed_hausdorff(query, fresh.merged(enumerate_sigma(n)), best)
+        directed_hausdorff(query, fresh.merged(enumerate_sigma(n)).values(), best)
         fresh = SpectrumCloud()
         assert rep.pi_distances[n] == best[: len(union)].max(), n
         assert rep.disk_distances[n] == best[len(union) :].max(), n
 
 
-def _parts(cloud):
-    return list(zip(cloud.values().real.tolist(), cloud.values().imag.tolist()))
+def _parts(points):
+    return list(zip(points.real.tolist(), points.imag.tolist()))
 
 
 def _record_scans(monkeypatch):
-    # every scan density_report makes: the query cloud's tag, its points as
-    # (re, im) pairs and their carried distances after the call
+    # every scan density_report makes, in call order (the probe scans of
+    # every size, then the sweep scans): its query points as (re, im) pairs
+    # and their carried distances after the call
     scan, calls = density.directed_hausdorff, []
 
-    def record(x_cloud, y_cloud, best=None):
-        result = scan(x_cloud, y_cloud, best)
-        calls.append((x_cloud.tags()[0], dict(zip(_parts(x_cloud), best.tolist()))))
+    def record(xs, ys, best=None):
+        result = scan(xs, ys, best)
+        calls.append(dict(zip(_parts(xs), best.tolist())))
         return result
 
     monkeypatch.setattr(density, "directed_hausdorff", record)
@@ -288,16 +287,17 @@ def test_each_folded_query_carries_the_distance_of_its_whole_orbit(monkeypatch):
     calls = _record_scans(monkeypatch)
     rep = density_report(8, 4, 257, 0.1)
     monkeypatch.undo()
-    assert [tag for tag, _ in calls] == ["probe"] * 7 + ["query"] * 7
-    sweep = [carried for tag, carried in calls if tag == "query"]
+    # seven probe scans, then seven sweep scans
+    assert len(calls) == 2 * 7
+    sweep = calls[7:]
     union = periodic_union(4, 257)
-    points = union.merged(disk_grid(0.1))
+    points = np.concatenate([union.values(), disk_grid(0.1)])
     in_pi = np.arange(len(points)) < len(union)
     best = np.full(len(points), np.inf)
     fresh = enumerate_sigma(1)
     history = []
     for n, live in zip(range(2, 9), sweep, strict=True):
-        directed_hausdorff(points, fresh.merged(enumerate_sigma(n)), best)
+        directed_hausdorff(points, fresh.merged(enumerate_sigma(n)).values(), best)
         fresh = SpectrumCloud()
         history.append(best.copy())
         for (x, y), want in zip(_parts(points), best.tolist()):
@@ -356,8 +356,11 @@ def test_pruned_report_equals_the_full_scan(monkeypatch, case):
         monkeypatch.setattr(density, "_PROBE_STRIDE", stride)
         calls.clear()
         assert repr(density_report(*case)) == want, stride
-        probe = {len(carried) for tag, carried in calls if tag == "probe"}
-        queries = len(next(carried for tag, carried in calls if tag == "query"))
+        # sizes 2..max_n: one probe scan each, then one sweep scan each
+        sizes = case[0] - 1
+        assert len(calls) == 2 * sizes
+        probe = {len(carried) for carried in calls[:sizes]}
+        queries = len(calls[sizes])
         # one probe size over all calls: every point, or one point per series
         assert len(probe) == 1 and probe <= ({queries} if stride == 1 else {1, 2})
 
@@ -396,10 +399,11 @@ def _report_with(pi, disk):
     )
 
 
-def test_monotone_slack_semantics():
+def test_monotone_slack_semantics(monkeypatch):
     flat = {2: 1.0, 3: 1.0 + 5e-13}
     assert _report_with(flat, {2: 0.5, 3: 0.4}).monotone()
     rising = {2: 1.0, 3: 1.01}
     assert not _report_with(rising, {2: 0.5, 3: 0.4}).monotone()
     assert not _report_with({2: 0.5, 3: 0.4}, rising).monotone()
-    assert _report_with(rising, {2: 0.5, 3: 0.4}).monotone(slack=0.1)
+    monkeypatch.setattr(density, "MONOTONE_SLACK", 0.1)
+    assert _report_with(rising, {2: 0.5, 3: 0.4}).monotone()

@@ -226,6 +226,48 @@ def test_nonconvergence_names_the_group_and_the_row():
     assert "degree-2 group of 2 rows, input row 1:" in str(exc.value)
 
 
+def _recorded_batches(monkeypatch, pairs_bytes):
+    # (rows, degree) of every Aberth solve, under a pairwise-array budget
+    solve, sizes = polyroot._aberth_batch, []
+
+    def recorded(coeffs, tol, max_iter):
+        sizes.append((len(coeffs), coeffs.shape[1] - 1))
+        return solve(coeffs, tol, max_iter)
+
+    monkeypatch.setattr(polyroot, "_aberth_batch", recorded)
+    monkeypatch.setattr(polyroot, "_PAIRS_BYTES", pairs_bytes)
+    return sizes
+
+
+@pytest.mark.parametrize("name", ["union", "sigma9"])
+def test_chunked_groups_are_bitwise_the_whole_group(monkeypatch, name):
+    # a group solved in chunks of rows must give the roots of the whole
+    # group bit for bit, splits of repeated roots included (sigma_9 has them)
+    from signspectra.density import periodic_union
+    from signspectra.finite import enumerate_sigma
+
+    build = {"union": lambda: periodic_union(4, 33), "sigma9": lambda: enumerate_sigma(9)}[name]
+    whole = build().values()
+    sizes = _recorded_batches(monkeypatch, 1 << 12)
+    assert build().values().tobytes() == whole.tobytes()
+    # every solve's pairwise array fits the budget, and groups did split
+    assert all(b * d * d * 16 <= 1 << 12 for b, d in sizes), sizes
+    assert len(sizes) > len({d for _, d in sizes})
+
+
+def test_chunked_failure_names_the_input_row(monkeypatch):
+    # x^2 - 3x + 2 converges even at tol 1e-30, x^2 + x - 1 cannot: with two
+    # rows per chunk the failing input row 4 sits in the third chunk
+    rows = np.array([[2.0, -3, 1]] * 6)
+    rows[4] = [-1.0, 1, 1]
+    sizes = _recorded_batches(monkeypatch, 2 * 16 * 2 * 2)
+    with pytest.raises(ConvergenceError) as exc:
+        roots_many(rows, tol=1e-30)
+    assert sizes == [(2, 2)] * 3
+    assert exc.value.row == 4
+    assert "degree-2 group of 6 rows, input row 4:" in str(exc.value)
+
+
 def _compacting_batch():
     # six degree-8 rows: x^8 - c, whose roots lie on the start circle,
     # perturbed by 1e-14, 1e-8, 1e-2 and 1e-2 (they converge on passes 1, 2,

@@ -52,7 +52,7 @@ def test_trace_boundaries_see_the_union_and_the_density_scan(monkeypatch):
     # z -> i z, found here from (re, im) pairs as the turn in the quadrant
     # re > 0, im >= 0 (0 stays 0), in the fold's sorted order
     union = density.periodic_union(3, 33).values()
-    q = np.concatenate([union, density.disk_grid(0.25).values()])
+    q = np.concatenate([union, density.disk_grid(0.25)])
     orbits = {}  # folded point -> its series, True for the union
     for i, (x, y) in enumerate(zip(q.real, q.imag)):
         turns = [(a, b) for a, b in ((x, y), (-y, x), (-x, -y), (y, -x)) if a > 0 and b >= 0]

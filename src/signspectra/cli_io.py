@@ -87,13 +87,15 @@ def _number_fields(fmt: str, cloud: SpectrumCloud, *columns) -> list:
     return fields
 
 
-def _row_blocks(fields: list, size: int):
-    """Yield the bytes of `size` rows, `_CSV_BLOCK` rows at a time.
+def _row_blocks(fields: list, cloud: SpectrumCloud):
+    """Yield the bytes of a row per entry of `cloud`, repeated by its count,
+    `_CSV_BLOCK` entries at a time.
 
     A field is (table, index): row i takes table row index[i], or table
     row 0 when index is None, and the fields are concatenated in order.
     NUL bytes are padding and are dropped, so no text may hold one.
     """
+    size, counts = cloud.values().size, cloud.counts()
     for a in range(0, size, _CSV_BLOCK):
         n = min(_CSV_BLOCK, size - a)
         rec = np.concatenate(
@@ -104,6 +106,8 @@ def _row_blocks(fields: list, size: int):
             ],
             axis=1,
         )
+        if counts is not None:
+            rec = np.repeat(rec, counts[a : a + n], axis=0)
         yield rec[rec != 0].tobytes()
 
 
@@ -113,13 +117,14 @@ def _csv_blocks(cloud: SpectrumCloud, params: dict | None = None):
     re_sign, re, im_sign, im = _number_fields("%.17g", cloud, (v.real, 0), (v.imag, 1))
     fields = [re_sign, re, _constant(","), im_sign, im, (tails, cloud.codes()), _constant("\n")]
     yield b"re,im,tag\n"
-    yield from _row_blocks(fields, v.size)
+    yield from _row_blocks(fields, cloud)
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
     """Write the CSV of `cloud` to `path` block by block, in the cloud's order:
-    a header line ``re,im,tag``, then one such line per point with floats by
-    ``'%.17g'``.  Tags hold no newline and no NUL."""
+    a header line ``re,im,tag``, then one such line per point (an entry's line
+    repeated by its count) with floats by ``'%.17g'``.  Tags hold no newline
+    and no NUL."""
     with open(path, "wb") as fh:
         fh.writelines(_csv_blocks(cloud))
 
@@ -128,15 +133,12 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-# indexed by "not the first point": row 1 is the "," before a point
-_COMMA = np.array([[0], [ord(",")]], dtype=np.uint8)
-
-
 def _json_blocks(cloud: SpectrumCloud, params: dict):
     """The bytes of ``json.dumps({"params", "points", "warnings": []},
     sort_keys=True, indent=2)`` plus a newline, a point being
-    ``{"im", "re", "tag"}``; the points come from byte tables.  No cloud
-    carries warnings; the empty list stays so the file format is unchanged.
+    ``{"im", "re", "tag"}``; the points come from byte tables, each row led by
+    a comma that the first point drops.  No cloud carries warnings; the empty
+    list stays so the file format is unchanged.
 
     Every value must be finite, as the solved roots of a cloud are: floats
     are printed by ``'%r'``, which gives 'nan' and 'inf' where json gives
@@ -148,14 +150,14 @@ def _json_blocks(cloud: SpectrumCloud, params: dict):
     tags = _lines_table("".join(json.dumps(t) + "\n" for t in cloud.table()))
     im_sign, im, re_sign, re = _number_fields("%r", cloud, (v.imag, 1), (v.real, 0))
     fields = [
-        (_COMMA, (np.arange(v.size) > 0).view(np.uint8)),
-        _constant('\n    {\n      "im": '), im_sign, im,
+        _constant(',\n    {\n      "im": '), im_sign, im,
         _constant(',\n      "re": '), re_sign, re,
         _constant(',\n      "tag": '), (tags, cloud.codes()),
         _constant("\n    }"),
     ]
-    yield (head + points).encode()
-    yield from _row_blocks(fields, v.size)
+    rows = _row_blocks(fields, cloud)
+    yield (head + points).encode() + next(rows, b",")[1:]
+    yield from rows
     yield (tail if v.size == 0 else "\n  " + tail).encode()
 
 
@@ -172,7 +174,7 @@ def _svg_blocks(cloud: SpectrumCloud, params: dict | None = None):
         b'viewBox="-2.2 -2.2 4.4 4.4">\n'
         b'<rect x="-2.2" y="-2.2" width="4.4" height="4.4" fill="white"/>\n'
     )
-    yield from _row_blocks(fields, v.size)
+    yield from _row_blocks(fields, cloud)
     yield b"</svg>\n"
 
 

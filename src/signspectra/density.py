@@ -320,12 +320,12 @@ def density_report(
     grids = []
     sigma_sizes: dict[int, int] = {}
     for n in sizes:
-        fresh = enumerate_sigma(n, tol, cap=cap).values()
-        if n == 2:  # sigma_1 joins sigma_2
-            fresh = np.concatenate([enumerate_sigma(1, tol).values(), fresh])
-        sigma_sizes[n] = sigma_sizes.get(n - 1, 0) + fresh.size
-        grids.append(_CellGrid(_unfolded(np.unique(_quadrant(fresh)))))
-        del fresh  # not held while the next sigma_n is enumerated
+        parts = [enumerate_sigma(m, tol, cap=cap) for m in ((1, 2) if n == 2 else (n,))]
+        sigma_sizes[n] = sigma_sizes.get(n - 1, 0) + sum(map(len, parts))  # sigma_1 joins sigma_2
+        fresh = np.unique(np.concatenate([_quadrant(c.values()) for c in parts]))
+        del parts  # only the grid is held while the next sigma_n is enumerated
+        grids.append(_CellGrid(_unfolded(fresh)))
+        del fresh
         directed_hausdorff(points[probed], grids[-1], final)
     floors = [final[m[probed]].max() for m in member]
     floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)

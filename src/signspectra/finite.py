@@ -76,7 +76,7 @@ def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The orbit has 4 members, or 2 when rev k = k or rev k = -k.  The root row
     of k stands for half of them and its image i z for the other half, so
-    each is repeated by the count.  (When rev k = -k the spectrum is
+    each carries the count, 1 or 2.  (When rev k = -k the spectrum is
     invariant under i, but its computed roots are not bitwise.)
     """
     bits = np.arange(1 << n, dtype=np.int64)
@@ -85,7 +85,7 @@ def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
         rev |= ((bits >> i) & 1) << (n - 1 - i)
     neg = bits ^ ((1 << n) - 1)
     keep = (bits <= rev) & (bits < neg) & (bits <= rev ^ ((1 << n) - 1))
-    return bits[keep], np.where((rev == bits) | (rev == neg), 1, 2)[keep]
+    return bits[keep], np.where((rev == bits) | (rev == neg), np.uint8(1), np.uint8(2))[keep]
 
 
 def enumerate_sigma(
@@ -99,8 +99,9 @@ def enumerate_sigma(
     D_{-k}(x) = i^{-N} D_k(i x), the negated patterns get the exact image
     i z = (-z.imag, z.real) of its roots, with exactly their error.  The
     cloud is not sorted: its first half is the root rows in orbit order
-    (ascending representative mask, bit j set when s_j = -1), each repeated
-    by its count, and its second half their images in that order.
+    (ascending representative mask, bit j set when s_j = -1), each root an
+    entry with its orbit's count, and its second half their images in that
+    order with the same counts; len() is (n + 1) 2^n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -116,8 +117,9 @@ def enumerate_sigma(
     except ConvergenceError as exc:
         word = SignVector(n, int(bits[exc.row])).to_text()
         raise exc.at(f"enumerate n = {n}, pattern {word}") from None
-    cloud = np.empty((2, 1 << (n - 1), n + 1), dtype=complex)
-    np.take(solved, np.repeat(np.arange(len(bits)), mult), axis=0, out=cloud[0])
-    cloud[1].real = -cloud[0].imag
-    cloud[1].imag = cloud[0].real
-    return SpectrumCloud.from_values(cloud, f"fin:n={n}")
+    cloud = np.empty((2, *solved.shape), dtype=complex)
+    cloud[0] = solved
+    cloud[1].real = -solved.imag
+    cloud[1].imag = solved.real
+    counts = np.broadcast_to(mult[:, None], cloud.shape)
+    return SpectrumCloud.from_values(cloud, f"fin:n={n}", counts)

@@ -636,6 +636,17 @@ def tags(cloud: SpectrumCloud) -> list[str]:
     return np.array(cloud.table(), dtype=object)[cloud.codes()].tolist()
 
 
+def expanded(cloud: SpectrumCloud) -> SpectrumCloud:
+    """The cloud with each entry repeated by its count, copies adjacent: one
+    entry per point, every count 1."""
+    counts = cloud.counts()
+    if counts is None:
+        return cloud
+    return SpectrumCloud(
+        np.repeat(cloud.values(), counts), np.repeat(cloud.codes(), counts), cloud.table()
+    )
+
+
 def lexsorted(cloud: SpectrumCloud) -> SpectrumCloud:
     """The cloud in np.lexsort order by (re, im, code), ties in cloud order."""
     v = cloud.values()

@@ -518,6 +518,16 @@ PINNED_OUTPUT_SHA256 = [
         id="enumerate-n10-accumulate",
     ),
     pytest.param(
+        ["enumerate", "--n", "10", "--accumulate", "--format", "json"],
+        "c41f870a5964c5548d95fdf6e8dcabacfae06ad371d73e4915a74768835af060",
+        id="enumerate-n10-accumulate-json",
+    ),
+    pytest.param(
+        ["enumerate", "--n", "10", "--accumulate", "--format", "svg"],
+        "e601be4a5c2b99afbc77cf5491390ed589c74c681be3974e03390abba000280d",
+        id="enumerate-n10-accumulate-svg",
+    ),
+    pytest.param(
         ["enumerate", "--n", "9", "--accumulate", "--dedup"],
         "95f275062417190412b6be21a0f334d39ebb65b0a8ece09aec6bde591104fd87",
         id="enumerate-n9-accumulate-dedup",

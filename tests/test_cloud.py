@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from signspectra import cli_io
+from signspectra import cli_io, finite
 from signspectra import cloud as cloud_module
 from signspectra.cloud import SpectrumCloud, _check_key_span
 from signspectra.density import PERIOD_CAP, periodic_union
 from signspectra.finite import ENUMERATION_CAP, enumerate_sigma
 
-from oracles import lexsorted, number_fields_reference
+from oracles import expanded, lexsorted, number_fields_reference
 
 _NAN = np.nan
 # parts that tie or order unusually: both zeros, both infinities, nan of both
@@ -74,10 +74,10 @@ def _reference_fields(fmt, cloud, *columns):
 
 
 def _reference_blocks(monkeypatch, kind: str, cloud: SpectrumCloud) -> bytes:
-    # the emitter over the lexsorted cloud, its tables from a second np.unique
+    # the emitter over the lexsorted points, its tables from a second np.unique
     with monkeypatch.context() as mp:
         mp.setattr(cli_io, "_number_fields", _reference_fields)
-        return b"".join(cli_io._CLOUD_BLOCKS[kind](lexsorted(cloud), {"k": "+"}))
+        return b"".join(cli_io._CLOUD_BLOCKS[kind](lexsorted(expanded(cloud)), {"k": "+"}))
 
 
 @pytest.mark.parametrize("kind", ["csv", "json", "svg"])
@@ -138,3 +138,118 @@ def test_sorted_checks_its_key_span(monkeypatch):
     for cloud in _clouds():
         cloud.sorted()
         assert seen.pop() == (cloud.magnitudes()[0].size, len(cloud.table()), len(cloud))
+
+
+# ------------------------------------------------------------ counted clouds
+
+
+def _counted(cloud: SpectrumCloud, rng) -> SpectrumCloud:
+    counts = rng.integers(1, 4, len(cloud))
+    return SpectrumCloud(cloud.values(), cloud.codes(), cloud.table(), counts)
+
+
+def _counted_clouds():
+    rng = np.random.default_rng(30)
+    for cloud in _clouds():
+        yield _counted(cloud, rng)
+
+
+def _within(cloud: SpectrumCloud, bound: float = np.inf) -> SpectrumCloud:
+    # the entries whose parts lie below bound in modulus, with their counts
+    v, counts = cloud.values(), cloud.counts()
+    keep = (np.abs(v.real) < bound) & (np.abs(v.imag) < bound)
+    return SpectrumCloud(v[keep], cloud.codes()[keep], cloud.table(),
+                         None if counts is None else counts[keep])
+
+
+def _same(a: SpectrumCloud, b: SpectrumCloud) -> bool:
+    return (_bits(a.values()) == _bits(b.values()) and np.array_equal(a.codes(), b.codes())
+            and a.table() == b.table())
+
+
+def test_counted_sort_equals_the_sort_of_the_expanded_points():
+    for cloud in _counted_clouds():
+        want = expanded(cloud)
+        got = cloud.sorted()
+        assert _same(expanded(got), want.sorted())
+        assert _same(expanded(got), lexsorted(want))
+        assert len(got) == len(cloud) == want.values().size
+
+
+def test_counted_sort_keeps_signed_zero_ties_in_entry_order():
+    # five entries equal by value and tag, differing only in the signs of
+    # their zeros: each entry's copies stay together, in cloud order
+    parts = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]])
+    counts = np.array([2, 1, 3, 2, 1])
+    cloud = _cloud(parts, np.zeros(5, dtype=int), 1)
+    counted = SpectrumCloud(cloud.values(), cloud.codes(), cloud.table(), counts)
+    want = np.repeat(parts, counts, axis=0)
+    got = expanded(counted.sorted()).values()
+    assert _bits(got) == want.tobytes()
+    assert _same(expanded(counted.sorted()), expanded(counted).sorted())
+
+
+@pytest.mark.parametrize("kind", ["csv", "json", "svg"])
+def test_counted_emitted_bytes_equal_the_expanded_cloud(kind):
+    for cloud in _counted_clouds():
+        if kind == "json":
+            cloud = _within(cloud)  # JSON prints finite floats only
+        got = b"".join(cli_io._CLOUD_BLOCKS[kind](cloud.sorted(), {"k": "+"}))
+        want = b"".join(cli_io._CLOUD_BLOCKS[kind](expanded(cloud).sorted(), {"k": "+"}))
+        assert got == want
+
+
+def test_counted_write_cloud_csv_and_snapped_equal_the_expanded_cloud(tmp_path):
+    path = tmp_path / "c.csv"
+    for cloud in _counted_clouds():
+        cli_io.write_cloud_csv(cloud, str(path))
+        got = path.read_bytes()
+        cli_io.write_cloud_csv(expanded(cloud), str(path))
+        assert got == path.read_bytes()
+        # snapping keys cells by int64, so it takes moderate points only
+        snapped = _within(cloud, 1e6).snapped()
+        assert snapped.counts() is None
+        assert _same(snapped, expanded(_within(cloud, 1e6)).snapped())
+
+
+def test_merged_and_take_keep_counts_aligned():
+    rng = np.random.default_rng(31)
+    plain = _adversarial(rng, 50, 3)
+    a, b = (_counted(_adversarial(rng, size, 4), rng) for size in (40, 70))
+    got = a.merged(plain, b)
+    assert len(got) == len(a) + len(plain) + len(b)
+    assert _same(expanded(got), expanded(a).merged(plain, expanded(b)))
+    assert plain.merged(plain).counts() is None
+    idx = rng.permutation(len(a.values()))[:25]
+    taken = a._take(idx)
+    v, c, k = a.values()[idx], a.codes()[idx], a.counts()[idx]
+    assert _same(expanded(taken), SpectrumCloud(np.repeat(v, k), np.repeat(c, k), a.table()))
+    assert len(taken) == int(k.sum())
+
+
+def test_counts_are_compact_and_checked():
+    values, codes = np.arange(4, dtype=complex), np.zeros(4, dtype=int)
+    cloud = SpectrumCloud(values, codes, ("t",), np.array([1, 2, 1, 2], dtype=np.int64))
+    assert cloud.counts().dtype == np.uint8 and not cloud.counts().flags.writeable
+    assert len(cloud) == 6 and len(SpectrumCloud(values, codes, ("t",))) == 4
+    # all ones is the plain cloud: no count array at all
+    assert SpectrumCloud(values, codes, ("t",), np.ones(4, dtype=int)).counts() is None
+    rows = SpectrumCloud.from_values(values.reshape(2, 2), "t", [[1, 1], [3, 3]])
+    assert rows.counts().tolist() == [1, 1, 3, 3]
+    for bad in ([1, 2, 1], [1, 2, 1, 2, 1], [1, 0, 1, 1], [1, -1, 2, 1], [1.0, 2.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="counts must be"):
+            SpectrumCloud(values, codes, ("t",), np.array(bad))
+    with pytest.raises(ValueError, match="counts must be"):
+        SpectrumCloud.from_values(values, "t", np.zeros(4, dtype=int))
+
+
+def test_enumerate_sigma_counts_each_orbit_half():
+    # one entry per solved root and per image, each counting 1 or 2 points
+    for n in range(1, 9):
+        cloud = enumerate_sigma(n)
+        bits, mult = finite._orbits(n)
+        assert len(cloud.values()) == 2 * bits.size * (n + 1)
+        want, got = np.tile(np.repeat(mult, n + 1), 2), cloud.counts()
+        assert (got is None) == (n < 3)  # every orbit of size 1 or 2 has count 1
+        assert np.array_equal(np.ones_like(want) if got is None else got, want)
+        assert len(cloud) == (n + 1) << n

@@ -21,7 +21,7 @@ from signspectra.density import (
 from signspectra.errors import CapExceededError
 from signspectra.finite import enumerate_sigma
 
-from oracles import density_report_full_scan, periodic_union_by_pattern
+from oracles import density_report_full_scan, expanded, periodic_union_by_pattern
 
 
 def _points(values):
@@ -191,9 +191,9 @@ def test_density_report_matches_brute_force_over_merged_sigma():
     rep = density_report(7, 3, 33, 0.2)
     pi = periodic_union(3, 33).values()
     disk = disk_grid(0.2)
-    merged = enumerate_sigma(1).values()
+    merged = expanded(enumerate_sigma(1)).values()
     for n in range(2, 8):
-        merged = np.concatenate([merged, enumerate_sigma(n).values()])
+        merged = np.concatenate([merged, expanded(enumerate_sigma(n)).values()])
         assert rep.sigma_sizes[n] == merged.size
         for x, got in ((pi, rep.pi_distances[n]), (disk, rep.disk_distances[n])):
             assert got == np.abs(x[:, None] - merged[None, :]).min(axis=1).max(), n

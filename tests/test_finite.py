@@ -27,6 +27,7 @@ from oracles import (
     _continuant,
     all_sign_vectors,
     dense_matrix,
+    expanded,
     int_charpoly_oracle,
     match_multisets,
     ones,
@@ -218,33 +219,38 @@ def test_enumerate_rejects_bad_n_and_cap():
 
 def test_enumerate_matches_solving_every_pattern():
     # each orbit representative is solved as it would be alone, each image
-    # is bitwise i times its row, and the cloud stays within 1e-12 max(1, |z|)
-    # in set distance of solving all 2^n patterns one by one
+    # is bitwise i times its row, each root and image counts its orbit's half,
+    # and the points stay within 1e-12 max(1, |z|) in set distance of solving
+    # all 2^n patterns one by one
     for n in range(1, 9):
         bits, mult = _orbits(n)
         alone = np.concatenate([
             roots_many(charpoly_finite(SignVector(n, int(b)))[None]) for b in bits
         ])
         got = enumerate_sigma(n)
-        rows = got.values().reshape(2, 1 << (n - 1), n + 1)
-        assert rows[0].tobytes() == np.repeat(alone, mult, axis=0).tobytes()
-        assert rows[1].tobytes() == _times_i(rows[0]).tobytes()
+        points = expanded(got).values()
+        rows = np.concatenate([alone, _times_i(alone)]).ravel()
+        counts = np.tile(np.repeat(mult, n + 1), 2)
+        assert points.size == len(got) == (n + 1) << n
+        assert points.tobytes() == np.repeat(rows, counts).tobytes()
         every = np.concatenate([
             roots_many(charpoly_finite(k)[None])[0] for k in all_sign_vectors(n)
         ])
-        dist = np.abs(got.values()[:, None] - every[None, :])
-        assert (dist.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(got.values()))).all()
+        dist = np.abs(points[:, None] - every[None, :])
+        assert (dist.min(axis=1) <= 1e-12 * np.maximum(1.0, np.abs(points))).all()
         assert (dist.min(axis=0) <= 1e-12 * np.maximum(1.0, np.abs(every))).all()
         assert set(tags(got)) == {f"fin:n={n}"}
 
 
 def test_enumerate_is_in_orbit_order():
     # n = 3 has orbits +++ (palindrome, count 1), -++ (count 2) and +-+
-    # (palindrome, count 1): the rows in that order, then their images
-    got = enumerate_sigma(3).values()
+    # (palindrome, count 1): the rows in that order, then their images, each
+    # point repeated by its orbit's count
+    got = expanded(enumerate_sigma(3)).values()
     rows = [finite_eigenvalues(parse_sign_vector(t)).values() for t in ("+++", "-++", "+-+")]
-    first = np.concatenate([rows[0], rows[1], rows[1], rows[2]])
-    want = np.concatenate([first, _times_i(first)])
+    first = np.concatenate(rows)
+    counts = np.tile(np.repeat([1, 2, 1], 4), 2)
+    want = np.repeat(np.concatenate([first, _times_i(first)]), counts)
     assert got.tobytes() == want.tobytes()
 
 

@@ -140,13 +140,19 @@ class SpectrumCloud:
     def snapped(self) -> "SpectrumCloud":
         """Grid-snap dedup for plotting: one point per occupied cell of side SNAP_CELL.
 
-        Cells are indexed by round-half-even of re/SNAP_CELL and im/SNAP_CELL.
-        The representative of a cell is its first member in sorted order, so
-        the result is deterministic and sorted; it counts once.
+        Cells are indexed by round-half-even of re/SNAP_CELL and im/SNAP_CELL
+        as int64, so a point with a part that is nan, infinite or of modulus
+        about 9.2e12 or more is refused: a ValueError names the first in
+        sorted order.  The representative of a cell is its first member in
+        sorted order, so the result is deterministic and sorted; it counts once.
         """
         s = self.sorted()
-        keys = np.rint(s._values.view(float).reshape(-1, 2) / SNAP_CELL).astype(np.int64)
-        _, first = np.unique(keys, axis=0, return_index=True)
+        cells = np.rint(s._values.view(float).reshape(-1, 2) / SNAP_CELL)
+        fits = (np.abs(cells) < 2.0**63).all(axis=1)  # false for nan
+        if not fits.all():
+            far = s._values[np.argmin(fits)]
+            raise ValueError(f"snapped() takes finite parts below 9.2e12 in modulus, not {far}")
+        _, first = np.unique(cells.astype(np.int64), axis=0, return_index=True)
         keep = np.sort(first)
         return SpectrumCloud(s._values[keep], s._codes[keep], s._table)
 

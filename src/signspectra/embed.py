@@ -18,11 +18,12 @@ That combination is built directly: with x_0 = 0 and x_1 = 1, the rows of
 M x = lam x are the three-term recurrence x_{t+1} = lam x_t - s_{t-1} x_{t-1}
 over the signs s of the repeated pattern, and the truncation's nonzero
 off-diagonals make the solution unique up to scale.  Each target costs O(nm)
-and all targets of a call run as one batch, which keeps no rows unless
-witnesses are asked for.  A target is verified when the unit vector the
-recurrence builds leaves a residual ||L y - lam y|| <= tol on the
-truncation L.  M is never assembled: a witness is checked by its banded
-action, two nonzeros per row.
+and all targets of a call run as one batch, which keeps no rows.  A target
+is verified when the unit vector the recurrence builds leaves a residual
+||L y - lam y|| <= tol on the truncation L.  M is never assembled and no
+vector is kept: every row of M x - lam x but the first and the last is the
+recurrence, so a witness's defect on M is read off the recurrence's two
+boundary rows.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ __all__ = [
     "verify_embedding",
 ]
 
-# largest effective nm that verify_embedding takes; only witnesses hold an
-# nm x targets complex array, 268 MB at this size
+# largest effective nm that verify_embedding takes; a call keeps a few numbers
+# per target at any size, so the cap bounds the nm x targets recurrence steps
 EMBED_SIZE_CAP = 4096
 
 # default residual bound of a verified target
@@ -91,8 +92,7 @@ class EmbeddingResult:
     residuals: tuple[float, ...]
     verified: bool
     worst_residual: float
-    witness_vectors: np.ndarray | None
-    witness_residuals: tuple[float, ...] | None
+    witness_residuals: tuple[float, ...]
     excluded_angles: tuple[int, ...]
     excluded_values: np.ndarray
     excluded_residuals: np.ndarray
@@ -102,30 +102,26 @@ class EmbeddingResult:
 # component of a rescaled solution far from overflow
 _RESCALE_BITS = 256
 
-# target columns per block of the witness check; a block of two or more
-# columns gets the norms that one reduction over all of them gives
-_WITNESS_BLOCK = 64
 
-
-def _recurrence(signs, lams: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _recurrence(signs, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of x_{t+1} = lam x_t - s_{t-1} x_{t-1}, x_0 = 0, x_1 = 1.
 
-    One value per lam: |x_N| / ||(x_1..x_{N-1})||, N = len(signs), which is
-    ||L y - lam y|| for the unit vector y = x_1..x_{N-1} of the truncation L
-    (subdiagonal s_1..s_{N-2}): every row of L y - lam y but the last is the
-    recurrence itself.  The squared norm is summed as the rows are made, in
-    the row order of np.linalg.norm(axis=0).  A column whose squared modulus
-    outgrows 2^512 is scaled by 2^-256 with its predecessor and its sum.
-    With ``out``, a zeroed (N, len(lams)) array, rows x_1..x_{N-1} are
-    written into it, rescaled with their column, and divided by the norm.
+    Two values per lam, with N = len(signs) and ||x|| = ||(x_1..x_{N-1})||.
+    First |x_N| / ||x||, which is ||L y - lam y|| for the unit vector
+    y = x_1..x_{N-1} of the truncation L (subdiagonal s_1..s_{N-2}): every
+    row of L y - lam y but the last is the recurrence itself.  Then
+    sqrt(|x_1 + s_{N-1} x_{N-1}|^2 + |x_N|^2) / ||x||, the norm of rows 0
+    and N-1 of M x - lam x for x = (0, y) on the block circulant M, whose
+    other rows are the recurrence.  The squared norm is summed as the rows
+    are made, in the row order of np.linalg.norm(axis=0).  A column whose
+    squared modulus outgrows 2^512 is scaled by 2^-256 with its predecessor,
+    its sum and its x_1.
     """
     prev = np.zeros(lams.size, dtype=complex)
     cur = np.ones(lams.size, dtype=complex)
-    total, term = np.zeros(lams.size), np.ones(lams.size)
-    for t, s in enumerate(signs[:-1], start=2):
+    first, total, term = np.ones(lams.size), np.zeros(lams.size), np.ones(lams.size)
+    for s in signs[:-1]:
         total += term
-        if out is not None:
-            out[t - 1] = cur
         # subtract prev or add it, without multiplying it by the sign
         prev, cur = cur, (np.subtract if s > 0 else np.add)(lams * cur, prev)
         term = (cur.conj() * cur).real
@@ -133,20 +129,16 @@ def _recurrence(signs, lams: np.ndarray, out: np.ndarray | None = None) -> np.nd
         if big.any():
             scale = np.where(big, 2.0**-_RESCALE_BITS, 1.0)
             prev, cur, term, total = prev * scale, cur * scale, term * scale**2, total * scale**2
-            if out is not None:
-                out[:t, big] *= 2.0**-_RESCALE_BITS
+            first = first * scale
     norm = np.sqrt(total)
-    if out is not None:
-        out /= norm
-        out.flags.writeable = False
-    return np.abs(cur) / norm
+    corner = first + signs[-1] * prev
+    return np.abs(cur) / norm, np.sqrt((corner.conj() * corner).real + term) / norm
 
 
 def verify_embedding(
     k: SignVector,
     n: int,
     tol: float = EMBED_TOL,
-    want_witness: bool = False,
 ) -> EmbeddingResult:
     """Check that every guaranteed target is an eigenvalue of the truncation.
 
@@ -165,13 +157,18 @@ def verify_embedding(
     asserted: row e of the read-only (E, m) arrays ``excluded_values`` and
     ``excluded_residuals`` belongs to angle ``excluded_angles[e]``.
 
-    With want_witness, column i of ``witness_vectors``, a read-only
-    (nm, targets) array, is target i's unit vector x = (0, y) of the
-    nm x nm block circulant M: the combination of the Bloch waves at +-xi_j
-    that vanishes at site 0, so row 0 is exactly zero.
-    ``witness_residuals[i]`` is its residual ||M x - lam x|| by M's banded
-    action.  Without it both fields are None.  A ConvergenceError of the
-    solve names the pattern, n and the angle.
+    ``witness_residuals[i]`` bounds ||M x - lam x|| for target i's unit
+    vector x = (0, y) on the nm x nm block circulant M: the combination of
+    the Bloch waves at +-xi_j that vanishes at site 0.  It is the closed form
+    of rows 0 and N-1 (see _recurrence) plus eps (2 |lam| + 1), a bound on
+    the rounding of the other rows.  With u = eps / 2, each computed step
+    x_{t+1} = fl(fl(lam x_t) -+ x_{t-1}) misses the recurrence by at most
+    sqrt(5) u |lam| |x_t| (the complex product) plus u |x_{t+1}| (the sum),
+    so those rows have norm at most u (sqrt(5) |lam| + 1) ||x||.  The margin
+    left, above eps / 2, covers the closed form's own rounding, relative and
+    at most about nm eps / 2 (the running sum of squares), while the closed
+    form is below 1 / nm; a target within tol is far inside that.
+    A ConvergenceError of the solve names the pattern, n and the angle.
     """
     if n < 3:
         raise ValueError("n must be at least 3")
@@ -198,27 +195,14 @@ def verify_embedding(
     # the targets are the first rows of solved, in cloud order
     count = len(values)
     signs = keff.repeated(n).signs
-    x = np.zeros((n * m, solved.size), dtype=complex) if want_witness else None
-    unit_residuals = _recurrence(signs, np.ravel(solved), x)
+    unit_residuals, boundary = _recurrence(signs, np.ravel(solved))
     residuals = tuple(unit_residuals[:count].tolist())
     worst = max(residuals)
     verified = all(r <= tol for r in residuals)
+    witness = boundary[:count] + np.finfo(float).eps * (2 * np.abs(values) + 1)
     # the result views the excluded angles' rows of both arrays, read-only
     solved.flags.writeable = False
     unit_residuals.flags.writeable = False
-
-    witness_vectors = witness_residuals = None
-    if x is not None:
-        # (M x)_t = x_{t+1} + s_{t-1} x_{t-1} cyclically: with one +1 and one
-        # sign per row of M this is the dense product bit for bit
-        sub = np.roll(np.asarray(signs, dtype=float), 1)[:, None]
-        pieces = max(1, count // _WITNESS_BLOCK)
-        blocks = zip(np.array_split(x[:, :count], pieces, 1), np.array_split(values, pieces))
-        defect = np.concatenate([
-            np.linalg.norm(np.roll(xb, -1, 0) + sub * np.roll(xb, 1, 0) - xb * vb, axis=0)
-            for xb, vb in blocks
-        ])
-        witness_vectors, witness_residuals = x[:, :count], tuple(defect.tolist())
 
     return EmbeddingResult(
         l=l,
@@ -228,8 +212,7 @@ def verify_embedding(
         residuals=residuals,
         verified=verified,
         worst_residual=worst,
-        witness_vectors=witness_vectors,
-        witness_residuals=witness_residuals,
+        witness_residuals=tuple(witness.tolist()),
         excluded_angles=tuple(js[len(allowed):]),
         excluded_values=solved[len(allowed):],
         excluded_residuals=unit_residuals[count:].reshape(-1, m),

@@ -4,9 +4,12 @@ oracles live in tests/oracles.py."""
 from __future__ import annotations
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import signspectra
+import signspectra.embed
 import signspectra.errors
 from signspectra import ConvergenceError, parse_sign_vector, verify_embedding
 
@@ -62,9 +65,17 @@ def test_witness_degenerate_error_is_gone():
 
 
 def test_excluded_target_is_gone():
-    # the excluded angles are arrays of the result, as the witnesses are
+    # the excluded angles are arrays of the result, not objects
     assert "ExcludedTarget" not in signspectra.__all__
     assert not hasattr(signspectra.embed, "ExcludedTarget")
+
+
+def test_witness_array_is_gone():
+    # a witness is reported by its residual alone, computed for every call
+    fields = {f.name for f in dataclasses.fields(signspectra.embed.EmbeddingResult)}
+    assert "witness_vectors" not in fields and "witness_residuals" in fields
+    assert "want_witness" not in inspect.signature(verify_embedding).parameters
+    assert not hasattr(signspectra.embed, "_WITNESS_BLOCK")
 
 
 def test_excluded_arrays_are_read_only():

@@ -297,7 +297,7 @@ def test_embed_json_contract(capsys):
 @pytest.mark.parametrize("witness", [False, True])
 def test_embed_text_is_the_json_encoding(text, n, witness):
     # odd and even n, odd and even parity, with and without witnesses
-    result = verify_embedding(parse_sign_vector(text), n, want_witness=witness)
+    result = verify_embedding(parse_sign_vector(text), n)
     params = {"command": "embed", "k": text, "n": n, "tol": 1e-8, "witness": witness}
     assert cli_io._embed_text(result, params) == embed_json_text(result, params)
 
@@ -305,9 +305,7 @@ def test_embed_text_is_the_json_encoding(text, n, witness):
 def test_embed_text_spells_non_finite_values_as_json_does():
     # no solve gives them today; if one does, the bytes must still be json's
     nan, inf = float("nan"), float("inf")
-    result = verify_embedding(parse_sign_vector("+-"), 5, want_witness=True)
-    x = result.witness_vectors.copy()
-    x[0, :3] = [nan, inf, -inf]
+    result = verify_embedding(parse_sign_vector("+-"), 5)
     excluded_values = result.excluded_values.copy()
     excluded_values[0, 0] = complex(inf, nan)
     excluded_residuals = result.excluded_residuals.copy()
@@ -317,8 +315,7 @@ def test_embed_text_spells_non_finite_values_as_json_does():
         targets=SpectrumCloud.from_values(np.array([complex(nan, -inf), inf, 0.5]), "target:j=1"),
         residuals=(nan, inf, -inf, *result.residuals[3:]),
         worst_residual=inf,
-        witness_vectors=x,
-        witness_residuals=(-inf, nan, *result.witness_residuals[2:]),
+        witness_residuals=(-inf, nan, inf, *result.witness_residuals[3:]),
         excluded_values=excluded_values,
         excluded_residuals=excluded_residuals,
     )
@@ -507,9 +504,10 @@ def test_periodic_samples_default_to_257(capsysbinary):
 
 # sha256 of outputs, last pinned when the root finder began solving even
 # rows in x^2 and moved points (after checking them against mpmath), and
-# for embed-witness when witnesses and residuals came to be built by the
-# three-term recurrence; any change to the points, ordering, tie-breaking
-# or formatting shows here.
+# for embed-witness when each witness residual became the closed form of
+# the circulant's two boundary rows plus the bound on the rounding of the
+# others (checked against the dense defect of the oracle's vectors); any
+# change to the points, ordering, tie-breaking or formatting shows here.
 # Cases are named by command, not by digest, so a re-pin keeps the test ids.
 PINNED_OUTPUT_SHA256 = [
     pytest.param(
@@ -545,7 +543,7 @@ PINNED_OUTPUT_SHA256 = [
     ),
     pytest.param(
         ["embed", "--k=+-+-", "--n", "7", "--witness"],
-        "cbb321cc04b258bd5cc448e70c0555ec15716fe75292bb15597a87caa244def2",
+        "4213d9eb5c2e661fdf99f29197e711b778d0effe1797d3bfc7689deb11c815b5",
         id="embed-witness",
     ),
 ]
@@ -571,7 +569,7 @@ STANDING_STDOUT_SHA256 = [
      "20f2cb2a6387a4c3"),
     (["spectrum", "--mode", "periodic", "--union-max-m", "8", "--samples", "257"],
      "1be128467ea7bf08"),
-    (["embed", "--k=+-+-", "--n", "7", "--witness"], "cbb321cc04b258bd"),
+    (["embed", "--k=+-+-", "--n", "7", "--witness"], "4213d9eb5c2e661f"),
     (["spectrum", "--mode", "periodic", "--k=+--", "--samples", "257"], "142bcd051a883da3"),
     (["spectrum", "--mode", "periodic", "--k=+-++", "--samples", "257"], "83b6b79df187b9c0"),
 ]
@@ -588,20 +586,26 @@ def test_standing_stdout_digests(capsys):
 
 
 # sha256 over the exit code and stdout of 744 embed runs: every pattern of
-# period <= 5 at n in {3, 4, 5, 7, 8, 10}, with and without --witness;
-# pinned while embed still solved both angles of each mirrored pair and
-# encoded its JSON with json.dumps(indent=2), so any change of embed's
-# bytes or exit codes shows here
-EMBED_SWEEP_SHA256 = "db9bb395ca9097d293c202319bdb1138eb91c8b130297185cc39bf70bd3933a9"
+# period <= 5 at n in {3, 4, 5, 7, 8, 10}, one digest over the 372 runs
+# without --witness and one over the 372 with it, so any change of embed's
+# bytes or exit codes shows here.  The first was pinned while embed still
+# solved both angles of each mirrored pair and encoded its JSON with
+# json.dumps(indent=2); the second when the witness residuals became the
+# closed form of the circulant's boundary rows plus a rounding bound
+EMBED_SWEEP_SHA256 = {
+    False: "e34b8adfdbc8c8681cdc7c5d6068aca31f1ebc70ad956a32198afe9bf1bcb1ed",
+    True: "e7f78a0f276932b17188c2cde310c2d049dce126426d407f67df0447e2b2bb12",
+}
 
 
 @pytest.mark.slow
 def test_embed_stdout_digest_over_every_short_pattern(capsysbinary):
-    sha = hashlib.sha256()
+    sha = {witness: hashlib.sha256() for witness in EMBED_SWEEP_SHA256}
     for m in range(1, 6):
         for k in all_sign_vectors(m):
             for n in (3, 4, 5, 7, 8, 10):
-                for witness in ([], ["--witness"]):
-                    code = main(["embed", f"--k={k.to_text()}", "--n", str(n), *witness])
-                    sha.update(b"%d\n" % code + capsysbinary.readouterr().out)
-    assert sha.hexdigest() == EMBED_SWEEP_SHA256
+                for witness in sha:
+                    flag = ["--witness"] if witness else []
+                    code = main(["embed", f"--k={k.to_text()}", "--n", str(n), *flag])
+                    sha[witness].update(b"%d\n" % code + capsysbinary.readouterr().out)
+    assert {witness: h.hexdigest() for witness, h in sha.items()} == EMBED_SWEEP_SHA256

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -206,10 +208,22 @@ def test_counted_write_cloud_csv_and_snapped_equal_the_expanded_cloud(tmp_path):
         got = path.read_bytes()
         cli_io.write_cloud_csv(expanded(cloud), str(path))
         assert got == path.read_bytes()
-        # snapping keys cells by int64, so it takes moderate points only
+        # snapping keys cells by int64: the pool's 1e300, +-inf and nan are
+        # refused, named by the first such point in sorted order
+        v = cloud.sorted().values()
+        far = ~((np.abs(v.real) < 1e12) & (np.abs(v.imag) < 1e12))
+        if far.any():
+            for c in (cloud, expanded(cloud)):
+                with pytest.raises(ValueError, match=re.escape(f"not {v[far.argmax()]}")):
+                    c.snapped()
         snapped = _within(cloud, 1e6).snapped()
         assert snapped.counts() is None
         assert _same(snapped, expanded(_within(cloud, 1e6)).snapped())
+    # the int64 cells end just below 2^63 SNAP_CELL, about 9.22e12
+    assert len(SpectrumCloud.from_values([9.2e12, -9.2e12j, -9.2e12], "t").snapped()) == 3
+    for part in (9.3e12, -1e300, np.inf, np.nan):
+        with pytest.raises(ValueError, match="below 9.2e12"):
+            SpectrumCloud.from_values([part, 1j * part], "t").snapped()
 
 
 def test_merged_and_take_keep_counts_aligned():

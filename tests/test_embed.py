@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +32,7 @@ from oracles import (
     _witness_for,
     all_sign_vectors,
     build_block_circulant,
+    circulant_defect,
     circulant_factorization_check,
     dense_matrix,
     int_charpoly_oracle,
@@ -41,6 +46,16 @@ from oracles import (
 SWEEP_SPACE = [
     (k, n) for m in range(1, 6) for k in all_sign_vectors(m) for n in range(3, 11)
 ]
+
+
+def _oracle_witnesses(k, n, res):
+    """The unit vectors of recurrence_by_rows at res's targets, one column
+    each, and their defects ||M x - lam x|| by the assembled block circulant."""
+    keff = ensure_even_parity(k)
+    values = res.targets.values()
+    x, _ = recurrence_by_rows(keff.repeated(n).signs, values)
+    mat = build_block_circulant(keff, n)
+    return x, np.linalg.norm(mat @ x - x * values, axis=0)
 
 
 def test_build_block_circulant_layouts():
@@ -181,16 +196,14 @@ def test_verify_embedding_doubles_odd_parity():
 
 
 def test_verify_embedding_witnesses():
-    res = verify_embedding(parse_sign_vector("+"), 4, want_witness=True)
-    assert res.witness_vectors is not None
-    assert res.witness_vectors.shape == (4, 2)
-    assert len(res.witness_residuals) == 2
-    assert not res.witness_vectors.flags.writeable
-    assert (np.abs(res.witness_vectors[0]) <= 1e-10).all()
+    res = verify_embedding(parse_sign_vector("+"), 4)
+    assert len(res.witness_residuals) == len(res.targets) == 2
+    x, defect = _oracle_witnesses(parse_sign_vector("+"), 4, res)
+    assert x.shape == (4, 2)
+    assert (np.abs(x[0]) <= 1e-10).all()
+    assert (np.abs(np.linalg.norm(x, axis=0) - 1) <= 1e-9).all()
+    assert (np.array(res.witness_residuals) >= defect).all()
     assert max(res.witness_residuals) <= 1e-6
-    assert (np.abs(np.linalg.norm(res.witness_vectors, axis=0) - 1) <= 1e-9).all()
-    plain = verify_embedding(parse_sign_vector("+"), 4)
-    assert plain.witness_vectors is None and plain.witness_residuals is None
 
 
 def test_targets_lie_in_periodic_cloud():
@@ -238,16 +251,18 @@ def test_mirrored_target_rows_are_bitwise_equal():
 
 
 def test_witnesses_over_the_sweep_space():
+    # every reported residual is an upper bound on the dense defect of the
+    # oracle's vector; the sweep space holds the 744-run set of test_cli
     for k, n in SWEEP_SPACE:
-        res = verify_embedding(k, n, want_witness=True)
+        res = verify_embedding(k, n)
         assert res.verified, (k.to_text(), n)
-        x = res.witness_vectors
+        x, defect = _oracle_witnesses(k, n, res)
         assert x.shape == (n * res.m, len(res.targets)) == (n * res.m, len(res.witness_residuals))
-        assert (np.abs(x[0]) == 0.0).all()
         assert (x[0] == 0).all()
         assert (np.abs(np.linalg.norm(x, axis=0) - 1) <= 1e-12).all()
-        for i, residual in enumerate(res.witness_residuals):
-            assert residual <= 1e-12, (k.to_text(), n, i)
+        got = np.array(res.witness_residuals)
+        assert (got >= defect).all(), (k.to_text(), n, (defect / got).max())
+        assert (got <= 1e-12).all(), (k.to_text(), n)
 
 
 def test_witness_spans_the_inverse_iteration_line():
@@ -255,43 +270,54 @@ def test_witness_spans_the_inverse_iteration_line():
     # recurrence and the dense inverse iteration must find the same line
     pairs = random.Random(20261018).sample(SWEEP_SPACE, 60)
     for k, n in pairs:
-        res = verify_embedding(k, n, want_witness=True)
+        res = verify_embedding(k, n)
         mat = build_block_circulant(ensure_even_parity(k), n)
+        witnesses, _ = _oracle_witnesses(k, n, res)
         for i, value in enumerate(res.targets.values()):
             old = _witness_for(mat, value, i, np.random.default_rng(1000 + i))
-            x = res.witness_vectors[:, i]
+            x = witnesses[:, i]
             assert abs(np.vdot(old.vector, x)) >= 1 - 1e-12, (k.to_text(), n, i)
 
 
 def test_witness_tail_is_an_eigenvector_of_the_dense_truncation():
     for k, n in random.Random(7).sample(SWEEP_SPACE, 60):
-        res = verify_embedding(k, n, want_witness=True)
+        res = verify_embedding(k, n)
         trunc = dense_matrix(TridiagSignMatrix(res.l, ones(len(res.l))))
-        for y, value in zip(res.witness_vectors[1:].T, res.targets.values()):
+        x, _ = _oracle_witnesses(k, n, res)
+        for y, value in zip(x[1:].T, res.targets.values()):
             assert np.linalg.norm(trunc @ y - value * y) <= 1e-12, (k.to_text(), n)
 
 
-def test_residuals_do_not_depend_on_the_witness_flag():
-    for text, n in (("+", 9), ("+--", 6), ("-+-+-", 10)):
-        k = parse_sign_vector(text)
-        plain = verify_embedding(k, n)
-        full = verify_embedding(k, n, want_witness=True)
-        assert plain.residuals == full.residuals
-        assert plain.worst_residual == full.worst_residual
-        assert np.array_equal(plain.excluded_residuals, full.excluded_residuals)
+# sha256 of the float64 bytes of the residuals, the worst residual and the
+# excluded residuals, taken while verify_embedding still kept witness vectors
+PINNED_RESIDUAL_SHA256 = [
+    ("+", 9, "84adc370fcee4976d4ff2cda37b11f92b2e31d62a3e0c2bbf317564f9b1777ec"),
+    ("+--", 6, "3fb6a83f2bba65a18be966a16ba121528be1e77385b7147115a374e07a99b42a"),
+    ("-+-+-", 10, "8901702196ae5b92e44f430441c79b455ce9d0c89c751443e37b1f373010b3ae"),
+]
+
+
+def test_residuals_keep_their_pinned_bytes():
+    for text, n, digest in PINNED_RESIDUAL_SHA256:
+        res = verify_embedding(parse_sign_vector(text), n)
+        data = np.array([*res.residuals, res.worst_residual]).tobytes()
+        data += res.excluded_residuals.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, (text, n)
 
 
 @pytest.mark.parametrize("text,n", [("+-+", 200), ("-", 400), ("+--+-", 100)])
 def test_residuals_stay_finite_at_large_sizes(text, n):
     # sizes nm of 800 to 1,200, where the magnitude bound of the
     # characteristic determinant overflows
-    res = verify_embedding(parse_sign_vector(text), n, want_witness=(text == "+-+"))
+    k = parse_sign_vector(text)
+    res = verify_embedding(k, n)
     assert res.verified
     assert res.worst_residual <= 1e-12
     assert np.isfinite(res.excluded_residuals).all()
-    if res.witness_vectors is not None:
-        assert max(res.witness_residuals) <= 1e-12
-        assert (np.abs(res.witness_vectors[0]) == 0.0).all()
+    assert max(res.witness_residuals) <= 1e-12
+    signs, values = ensure_even_parity(k).repeated(n).signs, res.targets.values()
+    x, _ = recurrence_by_rows(signs, values)
+    assert (np.array(res.witness_residuals) >= circulant_defect(signs, x, values)).all()
 
 
 @pytest.mark.parametrize("shift", [1e-4, 1e-2, 0.1])
@@ -312,39 +338,47 @@ def test_shifted_targets_are_not_verified(monkeypatch, shift):
 @pytest.mark.parametrize("size", [1000, 4096])
 def test_streamed_recurrence_equals_the_stored_rows(size):
     # off-spectrum values grow fast, so their columns are rescaled many
-    # times; residuals must agree bitwise, vectors up to subnormal entries,
-    # which repeated rescaling rounds twice
+    # times; the residual on the truncation must agree bitwise, and the
+    # boundary rows of the circulant with those of the stored unit vectors
     rng = np.random.default_rng(20261019 + size)
     signs = tuple(int(s) for s in rng.choice([-1, 1], size))
     seeded = rng.uniform(-2.5, 2.5, 40) + 1j * rng.uniform(-2.5, 2.5, 40)
     lams = np.r_[3, 2.5 + 0.5j, 0.1j, 2, -2, seeded]
     want_x, want = recurrence_by_rows(signs, lams)
-    x = np.zeros((size, lams.size), dtype=complex)
-    got = embed_module._recurrence(signs, lams, x)
+    got, boundary = embed_module._recurrence(signs, lams)
     assert got.tobytes() == want.tobytes()
-    assert embed_module._recurrence(signs, lams).tobytes() == want.tobytes()
     # |y_1| = 1 / ||x|| below 2^-600 needs a column rescaled at least twice
     assert (np.abs(want_x[1]) < 2.0**-600).sum() >= 5
-    differ = x != want_x
-    tiny = 2.0**-1022
-    assert (np.abs(x[differ]) < tiny).all() and (np.abs(want_x[differ]) < tiny).all()
-    assert not x.flags.writeable
+    corner = want_x[1] + signs[-1] * want_x[-1]
+    assert np.allclose(boundary, np.hypot(np.abs(corner), want), rtol=1e-12, atol=0)
 
 
 def test_banded_witness_defect_equals_the_dense_product():
-    # M has one +1 and one sign per row, so M's banded action is the dense
-    # product bit for bit; nm = 3 and 4 are the smallest circulants, and
-    # the larger sizes check the defect in several blocks of columns
+    # M has one +1 and one sign per row, so the oracle's banded action is
+    # the dense product bit for bit, which lets the cap test skip the dense
+    # matrix; nm = 3 and 4 are the smallest circulants
     extra = [(parse_sign_vector(t), n) for t, n in (("+", 200), ("+-+", 100), ("+--+-", 30))]
     for k, n in SWEEP_SPACE + extra:
-        res = verify_embedding(k, n, want_witness=True)
-        x = res.witness_vectors
-        values = res.targets.values()
-        mat = build_block_circulant(ensure_even_parity(k), n)
-        want = np.linalg.norm(mat @ x - x * values, axis=0)
-        got = np.array(res.witness_residuals)
+        res = verify_embedding(k, n)
+        x, want = _oracle_witnesses(k, n, res)
+        got = circulant_defect(ensure_even_parity(k).repeated(n).signs, x, res.targets.values())
         assert got.tobytes() == want.tobytes(), (k.to_text(), n)
     assert (parse_sign_vector("+"), 3) in SWEEP_SPACE and (parse_sign_vector("+"), 4) in SWEEP_SPACE
+
+
+@pytest.mark.parametrize("text,n", [("+-", 1024), ("-", 2048), ("-+-+-", 409)])
+def test_witnesses_at_the_cap_bound_the_oracle_defect(text, n):
+    # effective nm of 4,090 to 4,096; 64 seeded targets of each, whose
+    # oracle vectors alone are 4 MiB
+    k = parse_sign_vector(text)
+    res = verify_embedding(k, n)
+    assert embed_module.EMBED_SIZE_CAP - 10 <= res.m * n <= embed_module.EMBED_SIZE_CAP
+    pick = np.random.default_rng(4096).choice(len(res.targets), 64, replace=False)
+    signs, values = ensure_even_parity(k).repeated(n).signs, res.targets.values()[pick]
+    x, _ = recurrence_by_rows(signs, values)
+    got = np.array(res.witness_residuals)[pick]
+    assert (got >= circulant_defect(signs, x, values)).all()
+    assert max(res.witness_residuals) <= 1e-10
 
 
 def _traced_peak(fn) -> int:
@@ -362,12 +396,26 @@ def test_embedding_at_the_cap_keeps_no_rows():
     assert peak < 16 * 2**20, peak / 2**20
 
 
+def _child_peak_mib(argv) -> float:
+    # a wrapper process runs the command, so its RUSAGE_CHILDREN peak is
+    # that one child's and no other child of the test run
+    src = os.path.dirname(os.path.dirname(cli_io.__file__))
+    wrapper = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True, "
+               "stdout=subprocess.DEVNULL); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m",
+                          "signspectra.cli_io", *argv], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    return int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
 @pytest.mark.slow
-def test_witnesses_at_the_cap_hold_one_array():
-    # the witness array alone is 4,096 x 4,096 complex values, 256 MiB; the
-    # dense circulant and copies of the rows took 896 MiB
-    peak = _traced_peak(lambda: verify_embedding(parse_sign_vector("+-"), 1024, want_witness=True))
-    assert peak < 400 * 2**20, peak / 2**20
+def test_witness_flag_costs_no_memory_at_the_cap(tmp_path):
+    # effective nm = 4,096; keeping the witness vectors took 303 MiB against
+    # 38 MiB without them
+    argv = ["embed", "--k=+-", "--n", "1024", "--out", str(tmp_path / "e.json")]
+    plain, witness = _child_peak_mib(argv), _child_peak_mib([*argv, "--witness"])
+    assert abs(witness - plain) <= 10, (plain, witness)
 
 
 def test_embed_error_names_period_pattern_n_and_angle(monkeypatch):

@@ -96,7 +96,7 @@ def test_trace_boundaries_see_the_embed_command(monkeypatch, tmp_path):
         assert embed.roots_many is not polyroot.roots_many
         assert cli_io.main(["embed", "--k=+-+", "--n", "5", "--witness", "--out", str(out)]) == 0
     assert embed.roots_many is polyroot.roots_many
-    result = embed.verify_embedding(parse_sign_vector("+-+"), 5, want_witness=True)
+    result = embed.verify_embedding(parse_sign_vector("+-+"), 5)
     assert tracer.counts["embed.verify_calls"] == 1
     assert tracer.counts["embed.targets"] == len(result.targets) > 0
     assert len(result.witness_residuals) == len(result.targets)

@@ -7,9 +7,10 @@ version, wall time and that sha256).  Timing never goes into data files.
 
 Determinism contract: identical invocations produce byte-identical CSV,
 JSON, and SVG data files.  Clouds are sorted before emission, JSON keys are
-lexicographic.  CSV floats are printed with ``'%.17g'`` (17 significant
-digits, enough to read back the same double), SVG coordinates with
-``'%.6g'`` and JSON floats by ``repr``.
+lexicographic.  CSV floats are printed as ``'%.17g'`` prints them (17 digits,
+enough to read back the same double), computed over arrays by `_format_17g`,
+which leaves to ``'%'`` zero, non-finite and out-of-range values and those
+within 2**-46 of a tie; SVG coordinates by ``'%.6g'``, JSON floats by ``repr``.
 
 Exit codes: 0 success/verified, 1 verification failure, 2 usage error,
 3 numerical failure, 4 I/O failure.
@@ -74,12 +75,71 @@ def _constant(text: str):
 _SIGN = np.array([[0], [ord("-")]], dtype=np.uint8)
 
 
+_LOW, _FMT_CHUNK, _TIE = -270, 1 << 13, 2.0**-46  # '%.17g' over arrays: see `_format_17g`
+
+
+@functools.cache
+def _format_tables():  # 10**(16 - X) = hi + lo for _LOW <= X < 16, digits of 0 ... 9999
+    hi = np.array([float(10 ** (16 - X)) for X in range(_LOW, 16)])
+    lo = np.array([float(10 ** (16 - X) - int(h)) for X, h in zip(range(_LOW, 16), hi)])
+    return hi, lo, np.frombuffer(b"".join(b"%04d" % i for i in range(10**4)), np.uint32)
+
+
+def _format_17g(mags: np.ndarray) -> np.ndarray:
+    """`_lines_table` of ``'%.17g' % x`` for each float x of `mags`, computed over arrays.
+
+    For 10**_LOW <= x < 1e16 and X = floor(log10 x), Dekker's TwoProduct of x and the
+    double-double hi + lo = 10**(16 - X) gives V = x * 10**(16 - X) as an integer p plus
+    a double c, |p + c - V| <= 2u^2 V + 20u < 2**-47 (u = 2**-53; |c| < 20).  Where
+    floor(p + c) is in [1e16, 1e17) and the fraction of p + c is not within _TIE of 1/2,
+    the integer nearest V is x's 17 digits, a log10 one off at a power of ten prints
+    alike and only a carry to 1e17 raises X.  '%' prints the rest, exact ties such as
+    1 + 2**-17 among them.  Layout as '%g': fixed for -4 <= X < 17, else d.ddde-XX,
+    trailing zeros cut.
+    """
+    hi, lo, lut = _format_tables()  # built on the first call, not at import
+    out = np.zeros((mags.size, 24), np.uint8)  # 24: '-1.7976931348623157e+308'
+    fast = (mags >= 10.0**_LOW) & (mags < 1e16)
+    for a in range(0, mags.size, _FMT_CHUNK):
+        x = np.where(fast[a : a + _FMT_CHUNK], mags[a : a + _FMT_CHUNK], 1.0)
+        k = np.clip(np.floor(np.log10(x)).astype(np.int64) - _LOW, 0, hi.size - 1)
+        h, p = hi[k], x * hi[k]
+        xh, hh = x * 134217729.0 - (x * 134217729.0 - x), h * 134217729.0 - (h * 134217729.0 - h)
+        xl, hl = x - xh, h - hh  # Dekker's splits into 26-bit high parts and the rest
+        c = ((xh * hh - p) + xh * hl + xl * hh) + xl * hl + x * lo[k]  # p + c = x (h + lo)
+        floor, frac = p.astype(np.int64) + np.floor(c).astype(np.int64), c - np.floor(c)
+        fast[a : a + x.size] &= (floor >= 10**16) & (floor < 10**17) & (abs(frac - 0.5) > _TIE)
+        d = floor + (frac > 0.5)
+        X, d = k + _LOW + (d == 10**17), np.where(d == 10**17, 10**16, d)
+        digits = lut[d[:, None] // 10 ** np.arange(16, -1, -4) % 10**4].view(np.uint8)[:, 3:]
+        s = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)  # significant digits
+        digits = digits * (np.arange(17) < np.maximum(s, X + 1)[:, None])
+        rows = out[a : a + x.size]
+        for e in np.flatnonzero(np.bincount(X - _LOW)) + _LOW:  # one layout per X
+            r = np.flatnonzero(X == e)
+            r = slice(r[0], r[-1] + 1) if r[-1] - r[0] == r.size - 1 else r
+            if e >= 0:  # a '.' only before a digit
+                rows[r, : e + 1], rows[r, e + 2 : 18] = digits[r, : e + 1], digits[r, e + 1 :]
+                rows[r, e + 1] = 46 * (s[r] > e + 1)
+            elif e >= -4:
+                rows[r, : 1 - e], rows[r, 1 - e : 18 - e] = list(b"0.000"[: 1 - e]), digits[r]
+            else:
+                rows[r, 0], rows[r, 1], rows[r, 2:18] = digits[r, 0], 46 * (s[r] > 1), digits[r, 1:]
+                r, tail = np.arange(x.size)[r], list(b"e-%02d" % -e)
+                rows[r[:, None], (s[r] + (s[r] > 1))[:, None] + np.arange(len(tail))] = tail
+    text = _lines_table(("%.17g\n" * (~fast).sum()) % tuple(mags[~fast].tolist()))
+    out[~fast] = np.pad(text, ((0, 0), (0, 24 - text.shape[1])))
+    return out[:, : next((w for w in range(24, 0, -1) if out[:, w - 1].any()), 0)]
+
+
 def _number_fields(fmt: str, cloud: SpectrumCloud, *columns) -> list:
     """Sign and magnitude fields of each (x, part) column for `_row_blocks`: |x| is |re|
-    (part 0) or |im| (part 1) of `cloud`, each magnitude formatted once.  The sign is '-'
-    where the sign bit is set, except on nan (printed 'nan' either way): -0.0 prints '-0'."""
+    (part 0) or |im| (part 1) of `cloud`, each magnitude formatted once, '%.17g' by
+    `_format_17g` ('%' off its range and within 2**-46 of a tie), others by '%'.  The sign
+    is '-' where the sign bit is set, except on nan (printed 'nan' either way): -0.0 prints '-0'."""
     mags, index = cloud.magnitudes()
-    table = _lines_table((f"{fmt}\n" * mags.size) % tuple(mags.tolist()))
+    table = (_format_17g(mags) if fmt == "%.17g"
+             else _lines_table((f"{fmt}\n" * mags.size) % tuple(mags.tolist())))
     fields = []
     for x, part in columns:
         neg = np.signbit(x) & ~np.isnan(x)

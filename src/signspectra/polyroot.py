@@ -19,9 +19,15 @@ Residual convention: a root r of p is accepted when
 which is the backward-stable yardstick for Horner evaluation.  A row whose
 roots all pass takes one more Aberth step (without the collision nudge)
 before it is returned, which brings simple roots to the rounding floor.
-Each pass works in place in arrays allocated once per call, keeping every
-operand order: numpy's fused complex multiply is not commutative bit for
-bit, so w * s is np.multiply(w, s, out=s), never s *= w.
+Each pass works in place in arrays allocated once per call, root-major:
+iterates, values and masks are (d, rows), so each numpy loop runs over the
+active rows, not over d.  Every operand order is kept: numpy's fused
+complex multiply is not commutative bit for bit, so w * s is
+np.multiply(w, s, out=s), never s *= w.  The sums over j of 1 / (z_i - z_j)
+add (d, rows) slabs in the order of numpy's pairwise sum along a contiguous
+axis of d terms, so the roots are bitwise those of a row-major axis sum;
+below _SLAB_ROWS active rows, where d^2 small adds cost more than one
+reduction per root, they are that axis sum over an (n, d, d) view.
 
 Repeated roots: Aberth delivers a j-fold root only to about tol^(1/j).  So
 every row with exact integer coefficients is screened with inclusion disks
@@ -72,10 +78,12 @@ _RADIUS_STEPS = 6
 # integral rows are those whose coefficients float64 holds exactly
 _EXACT_INT = 2.0**53
 
-# bytes of the (rows, d, d) complex pairwise array of one Aberth solve; a
+# bytes of the rows d^2 complex gap buffer of one Aberth solve; a
 # degree group is solved and screened in chunks of rows that fit, twice the
 # largest group a shipped command builds (sigma_16: 16.1 MiB)
 _PAIRS_BYTES = 32 << 20
+# active rows from which _gap_sums adds (d, n) slabs instead of summing axis 2
+_SLAB_ROWS = 64
 
 
 def _trim(coeffs: tuple) -> tuple:
@@ -224,12 +232,48 @@ class IntPolynomial:
 
 
 def _horner_batch(c: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # c: (B, D+1), z: (B, d), D >= 1; vectorized over both axes, accumulated in out
-    acc = np.add(np.multiply(c[:, -1, None], z, out=out), c[:, -2, None], out=out)
-    for i in range(c.shape[1] - 3, -1, -1):
+    # c: (D+1, B), z: (d, B), D >= 1, root-major; vectorized over both axes, accumulated in out
+    acc = np.add(np.multiply(c[-1], z, out=out), c[-2], out=out)
+    for i in range(c.shape[0] - 3, -1, -1):
         acc *= z
-        acc += c[:, i, None]
+        acc += c[i]
     return acc
+
+
+def _pairwise(t: np.ndarray) -> np.ndarray:
+    # t[0] += t[1:] in place, in numpy's order over m = len(t) terms: in turn
+    # below 4, four accumulators up to 64, halves split at a multiple of 4 above
+    m = len(t)
+    if m > 64:
+        acc = _pairwise(t[: (m - m % 8) // 2])
+        acc += _pairwise(t[(m - m % 8) // 2 :])
+        return acc
+    acc, tail = t[0], range(1, m)
+    if m >= 4:
+        quad, tail = t[:4], range(m - m % 4, m)
+        for j in range(4, tail.start, 4):
+            quad += t[j : j + 4]
+        np.add(quad[::2], quad[1::2], out=quad[::2])
+        acc += t[2]
+    for j in tail:
+        acc += t[j]
+    return acc
+
+
+def _gap_sums(z: np.ndarray, buf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_j 1 / (z_i - z_j) over (d, n) z, bit for bit np.reciprocal(diff).sum(axis=2)
+    with inf on the diagonal (a 0 - 0j term); buf holds n d^2 complex or more."""
+    d, n = z.shape
+    if n < _SLAB_ROWS:
+        diff = buf[: n * d * d].reshape(n, d, d)
+        np.subtract(z.T[:, :, None], z.T[:, None, :], out=diff)
+        diff.reshape(n, -1)[:, :: d + 1] = np.inf
+        out[...] = np.reciprocal(diff, out=diff).sum(axis=2).T
+        return out
+    slab = buf[: n * d * d].reshape(d, d, n)
+    np.subtract(z[None], z[:, None], out=slab)
+    slab.reshape(d * d, n)[:: d + 1] = np.inf
+    return np.add(_pairwise(np.reciprocal(slab, out=slab)), 0.0, out=out)
 
 
 def _cauchy_radius(absc: np.ndarray) -> np.ndarray:
@@ -262,28 +306,28 @@ def _aberth_batch(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     b, dp1 = coeffs.shape
     d = dp1 - 1
     monic = coeffs / coeffs[:, -1:]
-    deriv = monic[:, 1:] * np.arange(1, dp1)
     absc = np.abs(monic)
 
     angles = 2.0 * np.pi * np.arange(d) / d + _ANGLE_OFFSET
     z = _cauchy_radius(absc)[:, None] * np.exp(1j * angles)[None, :]
+    monic, absc = np.ascontiguousarray(monic.T), np.ascontiguousarray(absc.T)
+    deriv = monic[1:] * np.arange(1, dp1)[:, None]
 
-    # a row that converges takes its polishing step and leaves the work arrays,
-    # whose first n rows are the active ones; its iterates are those it gets alone
-    active = np.arange(b)
-    work = np.repeat(z[None], 4, axis=0)  # iterates; p; p', then w; sums, then the step
-    moduli, pairs = np.empty((2, b, d)), np.empty((b, d, d), dtype=complex)  # |z|, scale; z_i - z_j
-    (zz, pv, w, s), (az, sc), diff = work, moduli, pairs
+    # a row (a column, root-major) that converges takes its polishing step and
+    # leaves the work arrays, which shrink to the n active rows, contiguous
+    active, pairs = np.arange(b), np.empty(b * d * d, dtype=complex)
+    work, moduli = np.empty(4 * d * b, dtype=complex), np.empty(2 * d * b)
+    views = lambda n: (work[: 4 * d * n].reshape(4, d, n), moduli[: 2 * d * n].reshape(2, d, n))
+    (zz, pv, w, s), (az, sc) = views(b)  # iterates; p; p', then w; sums, then the step; |z|, scale
+    zz[...] = z.T
     for _ in range(max_iter):
         pv = _horner_batch(monic, zz, pv)
         sc = _horner_batch(absc, np.abs(zz, out=az), sc)
-        row_ok = (np.abs(pv) <= tol * sc).all(axis=1)
-        np.subtract(zz[:, :, None], zz[:, None, :], out=diff)
-        diff.reshape(len(diff), -1)[:, :: d + 1] = np.inf
+        row_ok = (np.abs(pv) <= tol * sc).all(axis=0)
         # p' = 0 makes w, and so denom, not finite: one mask covers it
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.divide(pv, _horner_batch(deriv, zz, w), out=w)
-            s = np.reciprocal(diff, out=diff).sum(axis=2, out=s)
+            s = _gap_sums(zz, pairs, s)
             denom = np.subtract(1.0, np.multiply(w, s, out=s), out=s)
             bad = (denom == 0) | ~np.isfinite(denom)
             step = np.divide(w, denom, out=denom)
@@ -291,24 +335,25 @@ def _aberth_batch(coeffs: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
             # collision or critical point: nudge deterministically, with an
             # index-dependent size so coincident iterates separate; a row
             # taking its last (polishing) step is never nudged
-            nudge = (1e-3 + 1e-3j) * (1.0 + az) * np.arange(1.0, d + 1)[None, :]
-            np.copyto(step, np.where(row_ok[:, None], 0.0, nudge), where=bad)
+            nudge = (1e-3 + 1e-3j) * (1.0 + az) * np.arange(1.0, d + 1)[:, None]
+            np.copyto(step, np.where(row_ok, 0.0, nudge), where=bad)
         zz -= step
         if row_ok.any():
-            z[active[row_ok]] = zz[row_ok]
+            z[active[row_ok]] = zz[:, row_ok].T
             if row_ok.all():
                 return z
             keep = ~row_ok
-            active, monic, absc, deriv = active[keep], monic[keep], absc[keep], deriv[keep]
-            n = active.size
-            work[0, :n] = zz[keep]
-            (zz, pv, w, s), (az, sc), diff = work[:, :n], moduli[:, :n], pairs[:n]
+            active, monic, absc, deriv = active[keep], monic[:, keep], absc[:, keep], deriv[:, keep]
+            work[: d * active.size] = zz[:, keep].ravel()
+            (zz, pv, w, s), (az, sc) = views(active.size)
     worst, row = np.inf, 0
     if max_iter > 0:
-        # the report reads the last pass's residuals of the rows it left active
-        pv, sc = work[1, : row_ok.size][~row_ok], moduli[1, : row_ok.size][~row_ok]
+        # the report reads the last pass's residuals of the rows it left active;
+        # shrinking writes over that pass's iterates only, not over p or the scale
+        (_, pv, _, _), (_, sc) = views(row_ok.size)
+        pv, sc = pv[:, ~row_ok], sc[:, ~row_ok]
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel = (np.abs(pv) / np.where(sc > 0, sc, 1.0)).max(axis=1)
+            rel = (np.abs(pv) / np.where(sc > 0, sc, 1.0)).max(axis=0)
         worst, row = float(rel.max()), int(active[np.argmax(rel)])
     raise ConvergenceError(
         f"root iteration did not converge within {max_iter} iterations "
@@ -331,8 +376,8 @@ def _overlapping_disks(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     d = z.shape[1]
     monic = coeffs / coeffs[:, -1:]
-    rounding = 4.0 * d * np.finfo(float).eps * _horner_batch(np.abs(monic), np.abs(z))
-    value = np.abs(_horner_batch(monic, z)) + rounding
+    rounding = 4.0 * d * np.finfo(float).eps * _horner_batch(np.abs(monic).T, np.abs(z).T).T
+    value = np.abs(_horner_batch(monic.T, z.T)).T + rounding
     dist = np.abs(z[:, :, None] - z[:, None, :])
     idx = np.arange(d)
     dist[:, idx, idx] = 1.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 import oracles
 from signspectra import polyroot
 from signspectra.errors import CapExceededError, ConvergenceError
-from signspectra.finite import charpoly_finite
+from signspectra.finite import _orbits, charpoly_finite
 from signspectra.polyroot import IntPolynomial, roots_many
-from signspectra.signmodel import SignVector, parse_sign_vector
-from signspectra.symbol import symbol_poly
+from signspectra.signmodel import SignVector, ensure_even_parity, parse_sign_vector
+from signspectra.symbol import symbol_poly, two_cos_pi
 
 from oracles import (
     ComplexPolynomial,
@@ -315,7 +316,7 @@ def test_bad_step_is_nudged(monkeypatch, case, digest):
     def first_pass_bad(c, z, out=None):
         calls.append(None)  # each pass evaluates p, its scale, then p'
         if case == "coincide" and len(calls) == 1:
-            z[0, 1] = z[0, 0]
+            z[1, 0] = z[0, 0]  # root-major: root 1 of row 0 onto root 0
         value = horner(c, z, out)
         if case == "critical" and len(calls) == 3:
             value[0, 0] = 0
@@ -349,19 +350,38 @@ def _kernel_batches(step: int = 1):
         r = rng.choice([-3, -2, -1, 1, 2, 3], size=(b, d))
         r[:, 1] = r[:, 0]
         yield np.array([np.poly(x)[::-1] for x in r], dtype=complex)
+    # long rows, where the gap sums add slabs over 64 rows or more and, past
+    # degree 64, split them in halves: rows of which about 80 % start next to
+    # their roots and leave within a few passes, so that each solve crosses
+    # below _SLAB_ROWS active rows, and (step 1) the degree-68 rows of
+    # +-++ x 17 in mu = x^2 at 64 interior angles, which leave over 182 passes
+    if step == 1:
+        p = symbol_poly(ensure_even_parity(parse_sign_vector("+-++" * 17)))
+        rows = np.repeat(p[None].astype(complex), 64, axis=0)
+        rows[:, 0] -= [two_cos_pi(s, 256) for s in range(2, 257, 4)]
+        yield rows[:, ::2]
+    for d in range(25, 71, 15):
+        b = int(rng.integers(64, 97))
+        rows = rng.normal(size=(b, d + 1)) + 1j * rng.normal(size=(b, d + 1))
+        fast = rng.random(b) < 0.8
+        rows[fast] *= 1e-9
+        rows[fast, 0] -= np.exp(d * 1j * polyroot._ANGLE_OFFSET)
+        rows[:, -1] = 1
+        yield rows
 
 
-def _first_pass_fault(horner, fault, takes_out):
+def _first_pass_fault(horner, fault, shipped):
     # as in test_bad_step_is_nudged: on the first pass z_1 is moved onto z_0
     # ("coincide") or p'(z_0) is made exactly 0 ("critical") in row 0, so
-    # the Aberth correction is not finite and the nudge path runs
+    # the Aberth correction is not finite and the nudge path runs; the
+    # shipped kernel is root-major and evaluates into out, the reference not
     calls = []
 
     def faulty(c, z, out=None):
         calls.append(None)  # each pass evaluates p, its scale, then p'
         if fault == "coincide" and len(calls) == 1:
-            z[0, 1] = z[0, 0]
-        value = horner(c, z, out) if takes_out else horner(c, z)
+            z[(1, 0) if shipped else (0, 1)] = z[0, 0]
+        value = horner(c, z, out) if shipped else horner(c, z)
         if fault == "critical" and len(calls) == 3:
             value[0, 0] = 0
         return value
@@ -369,12 +389,21 @@ def _first_pass_fault(horner, fault, takes_out):
     return faulty, calls
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("fault", [None, "coincide", "critical"])
 def test_aberth_kernel_is_bitwise_the_reference(monkeypatch, fault):
-    # the work arrays are allocated once and the step runs in place, with
-    # every operand order kept: numpy's fused complex multiply is not
-    # commutative bit for bit, so w * s and s * w can differ in the last bit
-    failures = 0
+    # the work arrays are allocated once, root-major, and the step runs in
+    # place, with every operand order kept: numpy's fused complex multiply is
+    # not commutative bit for bit, so w * s and s * w can differ in the last
+    # bit; the gap sums add in numpy's own order on both sides of _SLAB_ROWS
+    failures, shapes = 0, []
+    gap_sums = polyroot._gap_sums
+
+    def recorded(z, buf, out):
+        shapes.append(z.shape)  # (d, active rows)
+        return gap_sums(z, buf, out)
+
+    monkeypatch.setattr(polyroot, "_gap_sums", recorded)
     batches = list(_kernel_batches(1 if fault is None else 4))
     for coeffs in batches:
         for max_iter in (1, 3, polyroot.DEFAULT_MAX_ITER):
@@ -391,6 +420,76 @@ def test_aberth_kernel_is_bitwise_the_reference(monkeypatch, fault):
             failures += isinstance(outcomes[0], tuple)
     # every batch fails at 1 and 3 passes
     assert failures >= 2 * len(batches)
+    # slabs of over 64 roots were split, and solves crossed from the slab to
+    # the axis-2 sum as their rows left
+    slab = polyroot._SLAB_ROWS
+    assert any(d > 64 and n >= slab for d, n in shapes)
+    assert any(n >= slab > m and d == e for (d, n), (e, m) in zip(shapes, shapes[1:]))
+
+
+def _canonical_nans(a: np.ndarray) -> bytes:
+    # which NaN an add returns when both operands are NaN depends on how
+    # numpy's loops were compiled; a NaN sum only marks the step bad
+    a = a.copy()
+    a.real[np.isnan(a.real)] = np.nan
+    a.imag[np.isnan(a.imag)] = np.nan
+    return a.tobytes()
+
+
+@pytest.mark.parametrize("slab_rows", [1, 10**9])
+def test_gap_sums_are_bitwise_the_axis_sum(monkeypatch, slab_rows):
+    # the (d, d, n) slab is added over j in the order numpy's pairwise sum
+    # uses along a contiguous axis; if a numpy changes that order, this fails
+    monkeypatch.setattr(polyroot, "_SLAB_ROWS", slab_rows)
+    rng = np.random.default_rng(33)
+    n = 8
+    for d in range(2, 141):
+        shape = (d, n)
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # moduli from 1e-150 to 1e150 in the first half of the rows; in the
+        # second, terms of one scale, whose rounding shows any change of order
+        z[:, : n // 2] *= 10.0 ** rng.uniform(-150, 150, (d, n // 2))
+        z[1, 0] = z[0, 0]  # coincident iterates: infinite and NaN terms
+        # real and imaginary iterates, with zero parts of either sign
+        z[:, 1].imag = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+        z[:, 2].real = np.where(rng.random(d) < 0.5, -0.0, 0.0)
+        diff = np.empty((n, d, d), dtype=complex)
+        np.subtract(z.T[:, :, None], z.T[:, None, :], out=diff)
+        diff.reshape(n, -1)[:, :: d + 1] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.reciprocal(diff).sum(axis=2).T
+            got = polyroot._gap_sums(z, np.empty(n * d * d, dtype=complex), np.empty_like(z))
+        assert _canonical_nans(got) == _canonical_nans(want), d
+        assert not np.isfinite(want[:, 0]).all() and np.isfinite(want[:, 1:]).all()
+
+
+def _union_largest_group():
+    # the rows of the union's largest degree group: every distinct period-16
+    # symbol polynomial less each of the 257 targets
+    signs = 1 - 2 * ((np.arange(1 << 8)[:, None] >> np.arange(8)) & 1)
+    polys = np.unique(symbol_poly(np.tile(signs[signs.prod(axis=1) < 0], 2)), axis=0)
+    rows = np.repeat(polys[:, None].astype(complex), 257, axis=1)
+    rows[..., 0] -= [two_cos_pi(s, 256) for s in range(257)]
+    return rows.reshape(-1, polys.shape[1])
+
+
+@pytest.mark.parametrize("name", ["sigma14", "union8"])
+def test_roots_many_peak_memory(name):
+    # one buffer of rows d^2 complex serves the slab and the (n, d, d) view;
+    # the peak stays within the row-major kernel's, 8.5 MiB on both inputs
+    if name == "sigma14":
+        bits, _ = _orbits(14)
+        rows = charpoly_finite(1 - 2 * ((bits[:, None] >> np.arange(14)) & 1))
+    else:
+        rows = _union_largest_group()
+    assert rows.shape == {"sigma14": (4160, 16), "union8": (3084, 17)}[name]
+    tracemalloc.start()
+    try:
+        roots_many(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2**20, peak
 
 
 def _all_charpolys(max_n):

@@ -147,17 +147,16 @@ def _number_fields(fmt: str, cloud: SpectrumCloud, *columns) -> list:
     return fields
 
 
-def _row_blocks(fields: list, cloud: SpectrumCloud):
-    """Yield the bytes of a row per entry of `cloud`, repeated by its count,
+def _row_blocks(fields: list, counts: np.ndarray):
+    """Yield the bytes of a row per entry, repeated by its count in `counts`,
     `_CSV_BLOCK` entries at a time.
 
     A field is (table, index): row i takes table row index[i], or table
     row 0 when index is None, and the fields are concatenated in order.
     NUL bytes are padding and are dropped, so no text may hold one.
     """
-    size, counts = cloud.values().size, cloud.counts()
-    for a in range(0, size, _CSV_BLOCK):
-        n = min(_CSV_BLOCK, size - a)
+    for a in range(0, counts.size, _CSV_BLOCK):
+        n = min(_CSV_BLOCK, counts.size - a)
         rec = np.concatenate(
             [
                 np.broadcast_to(table, (n, table.shape[1])) if index is None
@@ -166,8 +165,7 @@ def _row_blocks(fields: list, cloud: SpectrumCloud):
             ],
             axis=1,
         )
-        if counts is not None:
-            rec = np.repeat(rec, counts[a : a + n], axis=0)
+        rec = np.repeat(rec, counts[a : a + n], axis=0)
         yield rec[rec != 0].tobytes()
 
 
@@ -177,7 +175,7 @@ def _csv_blocks(cloud: SpectrumCloud, params: dict | None = None):
     re_sign, re, im_sign, im = _number_fields("%.17g", cloud, (v.real, 0), (v.imag, 1))
     fields = [re_sign, re, _constant(","), im_sign, im, (tails, cloud.codes()), _constant("\n")]
     yield b"re,im,tag\n"
-    yield from _row_blocks(fields, cloud)
+    yield from _row_blocks(fields, cloud.counts())
 
 
 def write_cloud_csv(cloud: SpectrumCloud, path: str) -> None:
@@ -215,7 +213,7 @@ def _json_blocks(cloud: SpectrumCloud, params: dict):
         _constant(',\n      "tag": '), (tags, cloud.codes()),
         _constant("\n    }"),
     ]
-    rows = _row_blocks(fields, cloud)
+    rows = _row_blocks(fields, cloud.counts())
     yield (head + points).encode() + next(rows, b",")[1:]
     yield from rows
     yield (tail if v.size == 0 else "\n  " + tail).encode()
@@ -234,7 +232,7 @@ def _svg_blocks(cloud: SpectrumCloud, params: dict | None = None):
         b'viewBox="-2.2 -2.2 4.4 4.4">\n'
         b'<rect x="-2.2" y="-2.2" width="4.4" height="4.4" fill="white"/>\n'
     )
-    yield from _row_blocks(fields, cloud)
+    yield from _row_blocks(fields, cloud.counts())
     yield b"</svg>\n"
 
 

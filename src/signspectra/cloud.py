@@ -6,7 +6,8 @@ of the equal points it stands for, 1 unless the cloud was given counts.
 
 A cloud is the complex values, one int32 tag code per value, a tag table of
 distinct strings in sorted order (codes index it, so ordering by code orders
-by tag string) and, if some count is above 1, the counts in the least dtype.
+by tag string) and one count per value in the least unsigned dtype (uint8
+unless some count is above 255).
 """
 
 from __future__ import annotations
@@ -41,18 +42,22 @@ class SpectrumCloud:
         """One code per value, indexing ``table``, which must be sorted and distinct,
         and one integer count of at least 1 per value (all 1 when omitted)."""
         self._values = _readonly(np.asarray(values, dtype=complex).ravel())
-        self._codes = _readonly(np.asarray(codes, dtype=np.int32).ravel())
-        if self._values.size != self._codes.size:
-            raise ValueError(f"{self._codes.size} codes for {self._values.size} values")
-        if counts is not None:
-            counts = np.asarray(counts).ravel()
-            bad = counts.size and (counts.dtype.kind not in "iu" or counts.min() < 1)
-            if bad or counts.size != self._values.size:
-                raise ValueError(f"counts must be {self._values.size} integers of at least 1")
-            keep = not (counts == 1).all()
-            counts = _readonly(counts.astype(np.min_scalar_type(counts.max()))) if keep else None
-        self._counts = counts
+        codes = np.asarray(codes).ravel()  # checked before int32 can wrap it
         self._table = tuple(table)
+        n = self._values.size
+        if codes.size != n:
+            raise ValueError(f"{codes.size} codes for {n} values")
+        if n and not 0 <= codes.min() <= codes.max() < len(self._table):
+            bad = codes[~((codes >= 0) & (codes < len(self._table)))][0]
+            raise ValueError(f"code {bad} is outside [0, {len(self._table)})")
+        self._codes = _readonly(codes.astype(np.int32, copy=False))
+        unordered = next(((a, b) for a, b in zip(self._table, self._table[1:]) if a >= b), ())
+        if unordered:
+            raise ValueError("tags must be sorted and distinct, not %r before %r" % unordered)
+        counts = np.ones(n, np.uint8) if counts is None else np.asarray(counts).ravel()
+        if counts.size != n or n and (counts.dtype.kind not in "iu" or counts.min() < 1):
+            raise ValueError(f"counts must be {n} integers of at least 1")
+        self._counts = _readonly(counts.astype(np.min_scalar_type(counts.max(initial=1))))
         self._ranks = None
 
     @classmethod
@@ -80,8 +85,8 @@ class SpectrumCloud:
         """The tag code of each entry, indexing table() (a read-only array)."""
         return self._codes
 
-    def counts(self) -> np.ndarray | None:
-        """The count of each entry (a read-only array), or None when every count is 1."""
+    def counts(self) -> np.ndarray:
+        """The count of each entry, at least 1, in cloud order (a read-only array)."""
         return self._counts
 
     def table(self) -> tuple[str, ...]:
@@ -89,7 +94,7 @@ class SpectrumCloud:
         return self._table
 
     def __len__(self) -> int:  # the number of points: the sum of the counts
-        return self._values.size if self._counts is None else int(self._counts.sum())
+        return int(self._counts.sum())
 
     def merged(self, *others: "SpectrumCloud") -> "SpectrumCloud":
         clouds = (self, *others)
@@ -99,17 +104,13 @@ class SpectrumCloud:
             np.array([index[t] for t in c._table], dtype=np.int32)[c._codes]
             for c in clouds
         ]
-        counts = None
-        if any(c._counts is not None for c in clouds):
-            counts = np.concatenate([np.ones(c._values.size, np.uint8) if c._counts is None
-                                     else c._counts for c in clouds])
         return SpectrumCloud(
-            np.concatenate([c._values for c in clouds]), np.concatenate(codes), table, counts
+            np.concatenate([c._values for c in clouds]), np.concatenate(codes), table,
+            np.concatenate([c._counts for c in clouds]),
         )
 
     def _take(self, idx: np.ndarray) -> "SpectrumCloud":
-        counts = None if self._counts is None else self._counts[idx]
-        return SpectrumCloud(self._values[idx], self._codes[idx], self._table, counts)
+        return SpectrumCloud(self._values[idx], self._codes[idx], self._table, self._counts[idx])
 
     def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted distinct moduli of the parts (one nan at most), and a (2, n)

@@ -402,7 +402,7 @@ def roots_many(
 ) -> np.ndarray:
     """Roots of many polynomials of one degree, one row of roots per row.
 
-    ``coeff_rows`` is a 2-D array, one polynomial per row: ascending
+    ``coeff_rows`` is a 2-D array, one polynomial per row: ascending finite
     coefficients, leading column nonzero.  The result is a complex array of
     shape (rows, width - 1), row i holding the roots of row i, its exact
     zero roots first.  The zero-root peel, the evenness test and the output
@@ -420,6 +420,9 @@ def roots_many(
         raise ValueError(f"need a 2-D array of coefficient rows, got shape {c.shape}")
     if c.shape[1] < 2:
         raise ValueError("need degree >= 1")
+    finite = np.isfinite(c).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {np.argmin(finite)}: a coefficient is not finite")
     lead = c[:, -1] != 0
     if not lead.all():
         raise ValueError(f"row {np.argmin(lead)}: leading coefficient is zero")

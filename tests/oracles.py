@@ -649,8 +649,6 @@ def expanded(cloud: SpectrumCloud) -> SpectrumCloud:
     """The cloud with each entry repeated by its count, copies adjacent: one
     entry per point, every count 1."""
     counts = cloud.counts()
-    if counts is None:
-        return cloud
     return SpectrumCloud(
         np.repeat(cloud.values(), counts), np.repeat(cloud.codes(), counts), cloud.table()
     )

@@ -11,7 +11,10 @@ from signspectra import cli_io, finite
 from signspectra import cloud as cloud_module
 from signspectra.cloud import SpectrumCloud, _check_key_span
 from signspectra.density import PERIOD_CAP, periodic_union
-from signspectra.finite import ENUMERATION_CAP, enumerate_sigma
+from signspectra.embed import verify_embedding
+from signspectra.finite import ENUMERATION_CAP, enumerate_sigma, finite_eigenvalues
+from signspectra.signmodel import parse_sign_vector
+from signspectra.symbol import periodic_spectrum
 
 from oracles import expanded, lexsorted, number_fields_reference
 
@@ -158,10 +161,9 @@ def _counted_clouds():
 
 def _within(cloud: SpectrumCloud, bound: float = np.inf) -> SpectrumCloud:
     # the entries whose parts lie below bound in modulus, with their counts
-    v, counts = cloud.values(), cloud.counts()
+    v = cloud.values()
     keep = (np.abs(v.real) < bound) & (np.abs(v.imag) < bound)
-    return SpectrumCloud(v[keep], cloud.codes()[keep], cloud.table(),
-                         None if counts is None else counts[keep])
+    return SpectrumCloud(v[keep], cloud.codes()[keep], cloud.table(), cloud.counts()[keep])
 
 
 def _same(a: SpectrumCloud, b: SpectrumCloud) -> bool:
@@ -217,7 +219,7 @@ def test_counted_write_cloud_csv_and_snapped_equal_the_expanded_cloud(tmp_path):
                 with pytest.raises(ValueError, match=re.escape(f"not {v[far.argmax()]}")):
                     c.snapped()
         snapped = _within(cloud, 1e6).snapped()
-        assert snapped.counts() is None
+        assert np.array_equal(snapped.counts(), np.ones(snapped.values().size))
         assert _same(snapped, expanded(_within(cloud, 1e6)).snapped())
     # the int64 cells end just below 2^63 SNAP_CELL, about 9.22e12
     assert len(SpectrumCloud.from_values([9.2e12, -9.2e12j, -9.2e12], "t").snapped()) == 3
@@ -233,7 +235,7 @@ def test_merged_and_take_keep_counts_aligned():
     got = a.merged(plain, b)
     assert len(got) == len(a) + len(plain) + len(b)
     assert _same(expanded(got), expanded(a).merged(plain, expanded(b)))
-    assert plain.merged(plain).counts() is None
+    assert np.array_equal(plain.merged(plain).counts(), np.ones(100))
     idx = rng.permutation(len(a.values()))[:25]
     taken = a._take(idx)
     v, c, k = a.values()[idx], a.codes()[idx], a.counts()[idx]
@@ -246,8 +248,11 @@ def test_counts_are_compact_and_checked():
     cloud = SpectrumCloud(values, codes, ("t",), np.array([1, 2, 1, 2], dtype=np.int64))
     assert cloud.counts().dtype == np.uint8 and not cloud.counts().flags.writeable
     assert len(cloud) == 6 and len(SpectrumCloud(values, codes, ("t",))) == 4
-    # all ones is the plain cloud: no count array at all
-    assert SpectrumCloud(values, codes, ("t",), np.ones(4, dtype=int)).counts() is None
+    # all ones is the plain cloud: the same uint8 count array
+    for ones in (np.ones(4, dtype=int), None):
+        got = SpectrumCloud(values, codes, ("t",), ones).counts()
+        assert got.dtype == np.uint8 and not got.flags.writeable and got.tolist() == [1] * 4
+    assert SpectrumCloud().counts().dtype == np.uint8 and len(SpectrumCloud()) == 0
     rows = SpectrumCloud.from_values(values.reshape(2, 2), "t", [[1, 1], [3, 3]])
     assert rows.counts().tolist() == [1, 1, 3, 3]
     for bad in ([1, 2, 1], [1, 2, 1, 2, 1], [1, 0, 1, 1], [1, -1, 2, 1], [1.0, 2.0, 1.0, 1.0]):
@@ -257,6 +262,37 @@ def test_counts_are_compact_and_checked():
         SpectrumCloud.from_values(values, "t", np.zeros(4, dtype=int))
 
 
+def test_codes_and_table_are_checked():
+    # codes index a sorted, distinct table, so code order is tag order and no
+    # code wraps round to the last tag or fails only when the cloud is written
+    wide = np.array([0, 2**32 + 1])  # int32 would wrap it to 1
+    for codes, table, code in (([-1, 0], ("a", "b"), -1), ([0, 3], ("a",), 3),
+                               ([0, 0], (), 0), (wide, ("a", "b"), 2**32 + 1)):
+        with pytest.raises(ValueError, match=re.escape(f"code {code} is outside [0, {len(table)})")):
+            SpectrumCloud([1 + 1j, 2], codes, table)
+    for table, pair in ((("b", "a"), "'b' before 'a'"), (("a", "c", "c"), "'c' before 'c'")):
+        with pytest.raises(ValueError, match=f"sorted and distinct, not {pair}"):
+            SpectrumCloud([1 + 0j, 1 + 0j], [0, 1], table)
+
+
+def test_every_pipeline_cloud_carries_its_counts():
+    plus_minus, sigma = parse_sign_vector("+-"), enumerate_sigma(5)
+    pipeline = {
+        "finite": finite_eigenvalues(parse_sign_vector("+-+")),
+        "enumerate": sigma,
+        "periodic": periodic_spectrum(plus_minus, 9),
+        "union": periodic_union(3, 9),
+        "targets": verify_embedding(plus_minus, 6).targets,
+        "snapped": sigma.snapped(),
+    }
+    for name, cloud in pipeline.items():
+        counts = cloud.counts()
+        assert counts.dtype.kind == "u" and not counts.flags.writeable, name
+        assert counts.size == cloud.values().size and counts.min() >= 1, name
+        assert len(cloud) == counts.sum(), name
+    assert sigma.counts().max() == 2
+
+
 def test_enumerate_sigma_counts_each_orbit_half():
     # one entry per solved root and per image, each counting 1 or 2 points
     for n in range(1, 9):
@@ -264,6 +300,5 @@ def test_enumerate_sigma_counts_each_orbit_half():
         bits, mult = finite._orbits(n)
         assert len(cloud.values()) == 2 * bits.size * (n + 1)
         want, got = np.tile(np.repeat(mult, n + 1), 2), cloud.counts()
-        assert (got is None) == (n < 3)  # every orbit of size 1 or 2 has count 1
-        assert np.array_equal(np.ones_like(want) if got is None else got, want)
+        assert np.array_equal(got, want)  # below n = 3 every orbit has count 1
         assert len(cloud) == (n + 1) << n

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,18 @@ def test_roots_many_input_checks():
     # rows of different lengths are not one array
     with pytest.raises(ValueError):
         roots_many([np.array([-6.0, 3.0]), np.array([1.0, 1, 1])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("column", [0, 2, 3])  # constant, interior, leading
+def test_roots_many_refuses_non_finite_rows(bad, column):
+    # refused before any pass: no overflow warnings, no ConvergenceError on a nan residual
+    rows = np.array([[-6, 3, 0, 1], [2, -3, 1, 1], [1, 1, 1, 1]], dtype=complex)
+    rows[1, column] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^row 1: a coefficient is not finite$"):
+            roots_many(rows)
 
 
 def test_roots_many_returns_one_array_per_call():

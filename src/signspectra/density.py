@@ -2,7 +2,8 @@
 
 The metric is the directed Hausdorff distance d(X -> Y) = max over x of the
 distance from x to Y.  directed_hausdorff assumes no symmetry, so it stays
-valid in mutation tests; density_report relies on sigma_n = i sigma_n.  It
+valid in mutation tests; density_report relies on sigma_n = i sigma_n, which
+enumerate_sigma's values hold bit for bit, and scans them as they are.  It
 reports only the maximum of each distance series, so it first scans a probe
 of each series against every sigma_n for a floor under the final maximum,
 then sweeps the sizes over the query points that can still set a maximum.
@@ -139,17 +140,6 @@ def _fold_by_i(z: np.ndarray) -> np.ndarray:
     return np.stack([np.where(turn, y, x), np.where(turn, -x, y)], axis=-1).view(complex)[:, 0]
 
 
-def _quadrant(z: np.ndarray) -> np.ndarray:
-    """The points of z in {re > 0, im >= 0}, and its zeros: one per i-orbit of an invariant z."""
-    return z[((z.real > 0) & (z.imag >= 0)) | (z == 0)]
-
-
-def _unfolded(z: np.ndarray) -> np.ndarray:
-    """The values z, i z, -z and -i z, by exact swaps and negations of parts."""
-    turn = np.stack([-z.imag, z.real], axis=-1).view(complex)[:, 0]
-    return np.concatenate([z, turn, -z, -turn])
-
-
 def directed_hausdorff(
     xs: np.ndarray, ys: np.ndarray | _CellGrid, best: np.ndarray | None = None
 ) -> float:
@@ -161,9 +151,9 @@ def directed_hausdorff(
     therefore gives the distance to the union of the parts seen so far,
     scanning each part once.  Without it every point starts at infinity and
     exact duplicates in X are dropped first.  Duplicates in Y change no
-    minimum and no maximum; they cost time, not exactness, so a caller that
-    scans one Y more than once dedups it once itself, and passes Y as the
-    _CellGrid of its points, built once.
+    minimum and no maximum; they cost time, not exactness.  A caller that
+    scans one Y more than once passes it as the _CellGrid of its points,
+    built once.
     """
     grid = ys if isinstance(ys, _CellGrid) else None
     ys = ys if grid is None else grid.ys
@@ -283,10 +273,10 @@ def density_report(
     every step scans only sigma_n (sigma_1 joins sigma_2).  That sigma_n
     must be exactly invariant under z -> i z, as enumerate_sigma builds it;
     a quarter turn of both points keeps |x - y| bitwise, so each i-orbit of
-    the query cloud (which needs no symmetry) is scanned once, and sigma_n
-    is held as the distinct points of its quadrant re > 0, im >= 0 (and 0),
-    deduplicated once as it is enumerated and turned back into all of
-    sigma_n's values for each scan.
+    the query cloud (which needs no symmetry) is scanned once.  sigma_n is
+    scanned as enumerated, every quarter turn included, with its exact
+    zeros (every matrix of odd size has one) kept once; its other exact
+    repeats cost scan time only.
 
     Only each series' maximum is reported.  A probe, every _PROBE_STRIDE-th
     member of each series, is scanned against every sigma_n first; the
@@ -322,10 +312,11 @@ def density_report(
     for n in sizes:
         parts = [enumerate_sigma(m, tol, cap=cap) for m in ((1, 2) if n == 2 else (n,))]
         sigma_sizes[n] = sigma_sizes.get(n - 1, 0) + sum(map(len, parts))  # sigma_1 joins sigma_2
-        fresh = np.unique(np.concatenate([_quadrant(c.values()) for c in parts]))
+        values = np.concatenate([c.values() for c in parts])
         del parts  # only the grid is held while the next sigma_n is enumerated
-        grids.append(_CellGrid(_unfolded(fresh)))
-        del fresh
+        values = np.delete(values, np.flatnonzero(values == 0)[1:])
+        grids.append(_CellGrid(values))
+        del values
         directed_hausdorff(points[probed], grids[-1], final)
     floors = [final[m[probed]].max() for m in member]
     floor = np.where(member, np.array(floors)[:, None], np.inf).min(axis=0)

@@ -113,14 +113,17 @@ def periodic_spectrum(k, samples: int, tol: float = DEFAULT_TOL) -> SpectrumClou
     even parity, whose clouds are concatenated in stack order.  Angles are
     uniform, phi_s = pi s/(samples-1), and the targets 2 cos phi_s are
     Chebyshev-distributed in [-2, 2], which resolves the arc endpoints well.
-    Each point is tagged with its angle.  A count above SAMPLES_CAP is
-    refused before anything is built.
+    Each point is tagged with its angle.  A count above SAMPLES_CAP, an
+    entry other than +-1 and a period of 0 are refused before any solve.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     if samples > SAMPLES_CAP:
         raise CapExceededError(f"{samples} angle samples above cap {SAMPLES_CAP}")
     k = np.asarray(ensure_even_parity(k).signs if isinstance(k, SignVector) else k)
+    bad = np.flatnonzero((np.abs(np.atleast_2d(k)) != 1).any(axis=-1) | (k.shape[-1] == 0))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: a pattern needs period at least 1 and entries +-1")
     if (np.prod(k, axis=-1) != 1).any():
         raise ValueError("a stack of patterns needs even parity")
     targets = [two_cos_pi(s, samples - 1) for s in range(samples)]

@@ -7,8 +7,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +357,19 @@ def test_density_manifest_records_tol_and_command(tmp_path):
         assert manifest["params"] == {**data["params"], "command": "density", "tol": float(tol)}
         manifests.append(manifest["params"])
     assert manifests[0] != manifests[1]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    # every signspectra line of the README's "Command line" block, with its
+    # continuation lines joined, exits 0 in a temporary working directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("signspectra ")]
+    assert {argv[0] for argv in commands} == {"normalize", "spectrum", "enumerate", "embed", "density"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 def test_parser_is_built_once_and_not_at_import(capsys):

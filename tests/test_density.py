@@ -222,21 +222,26 @@ def test_fold_by_i_is_an_exact_quarter_turn_into_the_first_quadrant():
     ).all()
 
 
-def test_quadrant_and_its_quarter_turns_give_back_sigma():
-    # the report holds each sigma_n as its distinct quadrant points; their
-    # exact quarter turns must be sigma_n's values again, 0 and -0 alike
-    for n in range(1, 11):
-        v = enumerate_sigma(n).values()
-        q = np.unique(density._quadrant(v))
-        assert ((q.real > 0) & (q.imag >= 0) | (q == 0)).all()
-        assert 4 * q.size <= np.unique(v).size + 3
-        turned = density._unfolded(q)
-        assert np.array_equal(np.unique(turned), np.unique(v)), n
-    z = np.array([1 + 2j, -0.0 + 3j])
-    x, y = z.real, z.imag
-    turns = density._unfolded(z).reshape(4, -1)
-    for got, (a, b) in zip(turns, [(x, y), (-y, x), (-x, -y), (y, -x)]):
-        assert (_same_bits(got.real, a) & _same_bits(got.imag, b)).all()
+def test_report_scans_each_sigma_n_as_enumerated_with_one_zero(monkeypatch):
+    # every sigma_n's grid holds its values as enumerated (sigma_1 with
+    # sigma_2), repeats and all quarter turns included, with every exact
+    # zero but one dropped
+    grids = []
+
+    class Recording(density._CellGrid):
+        def __init__(self, ys):
+            grids.append(ys.copy())
+            super().__init__(ys)
+
+    monkeypatch.setattr(density, "_CellGrid", Recording)
+    density_report(10, 4, 33, 0.2)
+    assert len(grids) == 9
+    for n, ys in zip(range(2, 11), grids):
+        v = np.concatenate([enumerate_sigma(m).values() for m in ((1, 2) if n == 2 else (n,))])
+        zero = v == 0
+        want = np.concatenate([v[~zero], v[zero][:1]])
+        assert np.array_equal(np.sort(ys), np.sort(want)), n
+        assert np.array_equal(np.unique(ys), np.unique(v)), n
 
 
 def test_density_report_equals_a_scan_of_the_unfolded_queries():

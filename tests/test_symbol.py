@@ -395,6 +395,23 @@ def test_periodic_spectrum_of_a_stack_is_the_merge_of_its_patterns():
         periodic_spectrum(np.array([[1, 1], [1, -1]]), 5)
 
 
+def test_periodic_spectrum_refuses_stacks_that_are_not_sign_patterns():
+    # entries other than +-1 used to be cast to an integer pattern, and a
+    # period of 0 used to give points; each is refused, naming the first bad row
+    for stack, row in [
+        (np.array([[0.5, 2.0]]), 0),
+        (np.empty((1, 0), dtype=int), 0),
+        (np.array([[1, -1], [1, 0]]), 1),
+        (np.array([[1, 1], [-1, -1], [np.nan, 1]]), 2),
+    ]:
+        with pytest.raises(ValueError, match=f"^row {row}: "):
+            periodic_spectrum(stack, 5)
+    # a float +-1 stack is a sign pattern, solved as its integer twin
+    ints = np.array([[1, -1, -1, 1], [1, 1, 1, 1]])
+    got = periodic_spectrum(ints.astype(float), 5)
+    assert got.values().tobytes() == periodic_spectrum(ints, 5).values().tobytes()
+
+
 def test_periodic_error_names_period_pattern_and_angle(monkeypatch):
     monkeypatch.setattr(symbol, "roots_many", functools.partial(polyroot.roots_many, max_iter=1))
     stack = np.array([[1, 1, 1, 1, 1, 1], [1, -1, 1, 1, -1, 1], [-1, -1, 1, -1, -1, 1]])
